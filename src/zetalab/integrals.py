@@ -1,16 +1,27 @@
 """Exact integration of integer-breakpoint step functions against power kernels.
 
-Every integrand here is piecewise u^(-p) times a per-cell constant, so
-the integral over [1, X] is a finite sum of closed-form segment
-antiderivatives:
+Every integrand here is G(u) u^(-p), where G(u) = sum_{n<=u} a(n) is a
+step function with integer breakpoints. Abel summation turns the
+integral over [1, X] into a Dirichlet polynomial over the same
+coefficients. With q = 1 - p:
 
-    integral_n^(n+1) u^(-p) du = (n^(1-p) - (n+1)^(1-p)) / (p - 1)
+    integral_1^X G(u) u^(-p) du = (G(X-1) X^q - sum_{n<X} a(n) n^q) / q
 
-with the p = 1 cell handled by its log limit. No quadrature grid, no
+At p = 1 this becomes its log limit, sum_{n<X} a(n) log(X/n). Near
+p = 1 the difference above cancels, so there the terms are taken in the
+equivalent form a(n) n^q expm1(q log(X/n)) / q. No quadrature grid, no
 quadrature error; what remains is rounding plus the truncation tail,
 which is modeled explicitly and reported rather than hidden.
+
+Every integral and truncated Dirichlet series in the package goes
+through one core, _evaluate(). It makes one ordered pass per
+coefficient stream (lambda, mu, or the constant ONE), whatever the
+number of requested kinds, exponents and truncations. Within a pass all
+exponents share one log n per sub-block, and G(x-1) and the tail
+envelope are read off at each truncation point x.
 """
 
+import bisect
 import csv
 import enum
 import math
@@ -20,9 +31,14 @@ import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
 from .errors import DomainError
-from .liouville import iter_lambda_segments, iter_mobius_segments
+from .liouville import DEFAULT_SEGMENT, iter_lambda_segments, iter_mobius_segments
 
 _SINGULAR_WINDOW = 1e-9
+# Below this |p - 1| the Abel difference would cancel more than about
+# two digits, so the pass uses the expm1 form instead.
+_NEAR_ONE = 1e-2
+# Terms folded per numpy call; bounds the temporaries for any segment size.
+_SUB_BLOCK = 1 << 15
 UNMODELED = "unmodeled; conditional"
 
 
@@ -84,48 +100,42 @@ def _resolve_kernel(kind: StepKind, kernel: str) -> str:
     return kernel
 
 
-def _cell_weights(p: complex, ns: np.ndarray) -> np.ndarray:
-    # integral over [n, n+1) of u^(-p) du
-    if p == 1:
-        return np.log1p(1.0 / ns).astype(np.complex128)
-    one_minus = 1.0 - p
-    return (np.power(ns, one_minus) - np.power(ns + 1.0, one_minus)) / (p - 1.0)
+def _narrow(z: complex):
+    """z as a float when it is real, so that the pass runs real arithmetic."""
+    return z.real if z.imag == 0 else z
 
 
-def _coefficient_blocks(kind, stop, segment_size, threads):
-    """Yield (ns, G values on those ns) for n in [1, stop)."""
-    if kind is StepKind.ONE:
-        seg = (1 << 20) if segment_size is None else int(segment_size)
-        if seg < 1:
-            raise DomainError("segment_size must be >= 1")
-        for lo in range(1, stop, seg):
-            hi = min(lo + seg, stop)
-            ns = np.arange(lo, hi, dtype=np.float64)
-            yield ns, np.ones_like(ns)
-        return
+@dataclass(frozen=True)
+class _Polynomial:
+    """Request for sum_{n < stop} a(n) n^q over the coefficients of kind."""
 
-    source = iter_mobius_segments if kind is StepKind.MU_ONE else iter_lambda_segments
-    carry = CompensatedSum()
-    for lo, coeff in source(1, stop, segment_size=segment_size, threads=threads):
-        ns = np.arange(lo, lo + len(coeff), dtype=np.float64)
-        cf = coeff.astype(np.float64)
-        if kind is StepKind.F_HALF:
-            terms = cf * ns**-0.5
-        elif kind in (StepKind.F_ONE, StepKind.T_SUM, StepKind.MU_ONE):
-            terms = cf / ns
-        elif kind is StepKind.L_XI:
-            terms = cf * (ns**-0.5 - 1.0 / ns)
-        elif kind is StepKind.P_OVER_U:
-            terms = cf
-        else:  # pragma: no cover
-            raise DomainError(f"unhandled kind {kind}")
-        if lo == 1 and kind is not StepKind.T_SUM and kind is not StepKind.P_OVER_U:
-            terms[0] = 0.0  # a(1) = 0 conventions
-        yield ns, carry.value + np.cumsum(terms)
-        carry.add_array(terms)
+    kind: StepKind
+    q: complex
+    stop: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", _narrow(complex(self.q)))
 
 
-def _integrate(kind, s, X, kernel, tolerance, window_divisor, segment_size, threads):
+@dataclass(frozen=True)
+class _Integral:
+    """Request for the integral of kind's G against u^(q-1) over [1, x].
+
+    Its tail envelope is max |G(n)| n^(-envelope) over [window_lo, x).
+    """
+
+    kind: StepKind
+    s: complex
+    x: int
+    kernel: str
+    q: complex
+    envelope: float
+    window_lo: int
+    tolerance: float
+
+
+def _integral(kind, s, X, kernel="auto", tolerance=1e-6, window_divisor=10) -> _Integral:
+    """Validated request for the integral integrate_step computes."""
     X = int(X)
     if X < 2:
         raise DomainError("X must be >= 2")
@@ -137,41 +147,160 @@ def _integrate(kind, s, X, kernel, tolerance, window_divisor, segment_size, thre
         raise DomainError(
             f"kernel exponent {p_eff} within {_SINGULAR_WINDOW} of the singular value 1"
         )
+    if kind is StepKind.P_OVER_U:
+        envelope = 1.0
+    else:
+        envelope = 0.5 if kernel == "half_shifted" else 0.0
+    return _Integral(
+        kind, s, X, kernel, _narrow(1.0 - p_eff), envelope, max(2, X // window_divisor), tolerance
+    )
 
-    window_lo = max(2, X // window_divisor)
-    acc = ComplexCompensatedSum()
-    env_max = 0.0
-    for ns, g_vals in _coefficient_blocks(kind, X, segment_size, threads):
-        acc.add_array(g_vals * _cell_weights(p_eff, ns))
-        mask = ns >= window_lo
-        if mask.any():
-            g_win = np.abs(g_vals[mask])
-            if kind is StepKind.P_OVER_U:
-                env = g_win / ns[mask]
-            elif kernel == "half_shifted":
-                env = g_win / np.sqrt(ns[mask])
-            else:
-                env = g_win
-            env_max = max(env_max, float(env.max()))
 
-    # decay exponent of the modeled integrand envelope c * u^(-sigma_d)
-    sigma_d = s.real + (0.5 if kind is StepKind.P_OVER_U and kernel == "half_shifted" else 0.0)
-    if sigma_d > 1.0:
-        tail = env_max * X ** (1.0 - sigma_d) / (sigma_d - 1.0)
-        if kind is StepKind.P_OVER_U:
-            model = f"|P(u)/u| <= {env_max:.3e} fitted on [{window_lo}, {X}]"
-        elif kernel == "half_shifted":
-            model = f"|G(u)| <= {env_max:.3e} * sqrt(u) fitted on [{window_lo}, {X}]"
+def _j_xi(s, X, tolerance=1e-6) -> _Integral:
+    s = complex(s)
+    if s.real <= 0.5:
+        raise DomainError("j_xi needs sigma > 1/2")
+    return _integral(StepKind.L_XI, s, X, "half_shifted", tolerance, 2)
+
+
+def _one_segments(start, stop, *, segment_size=None, threads=None):
+    """The ONE stream: a(1) = 1 and a(n) = 0 beyond, so G(u) = 1."""
+    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
+    if seg < 1:
+        raise DomainError("segment_size must be >= 1")
+    for lo in range(start, stop, seg):
+        coeff = np.zeros(min(lo + seg, stop) - lo, dtype=np.int8)
+        if lo == 1:
+            coeff[0] = 1
+        yield lo, coeff
+
+
+def _coefficients(kind, ns, cf):
+    """a(n) on ns for kind, from the stream values cf."""
+    if kind is StepKind.F_HALF:
+        a = cf * ns**-0.5
+    elif kind is StepKind.L_XI:
+        a = cf * (ns**-0.5 - 1.0 / ns)
+    elif kind in (StepKind.F_ONE, StepKind.T_SUM, StepKind.MU_ONE):
+        a = cf / ns
+    else:  # P_OVER_U sums lambda itself; the ONE stream is its own a(n)
+        return cf
+    if ns[0] == 1 and kind is not StepKind.T_SUM:
+        a[0] = 0.0  # a(1) = 0 conventions
+    return a
+
+
+def _accumulator(q):
+    return CompensatedSum() if isinstance(q, float) else ComplexCompensatedSum()
+
+
+def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
+    """Values of _Polynomial and _Integral requests, keyed by request.
+
+    One ordered pass per coefficient stream serves every request on it.
+    """
+    # looked up per call, so that a wrapped or patched stream is the one used
+    streams = {StepKind.ONE: _one_segments, StepKind.MU_ONE: iter_mobius_segments}
+    by_stream: dict = {}
+    for r in requests:
+        by_stream.setdefault(streams.get(r.kind, iter_lambda_segments), set()).add(r)
+    out = {}
+    for stream, group in by_stream.items():
+        out.update(_fold(stream, group, segment_size, threads))
+    return out
+
+
+def _fold(stream, requests, segment_size, threads) -> dict:
+    """One ordered pass over a coefficient stream, serving every request on it.
+
+    An integral needs two polynomials at its x: G(x-1), the q = 0 one,
+    and the one at its own q. Requests with the same (kind, q) share one
+    running sum, read off at each stop. An integral with p near 1 keeps
+    its own x-dependent sum instead. Sub-blocks are cut at every stop
+    and window start, so each block lies wholly inside or outside every
+    range.
+    """
+    integrals = {r for r in requests if isinstance(r, _Integral)}
+    near = {r: _accumulator(r.q) for r in integrals if abs(r.q) < _NEAR_ONE}
+    polys = requests - integrals
+    polys |= {_Polynomial(r.kind, 0, r.x) for r in integrals}
+    polys |= {_Polynomial(r.kind, r.q, r.x) for r in integrals - near.keys()}
+    envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals}
+    ends: dict = {}  # (kind, q) -> last stop of its running sum
+    for r in polys:
+        ends[r.kind, r.q] = max(ends.get((r.kind, r.q), 0), r.stop)
+    sums = {key: _accumulator(key[1]) for key in ends}
+    kinds = {k for k, _ in ends}
+    cuts = sorted({r.stop for r in polys} | {r.window_lo for r in integrals})
+    at = {}  # stop -> {(kind, q): running sum there}
+
+    for lo, coeff in stream(1, cuts[-1], segment_size=segment_size, threads=threads):
+        hi = lo + len(coeff)
+        b = lo
+        while b < hi:
+            cut = cuts[bisect.bisect_right(cuts, b)]
+            e = min(b + _SUB_BLOCK, hi, cut)
+            ns = np.arange(b, e, dtype=np.float64)
+            cf = coeff[b - lo : e - lo].astype(np.float64)
+            a = {k: _coefficients(k, ns, cf) for k in kinds}
+            live = {k for k, v in a.items() if v.any()}
+            logn = np.log(ns)
+            need = {q for (k, q), end in ends.items() if k in live and b < end}
+            need |= {r.q for r in near if r.kind in live and e <= r.x}
+            power = {q: np.exp(q * logn) for q in need if q}
+
+            g_abs = {}
+            for key in envs:
+                k, ex, w_lo, x = key
+                if w_lo <= b and e <= x:
+                    if k not in g_abs:
+                        g_abs[k] = np.abs(sums[k, 0.0].value + np.cumsum(a[k]))
+                    envs[key] = max(envs[key], float((g_abs[k] / ns**ex).max()))
+            for (k, q), acc in sums.items():
+                if k in live and b < ends[k, q]:
+                    acc.add_array(a[k] * power[q] if q else a[k])
+            for r, acc in near.items():
+                if r.kind in live and e <= r.x:
+                    log_xn = np.log(r.x / ns)
+                    t = power[r.q] * np.expm1(r.q * log_xn) if r.q else log_xn
+                    acc.add_array(a[r.kind] * t)
+            if e == cut:
+                at[e] = {key: acc.value for key, acc in sums.items()}
+            b = e
+
+    out = {r: at[r.stop][r.kind, r.q] for r in requests - integrals}
+    for r in integrals:
+        if r in near:
+            value = near[r].value / r.q if r.q else near[r].value
         else:
-            model = f"|G(u)| <= {env_max:.3e} fitted on [{window_lo}, {X}]"
+            g, total = at[r.x][r.kind, 0.0], at[r.x][r.kind, r.q]
+            value = (g * r.x**r.q - total) / r.q
+        out[r] = _result(r, complex(value), envs[r.kind, r.envelope, r.window_lo, r.x])
+    return out
+
+
+def _result(r: _Integral, value: complex, env_max: float) -> IntegralResult:
+    # decay exponent of the modeled integrand envelope c * u^(-sigma_d)
+    sigma_d = r.s.real + (
+        0.5 if r.kind is StepKind.P_OVER_U and r.kernel == "half_shifted" else 0.0
+    )
+    if sigma_d > 1.0:
+        tail = env_max * r.x ** (1.0 - sigma_d) / (sigma_d - 1.0)
+        fitted = f"fitted on [{r.window_lo}, {r.x}]"
+        if r.kind is StepKind.P_OVER_U:
+            model = f"|P(u)/u| <= {env_max:.3e} {fitted}"
+        elif r.kernel == "half_shifted":
+            model = f"|G(u)| <= {env_max:.3e} * sqrt(u) {fitted}"
+        else:
+            model = f"|G(u)| <= {env_max:.3e} {fitted}"
     else:
         tail = math.inf
         model = UNMODELED
     return IntegralResult(
-        value=acc.value,
-        truncation=X,
+        value=value,
+        truncation=r.x,
         tail_estimate=tail,
-        converged=tail < tolerance,
+        converged=tail < r.tolerance,
         tail_model=model,
     )
 
@@ -186,15 +315,15 @@ def integrate_step(
     segment_size: int | None = None,
     threads: int | None = None,
 ) -> IntegralResult:
-    """Integrate G against its kernel over [1, X], exactly per segment.
+    """Integrate G against its kernel over [1, X], exactly, by Abel summation.
 
     X defaults to G.limit. The kernel is u^(-s-1/2) for the F/L kinds
     and u^(-s) for T_SUM and P_OVER_U; pass kernel="plain" or
     "half_shifted" to override. The tail envelope is fitted on the last
     decade [X/10, X].
     """
-    x_eff = G.limit if X is None else X
-    return _integrate(G.kind, s, x_eff, kernel, tolerance, 10, segment_size, threads)
+    r = _integral(G.kind, s, G.limit if X is None else X, kernel, tolerance)
+    return _evaluate([r], segment_size=segment_size, threads=threads)[r]
 
 
 def j_xi(
@@ -212,12 +341,8 @@ def j_xi(
     the tail is reported as unmodeled. The envelope window here is the
     last octave [X/2, X], where |L_u| grows too slowly to need a decade.
     """
-    s = complex(s)
-    if s.real <= 0.5:
-        raise DomainError("j_xi needs sigma > 1/2")
-    return _integrate(
-        StepKind.L_XI, s, X, "half_shifted", tolerance, 2, segment_size, threads
-    )
+    r = _j_xi(s, X, tolerance)
+    return _evaluate([r], segment_size=segment_size, threads=threads)[r]
 
 
 @dataclass(frozen=True)
@@ -291,11 +416,15 @@ def estimate_sigma_c(
     traces: dict[float, tuple[complex, ...]] = {}
     tails: dict[float, tuple[float, ...]] = {}
     classifications: dict[float, str] = {}
+    # one pass to max(sched) serves every (sigma, x) pair
+    requests = {
+        (sigma, x): _integral(G.kind, sigma, x, kernel, math.inf)
+        for sigma in grid
+        for x in sched
+    }
+    values = _evaluate(requests.values(), segment_size=segment_size, threads=threads)
     for sigma in grid:
-        results = [
-            _integrate(G.kind, sigma, x, kernel, math.inf, 10, segment_size, threads)
-            for x in sched
-        ]
+        results = [values[requests[sigma, x]] for x in sched]
         traces[sigma] = tuple(r.value for r in results)
         tails[sigma] = tuple(r.tail_estimate for r in results)
         classifications[sigma] = _classify_trace(

@@ -19,11 +19,10 @@ import numpy as np
 
 from .compensated import CompensatedSum
 from .errors import DomainError
-from .integrals import StepFunction, StepKind, integrate_step, j_xi
+from .integrals import StepKind, _evaluate, _integral, _j_xi, _Polynomial
 from .liouville import iter_lambda_segments
-from .sums import f_x
 from .xi import DEFAULT_XI
-from .zeta import lambda_series, shifted_ratio, zeta, zeta_ratio
+from .zeta import shifted_ratio, zeta, zeta_ratio
 
 DEFAULT_S_POINTS = (2.0, 3.0, 1.5 + 2j, 0.75, 0.6 + 1j)
 DEFAULT_X = 10**6
@@ -83,21 +82,53 @@ def _case(name, s, X, lhs, rhs, tolerance, flags=()):
     )
 
 
+def _run(plans, stream_kw) -> list[VerificationCase]:
+    """Build each (requests, build) plan's case from one shared evaluation.
+
+    The evaluation makes one pass per coefficient stream for all plans
+    together, so a suite costs what its largest single check costs.
+    """
+    results = _evaluate([r for requests, _ in plans for r in requests], **stream_kw)
+    return [build(results) for _, build in plans]
+
+
+def _pnt_limit(x):
+    x = int(x)
+    if x < 2:
+        raise DomainError("verify_pnt_limit needs x >= 2")
+    f_one = _Polynomial(StepKind.F_ONE, 0.0, x + 1)  # F_x(1), its own accumulator
+
+    def build(r):
+        if x >= 10**6:
+            tol, flags = 1e-2, ()
+        else:
+            tol, flags = 2.0, ("coarse_band",)
+        return _case("pnt_limit", None, x, r[f_one], -1.0, tol, flags)
+
+    return [f_one], build
+
+
 def verify_pnt_limit(x: int, **stream_kw) -> VerificationCase:
     """F_x(1) against its limit -1 (equivalent to the prime number theorem).
 
     No unconditional rate is known, so the band is coarse below 10^6
     and 0.01 from there on.
     """
-    x = int(x)
-    if x < 2:
-        raise DomainError("verify_pnt_limit needs x >= 2")
-    lhs = f_x(1.0, x, **stream_kw)
-    if x >= 10**6:
-        tol, flags = 1e-2, ()
-    else:
-        tol, flags = 2.0, ("coarse_band",)
-    return _case("pnt_limit", None, x, lhs, -1.0, tol, flags)
+    return _run([_pnt_limit(x)], stream_kw)[0]
+
+
+def _reciprocal_integral(s, X):
+    s = complex(s)
+    if s.real <= 1:
+        raise DomainError("verify_reciprocal_integral needs sigma > 1")
+    mu = _integral(StepKind.MU_ONE, s, X)
+
+    def build(r):
+        lhs = (-1.0 + 1.0 / zeta(s)) / (s - 1.0)
+        tol = max(_FLOOR, 2.0 * r[mu].tail_estimate)
+        return _case("zeta_reciprocal_integral", s, X, lhs, r[mu].value, tol)
+
+    return [mu], build
 
 
 def verify_reciprocal_integral(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
@@ -106,24 +137,45 @@ def verify_reciprocal_integral(s: complex, X: int = DEFAULT_X, **stream_kw) -> V
     The step function is sum_{2<=n<=u} mu(n)/n under the plain u^(-s)
     kernel; valid for sigma > 1.
     """
+    return _run([_reciprocal_integral(s, X)], stream_kw)[0]
+
+
+def _ratio_integral(s, X):
     s = complex(s)
     if s.real <= 1:
-        raise DomainError("verify_reciprocal_integral needs sigma > 1")
-    lhs = (-1.0 + 1.0 / zeta(s)) / (s - 1.0)
-    res = integrate_step(StepFunction(StepKind.MU_ONE, max(X, 2)), s, X, **stream_kw)
-    tol = max(_FLOOR, 2.0 * res.tail_estimate)
-    return _case("zeta_reciprocal_integral", s, X, lhs, res.value, tol)
+        raise DomainError("verify_ratio_integral needs sigma > 1")
+    half = _integral(StepKind.F_HALF, s, X)
+
+    def build(r):
+        lhs = (zeta_ratio(s) - 1.0) / (s - 0.5)
+        tol = max(_FLOOR, 2.0 * r[half].tail_estimate)
+        return _case("ratio_integral", s, X, lhs, r[half].value, tol)
+
+    return [half], build
 
 
 def verify_ratio_integral(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
     """(zeta(2s)/zeta(s) - 1)/(s - 1/2) against the F_u(1/2) integral."""
+    return _run([_ratio_integral(s, X)], stream_kw)[0]
+
+
+def _ratio_decomposition(s, X):
     s = complex(s)
-    if s.real <= 1:
-        raise DomainError("verify_ratio_integral needs sigma > 1")
-    lhs = (zeta_ratio(s) - 1.0) / (s - 0.5)
-    res = integrate_step(StepFunction(StepKind.F_HALF, max(X, 2)), s, X, **stream_kw)
-    tol = max(_FLOOR, 2.0 * res.tail_estimate)
-    return _case("ratio_integral", s, X, lhs, res.value, tol)
+    if s.real <= 0.5:
+        raise DomainError("verify_ratio_decomposition needs sigma > 1/2")
+    j, one = _j_xi(s, X), _integral(StepKind.F_ONE, s, X)
+
+    def build(r):
+        lhs = (zeta_ratio(s) - 1.0) / (s - 0.5) - r[j].value
+        if s.real > 1:
+            tol = max(_FLOOR, 2.0 * (r[j].tail_estimate + r[one].tail_estimate))
+            flags = ()
+        else:
+            tol = _EMPIRICAL_BAND
+            flags = ("empirical",)
+        return _case("ratio_decomposition", s, X, lhs, r[one].value, tol, flags)
+
+    return [j, one], build
 
 
 def verify_ratio_decomposition(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
@@ -133,19 +185,31 @@ def verify_ratio_decomposition(s: complex, X: int = DEFAULT_X, **stream_kw) -> V
     integrals actually evaluated (a triangle bound on the untracked
     F_half tail); in the conditional strip the case is empirical.
     """
+    return _run([_ratio_decomposition(s, X)], stream_kw)[0]
+
+
+def _shifted_identity(s, X):
     s = complex(s)
     if s.real <= 0.5:
-        raise DomainError("verify_ratio_decomposition needs sigma > 1/2")
-    j = j_xi(s, X, **stream_kw)
-    lhs = (zeta_ratio(s) - 1.0) / (s - 0.5) - j.value
-    res = integrate_step(StepFunction(StepKind.F_ONE, max(X, 2)), s, X, **stream_kw)
-    if s.real > 1:
-        tol = max(_FLOOR, 2.0 * (j.tail_estimate + res.tail_estimate))
-        flags = ()
-    else:
-        tol = _EMPIRICAL_BAND
-        flags = ("empirical",)
-    return _case("ratio_decomposition", s, X, lhs, res.value, tol, flags)
+        raise DomainError("verify_shifted_identity needs sigma > 1/2")
+    if s == 1:
+        raise DomainError("s = 1 sits on the zeta pole")
+    j = _j_xi(s, X)
+    # lambda_series(s + 1/2, X): lambda(n) n^(-s-1/2) over n <= X, its own accumulator
+    series = _Polynomial(StepKind.P_OVER_U, -(s + 0.5), int(X) + 1)
+
+    def build(r):
+        lhs = zeta_ratio(s) - (s - 0.5) * r[j].value
+        rhs = shifted_ratio(s)
+        flags = [f"series_xcheck_gap={abs(rhs - r[series]):.3e}"]
+        if s.real > 1:
+            tol = max(_FLOOR, 2.0 * abs(s - 0.5) * r[j].tail_estimate)
+        else:
+            tol = _EMPIRICAL_BAND
+            flags.append("empirical")
+        return _case("shifted_ratio_identity", s, X, lhs, rhs, tol, flags)
+
+    return [j, series], build
 
 
 def verify_shifted_identity(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
@@ -154,22 +218,18 @@ def verify_shifted_identity(s: complex, X: int = DEFAULT_X, **stream_kw) -> Veri
     The rhs is additionally cross-checked against the truncated series
     sum lambda(n) n^(-s-1/2); the gap rides along as a flag.
     """
+    return _run([_shifted_identity(s, X)], stream_kw)[0]
+
+
+def _finite_linearity(s, X):
     s = complex(s)
-    if s.real <= 0.5:
-        raise DomainError("verify_shifted_identity needs sigma > 1/2")
-    if s == 1:
-        raise DomainError("s = 1 sits on the zeta pole")
-    j = j_xi(s, X, **stream_kw)
-    lhs = zeta_ratio(s) - (s - 0.5) * j.value
-    rhs = shifted_ratio(s)
-    series_gap = abs(rhs - lambda_series(s + 0.5, X, **stream_kw))
-    flags = [f"series_xcheck_gap={series_gap:.3e}"]
-    if s.real > 1:
-        tol = max(_FLOOR, 2.0 * abs(s - 0.5) * j.tail_estimate)
-    else:
-        tol = _EMPIRICAL_BAND
-        flags.append("empirical")
-    return _case("shifted_ratio_identity", s, X, lhs, rhs, tol, flags)
+    parts = [_integral(kind, s, X) for kind in (StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI)]
+
+    def build(r):
+        half, one, l_xi = (r[p].value for p in parts)
+        return _case("finite_linearity", s, X, half, one + l_xi, 1e-12)
+
+    return parts, build
 
 
 def verify_finite_linearity(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
@@ -178,14 +238,7 @@ def verify_finite_linearity(s: complex, X: int = DEFAULT_X, **stream_kw) -> Veri
     Holds at every s and X by construction of L, independent of any
     convergence question; the band is pure rounding.
     """
-    s = complex(s)
-    X = int(X)
-    lhs = integrate_step(StepFunction(StepKind.F_HALF, max(X, 2)), s, X, **stream_kw).value
-    rhs = (
-        integrate_step(StepFunction(StepKind.F_ONE, max(X, 2)), s, X, **stream_kw).value
-        + integrate_step(StepFunction(StepKind.L_XI, max(X, 2)), s, X, **stream_kw).value
-    )
-    return _case("finite_linearity", s, X, lhs, rhs, 1e-12)
+    return _run([_finite_linearity(s, X)], stream_kw)[0]
 
 
 @dataclass(frozen=True)
@@ -307,22 +360,22 @@ def run_default_suite(
 
     sigma > 1 points exercise every route; conditional-strip points get
     the empirical decomposition and identity cases plus the exact
-    linearity collapse. Results are sorted by (name, s, X) so repeated
-    runs serialize identically.
+    linearity collapse. All cases share one lambda pass and one mu pass.
+    Results are sorted by (name, s, X) so repeated runs serialize
+    identically.
     """
-    cases: list[VerificationCase] = []
-    cases.append(verify_pnt_limit(X, **stream_kw))
+    plans = [_pnt_limit(X)]
     for s in s_points:
         s = complex(s)
         if s.real > 1:
-            cases.append(verify_reciprocal_integral(s, X, **stream_kw))
-            cases.append(verify_ratio_integral(s, X, **stream_kw))
+            plans.append(_reciprocal_integral(s, X))
+            plans.append(_ratio_integral(s, X))
         if s.real > 0.5:
-            cases.append(verify_ratio_decomposition(s, X, **stream_kw))
+            plans.append(_ratio_decomposition(s, X))
             if s != 1:
-                cases.append(verify_shifted_identity(s, X, **stream_kw))
-        cases.append(verify_finite_linearity(s, X, **stream_kw))
-    return sort_cases(cases)
+                plans.append(_shifted_identity(s, X))
+        plans.append(_finite_linearity(s, X))
+    return sort_cases(_run(plans, stream_kw))
 
 
 def sort_cases(cases) -> list[VerificationCase]:

@@ -62,13 +62,8 @@ class XiSequence:
         breaks this immediately, which is what makes it a useful check.
         """
         arr = _as_n_array(n)
-        logn = np.log(arr)
-        x = np.log(logn) / logn + (
-            np.log(self.beta - self.alpha)
-            - np.log1p(-np.exp((self.alpha - self.beta) * logn))
-        ) / logn + self.alpha
         out = (arr ** -self.beta - arr ** -self.alpha
-               + (self.beta - self.alpha) * logn * np.power(arr, -x))
+               + (self.beta - self.alpha) * np.log(arr) * np.power(arr, -self.xi(arr)))
         return float(out[()]) if np.isscalar(n) or out.ndim == 0 else out
 
 

@@ -13,14 +13,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import bernoulli
 
-from .compensated import ComplexCompensatedSum
 from .errors import (
     DivisionInstabilityError,
     DomainError,
     PoleError,
     PrecisionError,
 )
-from .liouville import iter_lambda_segments
+from .integrals import StepKind, _evaluate, _Polynomial
 
 _SIGMA_FLOOR = -1.0
 _T_CEILING = 100.0
@@ -167,15 +166,9 @@ def lambda_series(
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("lambda_series needs N >= 1")
-    s = complex(s)
-    acc = ComplexCompensatedSum()
-    for lo, lam in iter_lambda_segments(
-        1, n_terms + 1, segment_size=segment_size, threads=threads
-    ):
-        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
-        terms = lam * np.exp(-s * np.log(ns))
-        acc.add_array(terms)
-    return acc.value
+    # P's coefficients are lambda(n) itself, n = 1 included
+    series = _Polynomial(StepKind.P_OVER_U, -complex(s), n_terms + 1)
+    return complex(_evaluate([series], segment_size=segment_size, threads=threads)[series])
 
 
 @dataclass(frozen=True)

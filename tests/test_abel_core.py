@@ -1,0 +1,143 @@
+"""The Abel-summation integral core against the per-cell route, and its pass counts."""
+
+import importlib
+import sys
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from per_cell import per_cell_integral
+from zetalab import (
+    StepFunction,
+    StepKind,
+    estimate_sigma_c,
+    integrate_step,
+    run_default_suite,
+    verify_finite_linearity,
+    verify_pnt_limit,
+    verify_ratio_decomposition,
+    verify_ratio_integral,
+    verify_reciprocal_integral,
+    verify_shifted_identity,
+)
+from zetalab.integrals import _SUB_BLOCK
+from zetalab.verify import DEFAULT_S_POINTS, sort_cases
+
+KERNELS = ("plain", "half_shifted")
+# Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (expm1
+# form, outside the 1e-9 guard), either side of the expm1 switch at
+# |p - 1| = 1e-2, real values above and below 1, and complex values.
+EXPONENTS = (1.0, 1 + 1e-6, 1 - 1e-6, 1.005, 1.02, 2.5, 1.25, 0.7, 2 + 2j, 1.1 + 1j, 1 + 1e-6j)
+
+
+def _close(a: complex, b: complex, rel: float = 1e-13) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+def _s_for(kind: StepKind, kernel: str, p: complex) -> complex:
+    """The s at which kind's integrand under kernel has exponent p."""
+    s = p - 1.0 if kind is StepKind.P_OVER_U else p
+    return s - 0.5 if kernel == "half_shifted" else s
+
+
+@pytest.mark.parametrize("kind", list(StepKind))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_abel_matches_per_cell(kind, kernel):
+    X = 3000
+    G = StepFunction(kind, X)
+    for p in EXPONENTS:
+        s = _s_for(kind, kernel, p)
+        mine = integrate_step(G, s, kernel=kernel).value
+        ref = per_cell_integral(kind, s, X, kernel)
+        assert _close(mine, ref), (p, mine, ref)
+
+
+@pytest.mark.parametrize(
+    "segment_size, boundary",
+    [(97, 1 + 97 * 10), (4097, 1 + 4097 * 2), (None, 1 + _SUB_BLOCK)],
+)
+def test_abel_at_segment_and_sub_block_boundaries(segment_size, boundary):
+    for X in (boundary - 1, boundary, boundary + 1):
+        for kind, kernel, p in (
+            (StepKind.F_HALF, "half_shifted", 2 + 2j),
+            (StepKind.L_XI, "half_shifted", 1.25),
+            (StepKind.MU_ONE, "plain", 1.0),
+            (StepKind.P_OVER_U, "plain", 1 + 1e-6),
+        ):
+            s = _s_for(kind, kernel, p)
+            mine = integrate_step(
+                StepFunction(kind, X), s, kernel=kernel, segment_size=segment_size
+            ).value
+            assert _close(mine, per_cell_integral(kind, s, X, kernel)), (X, kind, p)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Count the calls to the lambda and mu segment streams, wherever they are bound."""
+    liouville = importlib.import_module("zetalab.liouville")
+    counts = {"lambda": 0, "mobius": 0}
+    for stream, name in (("lambda", "iter_lambda_segments"), ("mobius", "iter_mobius_segments")):
+        original = getattr(liouville, name)
+
+        def counting(*args, _stream=stream, _original=original, **kwargs):
+            counts[_stream] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("zetalab") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _standalone_cases(X):
+    cases = [verify_pnt_limit(X)]
+    for s in map(complex, DEFAULT_S_POINTS):
+        if s.real > 1:
+            cases += [verify_reciprocal_integral(s, X), verify_ratio_integral(s, X)]
+        if s.real > 0.5:
+            cases += [verify_ratio_decomposition(s, X), verify_shifted_identity(s, X)]
+        cases.append(verify_finite_linearity(s, X))
+    return sort_cases(cases)
+
+
+def test_suite_is_one_lambda_pass_and_one_mu_pass(passes):
+    X = 10**4
+    suite = run_default_suite(X=X)
+    assert passes == {"lambda": 1, "mobius": 1}
+    standalone = _standalone_cases(X)
+    assert len(standalone) == len(suite)
+    for a, b in zip(suite, standalone):
+        assert (a.name, a.s, a.X, a.passed) == (b.name, b.s, b.X, b.passed)
+        assert _close(a.lhs, b.lhs) and _close(a.rhs, b.rhs), a.name
+        assert _close(a.residual, b.residual) and _close(a.tolerance, b.tolerance), a.name
+
+
+def test_sigma_c_is_one_pass_and_matches_integrate_step(passes):
+    grid = [0.40, 0.45, 0.50, 0.55, 0.60]
+    schedule = [10**2, 10**3, 10**4, 3 * 10**4]
+    est = estimate_sigma_c(StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule)
+    assert passes == {"lambda": 1, "mobius": 0}
+    for sigma in grid:
+        for x, value in zip(schedule, est.traces[sigma]):
+            ref = integrate_step(StepFunction(StepKind.F_ONE, x), sigma, x).value
+            assert _close(value, ref), (sigma, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(list(StepKind)),
+    st.sampled_from(KERNELS),
+    st.floats(min_value=0.55, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=2, max_value=3000),
+)
+def test_segment_size_and_thread_invariance(kind, kernel, sigma, t, X):
+    s = complex(sigma, t)
+    assume(all(abs(s + shift - 1.0) > 1e-6 for shift in (0.0, 0.5, 1.0, 1.5)))
+    G = StepFunction(kind, X)
+    base = integrate_step(G, s, kernel=kernel, threads=1)
+    small = integrate_step(G, s, kernel=kernel, segment_size=89)
+    assert _close(small.value, base.value)
+    # threads change only who sieves; the fold order is fixed
+    assert repr(integrate_step(G, s, kernel=kernel, threads=3)) == repr(base)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from per_cell import prefix
 from zetalab import (
     DomainError,
     StepFunction,
@@ -19,34 +20,6 @@ from zetalab import (
     lambda_series,
     sieve_range,
 )
-from zetalab.liouville import mobius_segment
-
-
-def _prefix(kind: StepKind, x: int) -> np.ndarray:
-    """Reference prefix values G_1..G_{x} built directly from a table."""
-    ns = np.arange(1, x + 1, dtype=np.float64)
-    if kind is StepKind.ONE:
-        return np.ones_like(ns)
-    if kind is StepKind.MU_ONE:
-        coeff = mobius_segment(1, x + 1).astype(np.float64)
-    else:
-        coeff = sieve_range(1, x + 1).values.astype(np.float64)
-    if kind is StepKind.F_HALF:
-        terms = coeff * ns**-0.5
-        terms[0] = 0.0
-    elif kind is StepKind.F_ONE:
-        terms = coeff / ns
-        terms[0] = 0.0
-    elif kind is StepKind.MU_ONE:
-        terms = coeff / ns
-        terms[0] = 0.0
-    elif kind is StepKind.L_XI:
-        terms = coeff * (ns**-0.5 - 1.0 / ns)
-    elif kind is StepKind.T_SUM:
-        terms = coeff / ns
-    elif kind is StepKind.P_OVER_U:
-        terms = coeff
-    return np.cumsum(terms)
 
 
 def test_constant_function_closed_forms():
@@ -74,7 +47,7 @@ def test_quadrature_oracle_per_cell():
     # independent numeric integration, cell by cell, against the closed form
     X = 300
     for kind in (StepKind.F_HALF, StepKind.F_ONE, StepKind.T_SUM):
-        g = _prefix(kind, X)
+        g = prefix(kind, X)
         for s in (0.8, 2.0):
             q_exp = s + 0.5 if kind in (StepKind.F_HALF, StepKind.F_ONE) else s
             total = 0.0
@@ -89,7 +62,7 @@ def test_quadrature_oracle_per_cell():
 def test_p_over_u_cell_shape():
     # integrand on [n, n+1) is P(n)/u * u^(-s), i.e. P(n) * u^(-s-1)
     X = 200
-    g = _prefix(StepKind.P_OVER_U, X)
+    g = prefix(StepKind.P_OVER_U, X)
     s = 1.5
     total = 0.0
     for n in range(1, X):
@@ -115,7 +88,7 @@ def test_partial_summation_exact_p_route():
 def test_partial_summation_exact_t_route():
     # sum_{n<=X} lambda(n) n^-s = (s-1) * int_1^X T(u) u^(-s) du + T(X) X^(1-s)
     X = 5000
-    g = _prefix(StepKind.T_SUM, X)
+    g = prefix(StepKind.T_SUM, X)
     for s in (2.0, 3.0, 1.5 + 2j):
         lhs = lambda_series(s, X)
         rhs = (s - 1) * integrate_step(
@@ -130,7 +103,7 @@ def test_additivity_against_reference():
     kind = StepKind.F_HALF
     whole = integrate_step(StepFunction(kind, Y), s).value
     head = integrate_step(StepFunction(kind, X), s).value
-    g = _prefix(kind, Y)
+    g = prefix(kind, Y)
     q = s + 0.5
     ns = np.arange(X, Y, dtype=np.float64)
     w = (np.power(ns, 1 - q) - np.power(ns + 1, 1 - q)) / (q - 1)
