@@ -6,6 +6,7 @@ flags win over the file.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ def _num_int(text: str) -> int:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(v)
 

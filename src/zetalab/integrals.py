@@ -24,6 +24,7 @@ envelope are read off at each truncation point x.
 import bisect
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
 from .errors import DomainError
-from .liouville import DEFAULT_SEGMENT, iter_lambda_segments, iter_mobius_segments
+from .liouville import _iter_segments, iter_lambda_segments, iter_mobius_segments
 
 _SINGULAR_WINDOW = 1e-9
 # Below this |p - 1| the Abel difference would cancel more than about
@@ -163,16 +164,14 @@ def _j_xi(s, X, tolerance=1e-6) -> _Integral:
     return _integral(StepKind.L_XI, s, X, "half_shifted", tolerance, 2)
 
 
-def _one_segments(start, stop, *, segment_size=None, threads=None):
+def _one_segment(lo, hi, base_primes):
     """The ONE stream: a(1) = 1 and a(n) = 0 beyond, so G(u) = 1."""
-    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
-    if seg < 1:
-        raise DomainError("segment_size must be >= 1")
-    for lo in range(start, stop, seg):
-        coeff = np.zeros(min(lo + seg, stop) - lo, dtype=np.int8)
-        if lo == 1:
-            coeff[0] = 1
-        yield lo, coeff
+    coeff = np.zeros(hi - lo, dtype=np.int8)
+    coeff[0] = lo == 1
+    return coeff
+
+
+_one_segments = functools.partial(_iter_segments, _one_segment)
 
 
 def _coefficients(kind, ns, cf):

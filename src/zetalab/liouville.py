@@ -87,11 +87,12 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
-    """lambda(n) for n in [lo, hi) as an int8 array.
+def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
+    """Divide every base-prime power out of [lo, hi) in one pass.
 
-    base_primes must cover every prime <= sqrt(hi-1); when omitted they
-    are sieved on the spot.
+    Returns (lambda, squareful): lambda(n) as int8, and a mask of the n
+    divisible by the square of a base prime. A cofactor left above the
+    base limit is a single prime, never a square, so the mask is exact.
     """
     if lo < 1 or hi <= lo:
         raise DomainError("need 1 <= lo < hi")
@@ -107,6 +108,7 @@ def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> n
         base_primes = base_primes[:cut]
 
     omega = np.zeros(span, dtype=np.int8)
+    squareful = np.zeros(span, dtype=bool)
     rem = np.arange(lo, hi, dtype=np.int64)
     for p in base_primes.tolist():
         pk = p
@@ -117,57 +119,33 @@ def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> n
             sl = slice(start - lo, span, pk)
             omega[sl] += 1
             rem[sl] //= p
+            if pk == p * p:  # multiples of p^3, p^4, ... are already marked
+                squareful[sl] = True
             if pk > (hi - 1) // p:
                 break
             pk *= p
     omega += (rem > 1).astype(np.int8)
-    lam = np.where(omega & 1, np.int8(-1), np.int8(1))
-    return lam
+    return np.where(omega & 1, np.int8(-1), np.int8(1)), squareful
+
+
+def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
+    """lambda(n) for n in [lo, hi) as an int8 array.
+
+    base_primes must cover every prime <= sqrt(hi-1); when omitted they
+    are sieved on the spot.
+    """
+    return _factor_segment(lo, hi, base_primes)[0]
 
 
 def mobius_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
     """Mobius mu(n) for n in [lo, hi) as an int8 array.
 
-    Same divide-out structure as lambda_segment; multiples of any squared
-    base prime are zeroed, and a leftover cofactor above the base limit
-    contributes one more distinct prime (it cannot be a square there).
+    On squarefree n, Omega(n) = omega(n), so mu(n) = lambda(n); every
+    other n gets 0. base_primes as for lambda_segment.
     """
-    if lo < 1 or hi <= lo:
-        raise DomainError("need 1 <= lo < hi")
-    if hi > MAX_N:
-        raise DomainError("hi beyond supported 64-bit range")
-    span = hi - lo
-    need = math.isqrt(hi - 1)
-    if base_primes is None:
-        base_primes = _base_primes(need)
-    else:
-        cut = int(np.searchsorted(base_primes, need, side="right"))
-        base_primes = base_primes[:cut]
-
-    sign = np.ones(span, dtype=np.int8)
-    squarefull = np.zeros(span, dtype=bool)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in base_primes.tolist():
-        pk = p
-        first = True
-        while True:
-            start = ((lo + pk - 1) // pk) * pk
-            if start >= hi:
-                break
-            sl = slice(start - lo, span, pk)
-            if first:
-                sign[sl] = -sign[sl]
-            else:
-                squarefull[sl] = True
-            rem[sl] //= p
-            if pk > (hi - 1) // p:
-                break
-            pk *= p
-            first = False
-    big = rem > 1
-    sign[big] = -sign[big]
-    sign[squarefull] = 0
-    return sign
+    lam, squareful = _factor_segment(lo, hi, base_primes)
+    lam[squareful] = 0
+    return lam
 
 
 @dataclass(frozen=True)
@@ -451,6 +429,8 @@ def run_scan(
         raise DomainError("segment_size must be >= 1")
     if csv_stride < 1:
         raise DomainError("csv stride must be >= 1")
+    if checkpoint_every < 1:
+        raise DomainError("checkpoint_every must be >= 1")
 
     start = 1
     p_sum = 0

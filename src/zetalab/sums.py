@@ -8,8 +8,9 @@ Everything here sums a(n) = lambda(n) for n >= 2 (and a(1) = 0):
 The L sum is never evaluated by exponentiating xi(n): the mean value
 theorem construction makes its per-term weight exactly
 n^(-alpha) - n^(-beta), and summing that rearranged form keeps the
-decomposition F_x(alpha) = F_x(beta) + L_x(xi) tight to rounding. A
-direct-exponentiation mode exists only to cross-validate the xi module.
+decomposition F_x(alpha) = F_x(beta) + L_x(xi) tight to rounding.
+Every sum is one weight w(n) of a single lambda pass, _prefix_fold(),
+so one pass serves any number of weights and their running prefixes.
 """
 
 import csv
@@ -84,6 +85,33 @@ class PrefixEvaluator:
         return self._acc.value
 
 
+def _mvt(seq: XiSequence):
+    return lambda ns: ns ** -seq.alpha - ns ** -seq.beta
+
+
+def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
+    """Totals of sum_{2<=n<=x} lambda(n) w(n), one per weight, in one pass.
+
+    Each weight maps float64 n to w(n). Terms are folded into one
+    compensated sum per weight, segment by segment. visit(ns, prefix),
+    when given, sees every segment's n values and, per weight, the
+    running sums at each of them.
+    """
+    accs = [CompensatedSum() for _ in weights]
+    for lo, lam in iter_lambda_segments(1, x + 1, **stream_kw):
+        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
+        lamf = lam.astype(np.float64)
+        terms = [lamf * w(ns) for w in weights]
+        if lo == 1:
+            for t in terms:
+                t[0] = 0.0  # a(1) = 0
+        if visit is not None:
+            visit(ns, [acc.value + np.cumsum(t) for acc, t in zip(accs, terms)])
+        for acc, t in zip(accs, terms):
+            acc.add_array(t)
+    return [acc.value for acc in accs]
+
+
 def f_x(
     alpha: float,
     x: int,
@@ -98,49 +126,25 @@ def f_x(
     x = int(x)
     if x < 1:
         raise DomainError("f_x needs x >= 1")
-    if x == 1:
-        return 0.0
-    ev = PrefixEvaluator(alpha)
-    for lo, lam in iter_lambda_segments(1, x + 1, segment_size=segment_size, threads=threads):
-        ev.update(lo, lam)
-    return ev.value
+    alpha = float(alpha)
+    return _prefix_fold(x, [lambda ns: ns ** -alpha], segment_size=segment_size, threads=threads)[0]
 
 
 def l_x(
     seq: XiSequence,
     x: int,
     *,
-    direct: bool = False,
     segment_size: int | None = None,
     threads: int | None = None,
 ) -> float:
     """L_x for the given xi construction; L_1 = 0.
 
-    Default route sums the exact rearranged weights
-    n^(-alpha) - n^(-beta); direct=True exponentiates xi(n) instead
-    (slower and slightly lossier, kept for cross-validation).
+    Sums the exact rearranged weights n^(-alpha) - n^(-beta).
     """
     x = int(x)
     if x < 1:
         raise DomainError("l_x needs x >= 1")
-    if x == 1:
-        return 0.0
-    a, b = seq.alpha, seq.beta
-    acc = CompensatedSum()
-    for lo, lam in iter_lambda_segments(1, x + 1, segment_size=segment_size, threads=threads):
-        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
-        lamf = lam.astype(np.float64)
-        if direct:
-            mask = ns >= 2
-            w = np.zeros_like(ns)
-            xs = seq.xi(ns[mask])
-            w[mask] = (b - a) * np.log(ns[mask]) * np.power(ns[mask], -xs)
-        else:
-            w = ns ** -a - ns ** -b
-            if lo == 1:
-                w[0] = 0.0
-        acc.add_array(lamf * w)
-    return acc.value
+    return _prefix_fold(x, [_mvt(seq)], segment_size=segment_size, threads=threads)[0]
 
 
 def write_sums_csv(
@@ -160,40 +164,17 @@ def write_sums_csv(
     x = int(x)
     if x < 1:
         raise DomainError("x must be >= 1")
-    a, b = seq.alpha, seq.beta
-    acc_a = CompensatedSum()
-    acc_b = CompensatedSum()
-    acc_l = CompensatedSum()
+    marks = sorted({1 << k for k in range(x.bit_length())} | {x})
     rows: list[tuple[int, float, float, float]] = []
-    next_pow = 1
 
-    def snapshot(n, va, vb, vl):
-        rows.append((n, float(va), float(vb), float(vl)))
+    def visit(ns, prefix):
+        lo, hi = int(ns[0]), int(ns[-1])
+        for m in marks:
+            if lo <= m <= hi:
+                rows.append((m, *(float(p[m - lo]) for p in prefix)))
 
-    for lo, lam in iter_lambda_segments(1, x + 1, segment_size=segment_size, threads=threads):
-        hi = lo + len(lam) - 1
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        lamf = lam.astype(np.float64)
-        ta = lamf * ns ** -a
-        tb = lamf * ns ** -b
-        if lo == 1:
-            ta[0] = tb[0] = 0.0
-        tl = ta - tb
-        marks = []
-        while next_pow <= hi:
-            if next_pow >= lo:
-                marks.append(next_pow)
-            next_pow *= 2
-        if hi == x and (not marks or marks[-1] != x):
-            marks.append(x)
-        if marks:
-            ca, cb, cl = np.cumsum(ta), np.cumsum(tb), np.cumsum(tl)
-            for m in marks:
-                i = m - lo
-                snapshot(m, acc_a.value + ca[i], acc_b.value + cb[i], acc_l.value + cl[i])
-        acc_a.add_array(ta)
-        acc_b.add_array(tb)
-        acc_l.add_array(tl)
+    weights = [lambda ns: ns ** -seq.alpha, lambda ns: ns ** -seq.beta, _mvt(seq)]
+    _prefix_fold(x, weights, visit, segment_size=segment_size, threads=threads)
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compensated import CompensatedSum
 from .errors import DomainError
 from .integrals import StepKind, _evaluate, _integral, _j_xi, _Polynomial
-from .liouville import iter_lambda_segments
+from .sums import _mvt, _prefix_fold
 from .xi import DEFAULT_XI
 from .zeta import shifted_ratio, zeta, zeta_ratio
 
@@ -260,23 +259,17 @@ def explore_condition_r(x_max: int, *, seq=DEFAULT_XI, **stream_kw) -> Condition
     x_max = int(x_max)
     if x_max < 2:
         raise DomainError("explore_condition_r needs x_max >= 2")
-    a, b = seq.alpha, seq.beta
-    acc = CompensatedSum()
     best = -math.inf
     arg = 2
-    for lo, lam in iter_lambda_segments(1, x_max + 1, **stream_kw):
-        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
-        w = ns**-a - ns**-b
-        if lo == 1:
-            w[0] = 0.0
-        vals = acc.value + np.cumsum(lam * w)
-        mask = ns >= 2
-        if mask.any():
-            i = int(np.argmax(vals[mask]))
-            if vals[mask][i] > best:
-                best = float(vals[mask][i])
-                arg = int(ns[mask][i])
-        acc.add_array(lam * w)
+
+    def visit(ns, prefix):
+        nonlocal best, arg
+        vals = np.where(ns >= 2, prefix[0], -math.inf)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, arg = float(vals[i]), int(ns[i])
+
+    _prefix_fold(x_max, [_mvt(seq)], visit, **stream_kw)
     return ConditionRReport(x_max=x_max, max_value=best, argmax=arg, best_r=1.0 - best)
 
 
@@ -320,22 +313,18 @@ def growth_exponent_diagnostic(x_max: int, **stream_kw) -> GrowthExponentReport:
     if x_max < 10**3:
         raise DomainError("growth_exponent_diagnostic needs x_max >= 1000")
     xs_peaks, v_peaks = [], []
-    record = 0
-    p = 0
-    for lo, lam in iter_lambda_segments(1, x_max + 1, **stream_kw):
-        ns = np.arange(lo, lo + len(lam))
-        vals = p + np.cumsum(lam.astype(np.int64))
-        av = np.abs(vals)
-        # record peaks within the segment, chained across segments
-        run = np.maximum.accumulate(av)
-        newmax = av >= run
-        better = av > record
-        for i in np.nonzero(newmax & better)[0]:
-            if av[i] > record:
-                record = int(av[i])
-                xs_peaks.append(int(ns[i]))
-                v_peaks.append(record)
-        p = int(vals[-1])
+    record = 0.0
+
+    def visit(ns, prefix):
+        # |P| = |1 + prefix| is exact in float64: every partial sum is an integer below 2^53
+        nonlocal record
+        av = np.abs(1.0 + prefix[0])
+        hits = av > np.maximum.accumulate(np.concatenate(([record], av[:-1])))  # strict records
+        xs_peaks.extend(ns[hits])
+        v_peaks.extend(av[hits])
+        record = max(record, float(av.max()))
+
+    _prefix_fold(x_max, [lambda ns: 1.0], visit, **stream_kw)
     exponent, stderr, count = fit_growth_exponent(xs_peaks, v_peaks)
     flags = []
     if x_max <= 10**3 or count < 10:

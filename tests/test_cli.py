@@ -55,6 +55,13 @@ def test_bad_complex_arg_exits_2():
     assert e.value.code == 2
 
 
+def test_non_finite_integer_arg_exits_2():
+    for text in ("1e400", "inf", "nan"):
+        with pytest.raises(SystemExit) as e:
+            main(["scan", "--limit", text])
+        assert e.value.code == 2
+
+
 def test_sieve_stdout(capsys):
     code, out, _ = run(capsys, "sieve", "--hi", "6")
     assert code == 0

@@ -227,3 +227,12 @@ def test_sigma_c_validation():
         estimate_sigma_c(G, [0.9, 1.1], [100, 1000])
     with pytest.raises(DomainError):
         estimate_sigma_c(G, [0.9, 1.1], [1000, 1000, 1000])
+
+
+def test_every_stream_validates_its_arguments():
+    for kind in StepKind:
+        G = StepFunction(kind, 100)
+        with pytest.raises(DomainError):
+            integrate_step(G, 2.0, threads=0)
+        with pytest.raises(DomainError):
+            integrate_step(G, 2.0, segment_size=0)

@@ -68,11 +68,16 @@ def test_liouville_completely_multiplicative(m, n):
     assert liouville(m * n) == liouville(m) * liouville(n)
 
 
+# 31607 is the largest base prime for hi near 1e9; around its square the
+# sieve finds a square factor only through that last prime.
+_LAST_SQUARE = 31607**2
+
+
 def test_segment_far_window_matches_trial_division():
-    lo = 10**9
-    vals = lv.lambda_segment(lo, lo + 2048)
-    for i in range(0, 2048, 37):
-        assert vals[i] == liouville(lo + i), lo + i
+    for lo in (10**9, _LAST_SQUARE - 1024):
+        vals = lv.lambda_segment(lo, lo + 2048)
+        for i in [*range(0, 2048, 37), 1024]:
+            assert vals[i] == liouville(lo + i), lo + i
 
 
 def test_mobius_segment_matches_sympy():
@@ -82,10 +87,10 @@ def test_mobius_segment_matches_sympy():
 
 
 def test_mobius_far_window_matches_sympy():
-    lo = 10**9
-    vals = lv.mobius_segment(lo, lo + 512)
-    for i in range(512):
-        assert vals[i] == sympy.mobius(lo + i), lo + i
+    for lo in (10**9, _LAST_SQUARE - 256):
+        vals = lv.mobius_segment(lo, lo + 512)
+        for i in range(512):
+            assert vals[i] == sympy.mobius(lo + i), lo + i
 
 
 def test_sieve_range_deterministic_across_segmenting():
@@ -207,6 +212,12 @@ def test_scan_csv_rows(tmp_path):
     assert int(p) == int(np.sum(table.values))
     t_exact = sum(Fraction((-1) ** _omega_oracle(k), k) for k in range(1, 101))
     assert float(t) == pytest.approx(float(t_exact), abs=1e-14)
+
+
+def test_scan_rejects_checkpoint_every_below_one(tmp_path):
+    for every in (0, -1):
+        with pytest.raises(DomainError):
+            run_scan(100, checkpoint_path=str(tmp_path / "scan.ckpt"), checkpoint_every=every)
 
 
 def test_iter_segments_argument_validation():

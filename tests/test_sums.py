@@ -59,10 +59,13 @@ def test_decomposition_identity():
 
 
 def test_l_x_direct_route_agrees():
+    # the direct route exponentiates xi(n): (beta-alpha) log(n) n^(-xi(n)) per term
+    a, b = DEFAULT_XI.alpha, DEFAULT_XI.beta
     for x in (10, 5000):
-        assert l_x(DEFAULT_XI, x, direct=True) == pytest.approx(
-            l_x(DEFAULT_XI, x), abs=1e-11
-        )
+        lam = sieve_range(2, x + 1).values
+        ns = np.arange(2, x + 1, dtype=np.float64)
+        terms = lam * (b - a) * np.log(ns) * np.power(ns, -DEFAULT_XI.xi(ns))
+        assert l_x(DEFAULT_XI, x) == pytest.approx(math.fsum(terms.tolist()), abs=1e-11)
 
 
 def test_order_independence():
@@ -147,3 +150,21 @@ def test_write_sums_csv(tmp_path):
     assert float(last["L"]) == pytest.approx(l_x(DEFAULT_XI, 1000), abs=1e-14)
     resid = float(last["F_half"]) - float(last["F_one"]) - float(last["L"])
     assert abs(resid) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=5000), st.sampled_from([97, None]))
+def test_sums_csv_rows_match_standalone_sums(tmp_path_factory, x, seg):
+    # rows are read off inside segments and at their edges alike
+    path = tmp_path_factory.mktemp("rows") / "sums.csv"
+    write_sums_csv(str(path), x, segment_size=seg)
+    with open(path) as fh:
+        records = list(csv.DictReader(fh))
+    assert [int(r["x"]) for r in records] == sorted(
+        {2**k for k in range(x.bit_length())} | {x}
+    )
+    for r in records:
+        m = int(r["x"])
+        assert float(r["F_half"]) == pytest.approx(f_x(0.5, m), abs=1e-13)
+        assert float(r["F_one"]) == pytest.approx(f_x(1.0, m), abs=1e-13)
+        assert float(r["L"]) == pytest.approx(l_x(DEFAULT_XI, m), abs=1e-13)
