@@ -22,7 +22,6 @@ from .liouville import (
     run_scan,
     scan_polya,
     scan_turan,
-    set_default_threads,
 )
 from .xi import (
     XiSequence,

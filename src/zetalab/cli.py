@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, ZetalabError
 from .integrals import StepFunction, StepKind, estimate_sigma_c, integrate_step
 from .liouville import run_scan, sieve_range
-from .sums import f_x, l_x, write_sums_csv
+from .sums import _decomposition_weights, _prefix_fold, f_x, write_sums_csv
 from .verify import (
     DEFAULT_S_POINTS,
     DEFAULT_X,
@@ -109,11 +109,10 @@ def load_config(path: str) -> dict:
 def _build_parser(config: dict) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value preset file")
-    common.add_argument("--threads", type=int, default=1, help="sieve worker count (speed only)")
-    common.add_argument("--segment-size", type=_num_int, default=None, help="sieve segment length")
-    common.add_argument("--tolerance", type=float, default=1e-6,
-                        help="convergence tolerance for integrate/sigma-c flags")
     common.add_argument("--quiet", action="store_true", help="suppress stdout (files still written)")
+    sieving = argparse.ArgumentParser(add_help=False, parents=[common])
+    sieving.add_argument("--threads", type=int, default=1, help="sieve worker count (speed only)")
+    sieving.add_argument("--segment-size", type=_num_int, default=None, help="sieve segment length")
 
     parser = argparse.ArgumentParser(
         prog="zetalab",
@@ -121,12 +120,12 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[common], help="tabulate lambda(n) on a range")
+    p = sub.add_parser("sieve", parents=[sieving], help="tabulate lambda(n) on a range")
     p.add_argument("--lo", type=_num_int, default=1)
     p.add_argument("--hi", type=_num_int, required=True, help="inclusive upper end")
     p.add_argument("--out", help="CSV destination (default: stdout)")
 
-    p = sub.add_parser("scan", parents=[common], help="scan P(x) and T(x) sign behavior")
+    p = sub.add_parser("scan", parents=[sieving], help="scan P(x) and T(x) sign behavior")
     p.add_argument("--limit", type=_num_int, required=True)
     p.add_argument("--polya", action="store_true", help="report only the P(x) series")
     p.add_argument("--turan", action="store_true", help="report only the T(x) series")
@@ -135,7 +134,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--csv", help="trace CSV path")
     p.add_argument("--csv-stride", type=_num_int, default=1)
 
-    p = sub.add_parser("sums", parents=[common], help="Dirichlet polynomial partial sums")
+    p = sub.add_parser("sums", parents=[sieving], help="Dirichlet polynomial partial sums")
     p.add_argument("--x", type=_num_int, required=True)
     p.add_argument("--alpha", type=float, default=None, help="evaluate F_x(alpha) only")
     p.add_argument("--out", help="CSV of (x, F_half, F_one, L) at powers of two")
@@ -152,13 +151,14 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--N", type=_num_int, default=None, help="Euler-Maclaurin cutoff")
     p.add_argument("--bern", type=int, default=8, help="Bernoulli correction terms")
 
-    p = sub.add_parser("integrate", parents=[common], help="integrate a step function against a kernel")
+    p = sub.add_parser("integrate", parents=[sieving], help="integrate a step function against a kernel")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
     p.add_argument("--s", type=_complex_arg, required=True, metavar="RE[,IM]")
     p.add_argument("--X", type=_num_int, required=True)
     p.add_argument("--kernel", choices=("auto", "plain", "half_shifted"), default="auto")
+    p.add_argument("--tolerance", type=float, default=1e-6, help="convergence tolerance")
 
-    p = sub.add_parser("verify", parents=[common], help="run identity residual checks")
+    p = sub.add_parser("verify", parents=[sieving], help="run identity residual checks")
     p.add_argument("--all", action="store_true", help="run the default suite")
     p.add_argument("--case", help="only cases whose name contains this substring")
     p.add_argument("--X", type=_num_int, default=DEFAULT_X)
@@ -166,7 +166,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    help="evaluation point (repeatable; default suite points)")
     p.add_argument("--out", help="JSON report destination")
 
-    p = sub.add_parser("sigma-c", parents=[common], help="bracket a convergence abscissa empirically")
+    p = sub.add_parser("sigma-c", parents=[sieving], help="bracket a convergence abscissa empirically")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
     p.add_argument("--grid", type=_float_list, required=True, metavar="A:B:STEP|LIST")
     p.add_argument("--schedule", type=_int_list, required=True, metavar="X1,X2,...")
@@ -242,9 +242,9 @@ def _cmd_sums(args, say) -> int:
     if args.alpha is not None:
         say(f"F_{args.x}({args.alpha:g}) = {f_x(args.alpha, args.x, **kw):.15g}")
     elif not args.out:
-        fh = f_x(0.5, args.x, **kw)
-        fo = f_x(1.0, args.x, **kw)
-        lv = l_x(DEFAULT_XI, args.x, **kw)
+        if args.x < 1:
+            raise DomainError("sums needs x >= 1")
+        fh, fo, lv = _prefix_fold(args.x, _decomposition_weights(DEFAULT_XI), **kw)
         say(f"F_{args.x}(1/2) = {fh:.15g}")
         say(f"F_{args.x}(1)   = {fo:.15g}")
         say(f"L_{args.x}      = {lv:.15g}")

@@ -14,17 +14,17 @@ quadrature error; what remains is rounding plus the truncation tail,
 which is modeled explicitly and reported rather than hidden.
 
 Every integral and truncated Dirichlet series in the package goes
-through one core, _evaluate(). It makes one ordered pass per
-coefficient stream (lambda, mu, or the constant ONE), whatever the
-number of requested kinds, exponents and truncations. Within a pass all
-exponents share one log n per sub-block, and G(x-1) and the tail
-envelope are read off at each truncation point x.
+through one core, _evaluate(). It makes one ordered pass of the sieve's
+factor kernel, whatever the number of requested kinds, exponents and
+truncations: each segment's lambda and squareful mask give lambda, mu
+and the constant ONE alike, and a pass that serves ONE alone does not
+sieve. Within a pass all exponents share one log n per sub-block, and
+G(x-1) and the tail envelope are read off at each truncation point x.
 """
 
 import bisect
 import csv
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
 from .errors import DomainError
-from .liouville import _iter_segments, iter_lambda_segments, iter_mobius_segments
+from .liouville import _factor_segment, _iter_segments
 
 _SINGULAR_WINDOW = 1e-9
 # Below this |p - 1| the Abel difference would cancel more than about
@@ -164,26 +164,26 @@ def _j_xi(s, X, tolerance=1e-6) -> _Integral:
     return _integral(StepKind.L_XI, s, X, "half_shifted", tolerance, 2)
 
 
-def _one_segment(lo, hi, base_primes):
-    """The ONE stream: a(1) = 1 and a(n) = 0 beyond, so G(u) = 1."""
-    coeff = np.zeros(hi - lo, dtype=np.int8)
-    coeff[0] = lo == 1
-    return coeff
+def _unsieved(lo, hi, base_primes):
+    """Kernel for a pass that serves ONE alone: its a(n) = [n = 1] reads no lambda."""
+    blank = np.zeros(hi - lo, dtype=np.int8)
+    return blank, blank
 
 
-_one_segments = functools.partial(_iter_segments, _one_segment)
-
-
-def _coefficients(kind, ns, cf):
-    """a(n) on ns for kind, from the stream values cf."""
+def _coefficients(kind, ns, lam, squareful):
+    """a(n) on ns for kind, from one factor-kernel segment's lambda and squareful mask."""
+    if kind is StepKind.ONE:
+        return (ns == 1.0).astype(np.float64)  # G(u) = 1
+    if kind is StepKind.P_OVER_U:
+        return lam  # sums lambda itself
+    if kind is StepKind.MU_ONE:
+        lam = np.where(squareful, 0.0, lam)  # mu = lambda on squarefree n, else 0
     if kind is StepKind.F_HALF:
-        a = cf * ns**-0.5
+        a = lam * ns**-0.5
     elif kind is StepKind.L_XI:
-        a = cf * (ns**-0.5 - 1.0 / ns)
-    elif kind in (StepKind.F_ONE, StepKind.T_SUM, StepKind.MU_ONE):
-        a = cf / ns
-    else:  # P_OVER_U sums lambda itself; the ONE stream is its own a(n)
-        return cf
+        a = lam * (ns**-0.5 - 1.0 / ns)
+    else:  # F_ONE, T_SUM, MU_ONE
+        a = lam / ns
     if ns[0] == 1 and kind is not StepKind.T_SUM:
         a[0] = 0.0  # a(1) = 0 conventions
     return a
@@ -196,29 +196,17 @@ def _accumulator(q):
 def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
-    One ordered pass per coefficient stream serves every request on it.
-    """
-    # looked up per call, so that a wrapped or patched stream is the one used
-    streams = {StepKind.ONE: _one_segments, StepKind.MU_ONE: iter_mobius_segments}
-    by_stream: dict = {}
-    for r in requests:
-        by_stream.setdefault(streams.get(r.kind, iter_lambda_segments), set()).add(r)
-    out = {}
-    for stream, group in by_stream.items():
-        out.update(_fold(stream, group, segment_size, threads))
-    return out
-
-
-def _fold(stream, requests, segment_size, threads) -> dict:
-    """One ordered pass over a coefficient stream, serving every request on it.
-
-    An integral needs two polynomials at its x: G(x-1), the q = 0 one,
-    and the one at its own q. Requests with the same (kind, q) share one
+    One ordered pass of the factor kernel serves every request: each
+    segment's lambda and squareful mask give every kind's a(n). An
+    integral needs two polynomials at its x: G(x-1), the q = 0 one, and
+    the one at its own q. Requests with the same (kind, q) share one
     running sum, read off at each stop. An integral with p near 1 keeps
     its own x-dependent sum instead. Sub-blocks are cut at every stop
     and window start, so each block lies wholly inside or outside every
-    range.
+    range. Each n^q is built once per sub-block, taken by every sum that
+    uses it, and dropped before the next.
     """
+    requests = set(requests)
     integrals = {r for r in requests if isinstance(r, _Integral)}
     near = {r: _accumulator(r.q) for r in integrals if abs(r.q) < _NEAR_ONE}
     polys = requests - integrals
@@ -229,24 +217,24 @@ def _fold(stream, requests, segment_size, threads) -> dict:
     for r in polys:
         ends[r.kind, r.q] = max(ends.get((r.kind, r.q), 0), r.stop)
     sums = {key: _accumulator(key[1]) for key in ends}
-    kinds = {k for k, _ in ends}
+    exponents = {q for _, q in ends} | {r.q for r in near}
     cuts = sorted({r.stop for r in polys} | {r.window_lo for r in integrals})
+    kernel = _unsieved if {k for k, _ in ends} == {StepKind.ONE} else _factor_segment
     at = {}  # stop -> {(kind, q): running sum there}
 
-    for lo, coeff in stream(1, cuts[-1], segment_size=segment_size, threads=threads):
-        hi = lo + len(coeff)
+    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size, threads):
+        hi = lo + len(lam)
         b = lo
         while b < hi:
             cut = cuts[bisect.bisect_right(cuts, b)]
             e = min(b + _SUB_BLOCK, hi, cut)
             ns = np.arange(b, e, dtype=np.float64)
-            cf = coeff[b - lo : e - lo].astype(np.float64)
-            a = {k: _coefficients(k, ns, cf) for k in kinds}
+            lam_b = lam[b - lo : e - lo].astype(np.float64)
+            sq_b = squareful[b - lo : e - lo]
+            kinds = {k for (k, _), end in ends.items() if b < end}
+            a = {k: _coefficients(k, ns, lam_b, sq_b) for k in kinds}
             live = {k for k, v in a.items() if v.any()}
             logn = np.log(ns)
-            need = {q for (k, q), end in ends.items() if k in live and b < end}
-            need |= {r.q for r in near if r.kind in live and e <= r.x}
-            power = {q: np.exp(q * logn) for q in need if q}
 
             g_abs = {}
             for key in envs:
@@ -255,14 +243,18 @@ def _fold(stream, requests, segment_size, threads) -> dict:
                     if k not in g_abs:
                         g_abs[k] = np.abs(sums[k, 0.0].value + np.cumsum(a[k]))
                     envs[key] = max(envs[key], float((g_abs[k] / ns**ex).max()))
-            for (k, q), acc in sums.items():
-                if k in live and b < ends[k, q]:
-                    acc.add_array(a[k] * power[q] if q else a[k])
-            for r, acc in near.items():
-                if r.kind in live and e <= r.x:
+            for q in exponents:
+                q_kinds = [k for k in live if b < ends.get((k, q), 0)]
+                q_near = [r for r in near if r.q == q and r.kind in live and e <= r.x]
+                if not (q_kinds or q_near):
+                    continue
+                power = np.exp(q * logn) if q else None
+                for k in q_kinds:
+                    sums[k, q].add_array(a[k] * power if q else a[k])
+                for r in q_near:
                     log_xn = np.log(r.x / ns)
-                    t = power[r.q] * np.expm1(r.q * log_xn) if r.q else log_xn
-                    acc.add_array(a[r.kind] * t)
+                    t = power * np.expm1(q * log_xn) if q else log_xn
+                    near[r].add_array(a[r.kind] * t)
             if e == cut:
                 at[e] = {key: acc.value for key, acc in sums.items()}
             b = e

@@ -32,16 +32,6 @@ DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
 MAX_N = 1 << 63
 
-_DEFAULT_THREADS = 1
-
-
-def set_default_threads(n: int) -> None:
-    """Set the worker count used when a call does not pass threads=."""
-    global _DEFAULT_THREADS
-    if n < 1:
-        raise DomainError("thread count must be >= 1")
-    _DEFAULT_THREADS = int(n)
-
 
 def liouville(n: int) -> int:
     """Liouville lambda at a single integer, by trial division.
@@ -179,8 +169,8 @@ def sieve_range(
         lo, hi: range bounds, 1 <= lo < hi <= 2**63.
         segment_size: work-unit size; the result is identical for any
             choice, it only affects memory traffic.
-        threads: sieve workers; segments are merged in index order, so
-            the output does not depend on this either.
+        threads: sieve workers (default 1); segments are merged in index
+            order, so the output does not depend on this either.
         max_span: capacity guard; hi - lo above it raises CapacityError.
 
     Returns:
@@ -211,7 +201,7 @@ def _iter_segments(segment_fn, start, stop, segment_size, threads):
     seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
     if seg < 1:
         raise DomainError("segment_size must be >= 1")
-    workers = int(threads if threads is not None else _DEFAULT_THREADS)
+    workers = 1 if threads is None else int(threads)
     if workers < 1:
         raise DomainError("threads must be >= 1")
 

@@ -89,6 +89,11 @@ def _mvt(seq: XiSequence):
     return lambda ns: ns ** -seq.alpha - ns ** -seq.beta
 
 
+def _decomposition_weights(seq: XiSequence) -> list:
+    """Weights of F_x(alpha), F_x(beta) and L_x for seq, in that order."""
+    return [lambda ns: ns ** -seq.alpha, lambda ns: ns ** -seq.beta, _mvt(seq)]
+
+
 def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
     """Totals of sum_{2<=n<=x} lambda(n) w(n), one per weight, in one pass.
 
@@ -173,8 +178,9 @@ def write_sums_csv(
             if lo <= m <= hi:
                 rows.append((m, *(float(p[m - lo]) for p in prefix)))
 
-    weights = [lambda ns: ns ** -seq.alpha, lambda ns: ns ** -seq.beta, _mvt(seq)]
-    _prefix_fold(x, weights, visit, segment_size=segment_size, threads=threads)
+    _prefix_fold(
+        x, _decomposition_weights(seq), visit, segment_size=segment_size, threads=threads
+    )
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

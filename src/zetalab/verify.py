@@ -84,8 +84,8 @@ def _case(name, s, X, lhs, rhs, tolerance, flags=()):
 def _run(plans, stream_kw) -> list[VerificationCase]:
     """Build each (requests, build) plan's case from one shared evaluation.
 
-    The evaluation makes one pass per coefficient stream for all plans
-    together, so a suite costs what its largest single check costs.
+    The evaluation makes one sieve pass for all plans together, so a
+    suite costs what its largest single check costs.
     """
     results = _evaluate([r for requests, _ in plans for r in requests], **stream_kw)
     return [build(results) for _, build in plans]
@@ -349,7 +349,7 @@ def run_default_suite(
 
     sigma > 1 points exercise every route; conditional-strip points get
     the empirical decomposition and identity cases plus the exact
-    linearity collapse. All cases share one lambda pass and one mu pass.
+    linearity collapse. All cases share one sieve pass.
     Results are sorted by (name, s, X) so repeated runs serialize
     identically.
     """

@@ -1,4 +1,4 @@
-"""The Abel-summation integral core against the per-cell route, and its pass counts."""
+"""The Abel-summation integral core against the per-cell route, and its sieve passes."""
 
 import importlib
 import sys
@@ -21,6 +21,7 @@ from zetalab import (
     verify_reciprocal_integral,
     verify_shifted_identity,
 )
+from zetalab.cli import main
 from zetalab.integrals import _SUB_BLOCK
 from zetalab.verify import DEFAULT_S_POINTS, sort_cases
 
@@ -73,21 +74,24 @@ def test_abel_at_segment_and_sub_block_boundaries(segment_size, boundary):
 
 
 @pytest.fixture
-def passes(monkeypatch):
-    """Count the calls to the lambda and mu segment streams, wherever they are bound."""
-    liouville = importlib.import_module("zetalab.liouville")
-    counts = {"lambda": 0, "mobius": 0}
-    for stream, name in (("lambda", "iter_lambda_segments"), ("mobius", "iter_mobius_segments")):
-        original = getattr(liouville, name)
+def kernel_calls(monkeypatch):
+    """Record the calls to liouville._factor_segment, wherever the name is bound."""
+    original = importlib.import_module("zetalab.liouville")._factor_segment
+    calls = []
 
-        def counting(*args, _stream=stream, _original=original, **kwargs):
-            counts[_stream] += 1
-            return _original(*args, **kwargs)
+    def counting(lo, hi, base_primes):
+        calls.append((lo, hi))
+        return original(lo, hi, base_primes)
 
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("zetalab") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-    return counts
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("zetalab") and getattr(module, "_factor_segment", None) is original:
+            monkeypatch.setattr(module, "_factor_segment", counting)
+    return calls
+
+
+def _one_pass(stop, segment_size):
+    """The kernel calls of a single pass over [1, stop)."""
+    return [(lo, min(lo + segment_size, stop)) for lo in range(1, stop, segment_size)]
 
 
 def _standalone_cases(X):
@@ -101,10 +105,11 @@ def _standalone_cases(X):
     return sort_cases(cases)
 
 
-def test_suite_is_one_lambda_pass_and_one_mu_pass(passes):
+def test_suite_sieves_each_n_once(kernel_calls):
     X = 10**4
-    suite = run_default_suite(X=X)
-    assert passes == {"lambda": 1, "mobius": 1}
+    suite = run_default_suite(X=X, segment_size=4097)
+    # one pass to X + 1 (F_X(1) sums through n = X) serves lambda and mu alike
+    assert kernel_calls == _one_pass(X + 1, 4097)
     standalone = _standalone_cases(X)
     assert len(standalone) == len(suite)
     for a, b in zip(suite, standalone):
@@ -113,15 +118,31 @@ def test_suite_is_one_lambda_pass_and_one_mu_pass(passes):
         assert _close(a.residual, b.residual) and _close(a.tolerance, b.tolerance), a.name
 
 
-def test_sigma_c_is_one_pass_and_matches_integrate_step(passes):
+def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls):
     grid = [0.40, 0.45, 0.50, 0.55, 0.60]
     schedule = [10**2, 10**3, 10**4, 3 * 10**4]
-    est = estimate_sigma_c(StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule)
-    assert passes == {"lambda": 1, "mobius": 0}
+    est = estimate_sigma_c(
+        StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule, segment_size=4097
+    )
+    assert kernel_calls == _one_pass(schedule[-1], 4097)
     for sigma in grid:
         for x, value in zip(schedule, est.traces[sigma]):
             ref = integrate_step(StepFunction(StepKind.F_ONE, x), sigma, x).value
             assert _close(value, ref), (sigma, x)
+
+
+def test_one_alone_runs_no_kernel(kernel_calls):
+    X = 10**5
+    for kernel in KERNELS:
+        value = integrate_step(StepFunction(StepKind.ONE, X), 2.0, kernel=kernel).value
+        assert _close(value, per_cell_integral(StepKind.ONE, 2.0, X, kernel))
+    assert kernel_calls == []
+
+
+def test_sums_command_is_one_pass(kernel_calls, capsys):
+    assert main(["sums", "--x", "3000", "--segment-size", "1000"]) == 0
+    assert "L_3000" in capsys.readouterr().out
+    assert kernel_calls == _one_pass(3001, 1000)
 
 
 @settings(max_examples=25, deadline=None)

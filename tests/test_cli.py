@@ -62,6 +62,18 @@ def test_non_finite_integer_arg_exits_2():
         assert e.value.code == 2
 
 
+def test_flags_a_subcommand_does_not_read_exit_2():
+    for argv in (
+        ["sigma-c", "--kind", "F_one", "--grid", "0.4,0.6", "--schedule", "10,100,1000",
+         "--tolerance", "1e-4"],
+        ["zeta", "--s", "2", "--threads", "2"],
+        ["xi", "--n", "2", "--segment-size", "64"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+
+
 def test_sieve_stdout(capsys):
     code, out, _ = run(capsys, "sieve", "--hi", "6")
     assert code == 0
@@ -203,6 +215,16 @@ def test_config_presets_and_flag_precedence(tmp_path, capsys):
                      "--case", "finite", "--X", "700", "--out", str(out_b))
     assert code == 0
     assert {rec["X"] for rec in json.loads(out_b.read_text())} == {700}
+
+
+def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("threads = 2\nsegment-size = 128\ntolerance = 1e-4\n")
+    code, out, _ = run(capsys, "zeta", "--s", "2", "--config", str(cfg))
+    assert code == 0 and "zeta(2.000000)" in out
+    code, out, _ = run(capsys, "integrate", "--kind", "F_one", "--s", "2", "--X", "1000",
+                       "--config", str(cfg))
+    assert code == 0 and "converged at tolerance 0.0001" in out
 
 
 def test_config_bad_line(tmp_path, capsys):
