@@ -461,8 +461,8 @@ def run_scan(
                 t_terms = lam.astype(np.float64) / ns
                 t_vals = t_acc.value + np.cumsum(t_terms)
 
-                pmask = ns >= 2
-                polya.fold_segment(ns[pmask], p_vals[pmask], p_vals[pmask] > 0)
+                k = int(lo == 1)  # P(x) is scanned from x = 2
+                polya.fold_segment(ns[k:], p_vals[k:], p_vals[k:] > 0)
                 turan.fold_segment(ns, t_vals, t_vals <= 0.0)
 
                 p_sum = int(p_vals[-1])

@@ -166,6 +166,14 @@ def write_sums_csv(
     count. F_half/F_one use the seq's endpoints, so the header names
     stay honest for non-default (alpha, beta).
     """
+    return _write_sums_csv(path, x, seq, [], segment_size=segment_size, threads=threads)[0]
+
+
+def _write_sums_csv(path: str, x: int, seq: XiSequence, extra_weights: list, **stream_kw):
+    """write_sums_csv, folding extra_weights into the same lambda pass.
+
+    Returns the row count and the totals of the extra weights.
+    """
     x = int(x)
     if x < 1:
         raise DomainError("x must be >= 1")
@@ -176,15 +184,13 @@ def write_sums_csv(
         lo, hi = int(ns[0]), int(ns[-1])
         for m in marks:
             if lo <= m <= hi:
-                rows.append((m, *(float(p[m - lo]) for p in prefix)))
+                rows.append((m, *(float(p[m - lo]) for p in prefix[:3])))
 
-    _prefix_fold(
-        x, _decomposition_weights(seq), visit, segment_size=segment_size, threads=threads
-    )
+    totals = _prefix_fold(x, _decomposition_weights(seq) + extra_weights, visit, **stream_kw)
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "F_half", "F_one", "L"])
         for n, va, vb, vl in rows:
             w.writerow([n, repr(va), repr(vb), repr(vl)])
-    return len(rows)
+    return len(rows), totals[3:]

@@ -12,6 +12,7 @@ from zetalab import (
     StepFunction,
     StepKind,
     estimate_sigma_c,
+    f_x,
     integrate_step,
     run_default_suite,
     verify_finite_linearity,
@@ -20,6 +21,7 @@ from zetalab import (
     verify_ratio_integral,
     verify_reciprocal_integral,
     verify_shifted_identity,
+    write_sums_csv,
 )
 from zetalab.cli import main
 from zetalab.integrals import _SUB_BLOCK
@@ -143,6 +145,17 @@ def test_sums_command_is_one_pass(kernel_calls, capsys):
     assert main(["sums", "--x", "3000", "--segment-size", "1000"]) == 0
     assert "L_3000" in capsys.readouterr().out
     assert kernel_calls == _one_pass(3001, 1000)
+
+
+def test_sums_out_with_alpha_is_one_pass(kernel_calls, capsys, tmp_path):
+    path = tmp_path / "sums.csv"
+    argv = ["sums", "--x", "3000", "--segment-size", "1000", "--alpha", "0.25"]
+    assert main(argv + ["--out", str(path)]) == 0
+    assert kernel_calls == _one_pass(3001, 1000)
+    # the alpha total and the CSV are what their standalone routes give
+    assert f"F_3000(0.25) = {f_x(0.25, 3000, segment_size=1000):.15g}" in capsys.readouterr().out
+    write_sums_csv(str(tmp_path / "alone.csv"), 3000, segment_size=1000)
+    assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,193 @@
+"""CompensatedSum.add_array(exact=True) against math.fsum, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zetalab.compensated import _BLOCK, _MAX_SHIFT, ComplexCompensatedSum, CompensatedSum
+
+FSUM = math.fsum
+TINY = 2.0**-1074  # the smallest subnormal
+
+
+def exact(values):
+    """The parts of a fresh sum after add_array(values, exact=True), and
+    whether math.fsum ran for it."""
+    calls = []
+
+    def counting(xs):
+        calls.append(1)
+        return FSUM(xs)
+
+    acc = CompensatedSum()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "fsum", counting)
+        acc.add_array(values, exact=True)
+    return [p.hex() for p in acc.parts], bool(calls)
+
+
+def reference(values):
+    """The parts of a fresh sum after add(math.fsum(values))."""
+    acc = CompensatedSum()
+    acc.add(FSUM(values.tolist() if isinstance(values, np.ndarray) else values))
+    return [p.hex() for p in acc.parts]
+
+
+def assert_fsum(values, by_fsum):
+    parts, fell_back = exact(values)
+    assert parts == reference(values)
+    assert fell_back == by_fsum
+
+
+def spans_fit(values) -> bool:
+    """Whether every block's biased exponents lie within the shift budget."""
+    exps = np.frexp(values)[1]
+    return all(
+        int(b.max()) - int(b.min()) <= _MAX_SHIFT for b in np.split(exps, range(_BLOCK, len(exps), _BLOCK))
+    )
+
+
+def _normal_terms(rng, n, e0, spread):
+    """n normal floats in [2^e0, 2^(e0 + spread + 1)) with random signs."""
+    mant = rng.uniform(1.0, 2.0, n)
+    return np.ldexp(mant, e0 + rng.integers(0, spread + 1, n)) * rng.choice([-1.0, 1.0], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3 * _BLOCK + 7),
+    st.integers(min_value=-1020, max_value=940),
+    st.integers(min_value=0, max_value=_MAX_SHIFT + 3),
+)
+def test_random_arrays_match_fsum(seed, n, e0, spread):
+    values = _normal_terms(np.random.default_rng(seed), n, e0, spread)
+    assert_fsum(values, by_fsum=not spans_fit(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=2 * _BLOCK),
+    st.integers(min_value=-1000, max_value=900),
+    st.integers(min_value=0, max_value=_MAX_SHIFT - 1),
+)
+def test_cancelling_arrays_match_fsum(seed, n, e0, spread):
+    rng = np.random.default_rng(seed)
+    x = _normal_terms(rng, n, e0, spread)
+    values = np.concatenate([x, -x * (1 + 2.0**-50)])
+    rng.shuffle(values)
+    assert_fsum(values, by_fsum=not spans_fit(values))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2**20, max_value=10**12),
+    st.integers(min_value=1, max_value=1 << 17),
+)
+def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
+    # the scan's Turan terms lambda(n)/n, here with random signs
+    lam = np.random.default_rng(seed).choice([-1.0, 1.0], n)
+    assert_fsum(lam / np.arange(lo, lo + n, dtype=np.int64), by_fsum=False)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # ties round to even: 512 + 2^-44 is half an ulp above 512
+        [256.0] + [1 + 2.0**-52] * 256,
+        [256.0 + 2.0**-43] + [1 + 2.0**-52] * 256,
+        # exact cancellation gives +0.0; normal terms may sum to a subnormal
+        [1.5, -1.5, 3.0, -3.0],
+        [2.0**-1022 * (1 + 2.0**-52), -(2.0**-1022)],
+        [2.0**-1022, 2.0**-1022, -(2.0**-1021) * (1 + 2.0**-52)],
+        # largest terms left to the limbs
+        [2.0**959, 2.0**959, -(2.0**958)],
+    ],
+)
+def test_edge_sums_take_the_integer_path(values):
+    assert_fsum(np.array(values), by_fsum=False)
+
+
+@pytest.mark.parametrize("value", [1.0, -3.5, 2.0**-1022, 2.0**959, 1 / 3])
+def test_single_elements(value):
+    assert_fsum(np.array([value]), by_fsum=False)
+
+
+def test_empty_arrays_and_lists_leave_the_sum_alone():
+    for empty in (np.array([]), []):
+        assert exact(empty) == (["0x0.0p+0", "0x0.0p+0"], False)
+
+
+def test_lists_other_dtypes_and_strided_views():
+    values = _normal_terms(np.random.default_rng(5), 5000, -3, 4)
+    assert_fsum(values.tolist(), by_fsum=True)
+    assert_fsum(values.astype(np.float32), by_fsum=True)
+    assert_fsum(np.arange(-50, 1000, dtype=np.int64), by_fsum=True)
+    assert_fsum(values[::3], by_fsum=False)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # zero or subnormal terms
+        [1.0, 0.0, -2.5],
+        [1.0, -0.0],
+        [0.0, -0.0],
+        [1.0, TINY, -1.0],
+        [2.0**-1023, 2.0**-1022],
+        # exponents more than the shift budget apart
+        [1.0, 2.0 ** -(_MAX_SHIFT + 1)],
+        [1.0, 2.0 ** -(_MAX_SHIFT + 1), -1.0],
+        (1.0 / np.arange(1, 2 * _BLOCK)).tolist(),
+        # terms of 2^960 or more
+        [2.0**960],
+        [1e308, -1e308],
+        # inf and nan
+        [1.0, math.inf],
+        [-math.inf, 2.0, -math.inf],
+        [1.0, math.nan],
+        [math.inf, math.nan],
+    ],
+)
+def test_fallback_cases_match_fsum(values):
+    assert_fsum(np.array(values), by_fsum=True)
+
+
+def test_fallback_in_a_later_block():
+    values = _normal_terms(np.random.default_rng(3), 3 * _BLOCK, 0, 2)
+    for bad in (0.0, TINY, math.inf, 2.0 ** -(_MAX_SHIFT + 1)):
+        mixed = values.copy()
+        mixed[2 * _BLOCK + 5] = bad
+        assert_fsum(mixed, by_fsum=True)
+
+
+def test_fsum_errors_are_kept():
+    with pytest.raises(ValueError):
+        CompensatedSum().add_array(np.array([1.0, math.inf, -math.inf]), exact=True)
+    # an intermediate overflow, though the exact sum 1e308 is finite
+    with pytest.raises(OverflowError):
+        CompensatedSum().add_array(np.array([1e308, 1e308, -1e308]), exact=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=2 * _BLOCK),
+    st.integers(min_value=-500, max_value=500),
+    st.integers(min_value=0, max_value=_MAX_SHIFT + 2),
+)
+def test_complex_sums_match_fsum_per_component(seed, n, e0, spread):
+    rng = np.random.default_rng(seed)
+    values = _normal_terms(rng, n, e0, spread) + 1j * _normal_terms(rng, n, e0, spread)
+    acc = ComplexCompensatedSum()
+    acc.add_array(values, exact=True)
+    ref = complex(FSUM(values.real.tolist()), FSUM(values.imag.tolist()))
+    assert acc.value.real.hex() == ref.real.hex() and acc.value.imag.hex() == ref.imag.hex()
+    real = ComplexCompensatedSum()
+    real.add_array(values.real, exact=True)
+    assert real.value == complex(ref.real, 0.0)

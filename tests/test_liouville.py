@@ -1,12 +1,15 @@
 """Sieve, scan, and checkpoint tests for the Liouville module."""
 
+import itertools
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import importlib
@@ -177,26 +180,36 @@ def test_checkpoint_parameter_mismatch(tmp_path):
         run_scan(3000, segment_size=512, checkpoint_path=str(path))
 
 
-def test_scan_resume_equivalence(tmp_path, monkeypatch):
-    limit, seg = 40000, 1024
+@st.composite
+def _kill_points(draw):
+    """A scan limit, a segment size and how many segments finish before the crash."""
+    limit = draw(st.integers(min_value=1, max_value=20000))
+    seg = draw(st.integers(min_value=300, max_value=6000))
+    return limit, seg, draw(st.integers(min_value=0, max_value=-(-limit // seg)))
+
+
+@settings(max_examples=25, deadline=None)
+@example(kill=(40000, 1024, 7), every=1)
+@given(_kill_points(), st.sampled_from([1, 2, 3]))
+def test_scan_resume_equivalence(kill, every):
+    limit, seg, done = kill
     clean = run_scan(limit, segment_size=seg)
 
     real_iter = lv.iter_lambda_segments
 
     def interrupting(start, stop, **kw):
-        for k, item in enumerate(real_iter(start, stop, **kw)):
-            if k == 7:
-                raise RuntimeError("injected crash")
-            yield item
+        # done == the segment count crashes after the last one, before the final save
+        yield from itertools.islice(real_iter(start, stop, **kw), done)
+        raise RuntimeError("injected crash")
 
-    path = tmp_path / "scan.ckpt"
-    monkeypatch.setattr(lv, "iter_lambda_segments", interrupting)
-    with pytest.raises(RuntimeError):
-        run_scan(limit, segment_size=seg, checkpoint_path=str(path), checkpoint_every=1)
-    monkeypatch.setattr(lv, "iter_lambda_segments", real_iter)
-
-    resumed = run_scan(limit, segment_size=seg, checkpoint_path=str(path))
-    assert resumed == clean
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "scan.ckpt")
+        kw = dict(segment_size=seg, checkpoint_path=path, checkpoint_every=every)
+        mp.setattr(lv, "iter_lambda_segments", interrupting)
+        with pytest.raises(RuntimeError):
+            run_scan(limit, **kw)
+        mp.undo()
+        assert run_scan(limit, **kw) == clean
 
 
 def test_scan_csv_rows(tmp_path):
