@@ -75,20 +75,26 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _convert_config_value(raw: str):
-    t = raw.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
+class _Repeat(argparse.Action):
+    """action="append", except that the flag's first use on the command
+    line replaces a config preset instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        kept = [] if items is self.default else items  # the preset, or None
+        setattr(namespace, self.dest, [*kept, values])
+
+
+def _preset(action: argparse.Action, raw: str):
+    """A config value read as its flag reads it: true/false for a switch,
+    else through the flag's type=, in a list for a repeatable flag."""
     try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        f = float(t)
-        return int(f) if f == int(f) and ("e" in low or "E" in raw) else f
-    except ValueError:
-        return t
+        if action.nargs == 0:
+            return {"true": True, "false": False}[raw.lower()]
+        value = raw if action.type is None else action.type(raw)
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
+        raise DomainError(f"config {action.dest} = {raw!r} is not a valid value") from None
+    return [value] if isinstance(action, _Repeat) else value
 
 
 def load_config(path: str) -> dict:
@@ -102,7 +108,7 @@ def load_config(path: str) -> dict:
             if "=" not in body:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {body!r}")
             key, _, raw = body.partition("=")
-            cfg[key.strip().replace("-", "_")] = _convert_config_value(raw)
+            cfg[key.strip().replace("-", "_")] = raw.strip()
     return cfg
 
 
@@ -162,7 +168,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run the default suite")
     p.add_argument("--case", help="only cases whose name contains this substring")
     p.add_argument("--X", type=_num_int, default=DEFAULT_X)
-    p.add_argument("--s", type=_complex_arg, action="append", metavar="RE[,IM]",
+    p.add_argument("--s", type=_complex_arg, action=_Repeat, metavar="RE[,IM]",
                    help="evaluation point (repeatable; default suite points)")
     p.add_argument("--out", help="JSON report destination")
 
@@ -173,9 +179,10 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("auto", "plain", "half_shifted"), default="auto")
     p.add_argument("--trace", help="trace CSV destination")
 
-    if config:
-        for action in sub.choices.values():
-            action.set_defaults(**config)
+    for subparser in sub.choices.values():
+        subparser.set_defaults(**{
+            a.dest: _preset(a, config[a.dest]) for a in subparser._actions if a.dest in config
+        })
     return parser
 
 
@@ -357,10 +364,10 @@ def main(argv=None) -> int:
     try:
         config_path = _extract_config_path(argv)
         config = load_config(config_path) if config_path else {}
+        parser = _build_parser(config)
     except (ZetalabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser = _build_parser(config)
     args = parser.parse_args(argv)
 
     def say(text: str) -> None:

@@ -94,10 +94,11 @@ class CompensatedSum:
     def add(self, term: float) -> None:
         term = float(term)
         t = self._total + term
-        if abs(self._total) >= abs(term):
-            self._comp += (self._total - t) + term
-        else:
-            self._comp += (term - t) + self._total
+        if math.isfinite(t):  # past an inf total the error term is inf - inf = nan
+            if abs(self._total) >= abs(term):
+                self._comp += (self._total - t) + term
+            else:
+                self._comp += (term - t) + self._total
         self._total = t
 
     def add_array(self, values, exact: bool = False) -> None:

@@ -15,11 +15,12 @@ or a single prime above the base limit. The per-n results are exact
 integers, so segmentation and worker count never change the output.
 """
 
+import contextlib
 import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -279,100 +280,96 @@ class ScanResult:
 
 @dataclass
 class _SeriesState:
-    min_value: float
-    argmin: int
-    first_violation: int | None
-    sign_changes: int
-    last_sign: int
+    min_value: float = math.inf
+    argmin: int = 0
+    first_violation: int | None = None
+    sign_changes: int = 0
+    last_sign: int = 0
 
-    def fold_segment(self, ns, vals, violated) -> None:
-        if len(ns) == 0:
+    def fold_segment(self, first_n: int, vals, violated) -> None:
+        """Fold in the values at n = first_n, first_n + 1, ..."""
+        if len(vals) == 0:
             return
         i = int(np.argmin(vals))
         v = float(vals[i])
         if v < self.min_value:
             self.min_value = v
-            self.argmin = int(ns[i])
+            self.argmin = first_n + i
         if self.first_violation is None and violated.any():
-            self.first_violation = int(ns[int(np.argmax(violated))])
-        signs = np.sign(vals).astype(np.int8)
-        nz = signs[signs != 0]
-        if nz.size:
-            chain = nz if self.last_sign == 0 else np.concatenate(([np.int8(self.last_sign)], nz))
-            self.sign_changes += int(np.count_nonzero(np.diff(chain)))
-            self.last_sign = int(nz[-1])
+            self.first_violation = first_n + int(np.argmax(violated))
+        positive = (vals > 0)[vals != 0]  # the sign chain, zeros skipped
+        if positive.size:
+            if self.last_sign != 0:
+                positive = np.concatenate(([self.last_sign > 0], positive))
+            self.sign_changes += int(np.count_nonzero(positive[1:] != positive[:-1]))
+            self.last_sign = 1 if positive[-1] else -1
+
+    def report(self, limit: int) -> SignScanReport:
+        return SignScanReport(
+            limit, self.first_violation, self.min_value, self.argmin, self.sign_changes
+        )
 
 
 _CHECKPOINT_HEADER = "zetalab-scan-checkpoint v1"
+_INT = (str, int)
+_HEX = (float.hex, float.fromhex)
+_INT_OR_NONE = (lambda v: "none" if v is None else str(v), lambda t: None if t == "none" else int(t))
+# The v1 format after its header: key=value lines in this order, each
+# value read and written by its codec; "polya_X"/"turan_X" is a series' X.
+_CHECKPOINT_KEYS = (
+    ("limit", _INT), ("segment_size", _INT), ("segments_done", _INT), ("next_n", _INT),
+    ("p_sum", _INT), ("t_total", _HEX), ("t_comp", _HEX),
+    *((f"{tag}_{name}", codec) for tag in ("polya", "turan") for name, codec in (
+        ("min", _HEX), ("argmin", _INT), ("first_violation", _INT_OR_NONE),
+        ("sign_changes", _INT), ("last_sign", _INT))),
+)
 
 
 @dataclass
 class ScanCheckpoint:
-    """Resumable state of a summatory scan, stored as flat text.
+    """State of a summatory scan, resumable from its flat text form.
 
-    Floats are serialized with float.hex() so a resumed scan continues
-    from the exact binary values of the interrupted one.
+    A fresh record is the state before n = 1. Floats are serialized with
+    float.hex() so a resumed scan continues from the exact binary values
+    of the interrupted one.
     """
 
     limit: int
     segment_size: int
-    segments_done: int
-    next_n: int
-    p_sum: int
-    t_total: float
-    t_comp: float
-    polya: _SeriesState
-    turan: _SeriesState
+    segments_done: int = 0
+    next_n: int = 1
+    p_sum: int = 0
+    t_total: float = 0.0
+    t_comp: float = 0.0
+    polya: _SeriesState = field(default_factory=_SeriesState)
+    turan: _SeriesState = field(default_factory=_SeriesState)
+
+    def _slots(self):
+        """(key, codec, owner, field name) for each line of the text form."""
+        for key, codec in _CHECKPOINT_KEYS:
+            tag, _, name = key.partition("_")
+            if tag in ("polya", "turan"):
+                yield key, codec, getattr(self, tag), "min_value" if name == "min" else name
+            else:
+                yield key, codec, self, key
 
     def to_text(self) -> str:
-        lines = [_CHECKPOINT_HEADER]
-        lines.append(f"limit={self.limit}")
-        lines.append(f"segment_size={self.segment_size}")
-        lines.append(f"segments_done={self.segments_done}")
-        lines.append(f"next_n={self.next_n}")
-        lines.append(f"p_sum={self.p_sum}")
-        lines.append(f"t_total={float(self.t_total).hex()}")
-        lines.append(f"t_comp={float(self.t_comp).hex()}")
-        for tag, st in (("polya", self.polya), ("turan", self.turan)):
-            lines.append(f"{tag}_min={float(st.min_value).hex()}")
-            lines.append(f"{tag}_argmin={st.argmin}")
-            fv = "none" if st.first_violation is None else str(st.first_violation)
-            lines.append(f"{tag}_first_violation={fv}")
-            lines.append(f"{tag}_sign_changes={st.sign_changes}")
-            lines.append(f"{tag}_last_sign={st.last_sign}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{key}={enc(getattr(obj, name))}" for key, (enc, _), obj, name in self._slots()]
+        return "\n".join([_CHECKPOINT_HEADER, *lines]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ScanCheckpoint":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CHECKPOINT_HEADER:
             raise DomainError("not a zetalab scan checkpoint")
-        kv = {}
-        for ln in lines[1:]:
-            key, _, val = ln.partition("=")
-            kv[key] = val
-
-        def series(tag: str) -> _SeriesState:
-            fv = kv[f"{tag}_first_violation"]
-            return _SeriesState(
-                min_value=float.fromhex(kv[f"{tag}_min"]),
-                argmin=int(kv[f"{tag}_argmin"]),
-                first_violation=None if fv == "none" else int(fv),
-                sign_changes=int(kv[f"{tag}_sign_changes"]),
-                last_sign=int(kv[f"{tag}_last_sign"]),
-            )
-
-        return cls(
-            limit=int(kv["limit"]),
-            segment_size=int(kv["segment_size"]),
-            segments_done=int(kv["segments_done"]),
-            next_n=int(kv["next_n"]),
-            p_sum=int(kv["p_sum"]),
-            t_total=float.fromhex(kv["t_total"]),
-            t_comp=float.fromhex(kv["t_comp"]),
-            polya=series("polya"),
-            turan=series("turan"),
-        )
+        kv = dict(ln.partition("=")[::2] for ln in lines[1:])
+        ck = cls(0, 0)
+        for key, (_, dec), obj, name in ck._slots():
+            try:
+                setattr(obj, name, dec(kv[key]))
+            except (KeyError, ValueError):
+                raise DomainError(f"damaged scan checkpoint: no valid {key}") from None
+        return ck
 
     def save(self, path: str) -> None:
         tmp = path + ".tmp"
@@ -384,6 +381,26 @@ class ScanCheckpoint:
     def load(cls, path: str) -> "ScanCheckpoint":
         with open(path) as fh:
             return cls.from_text(fh.read())
+
+
+def _open_trace(path: str, next_n: int):
+    """Open a CSV trace for the rows from n = next_n on; a resumed trace
+    is first cut back to its header and its whole rows with n < next_n."""
+    if next_n > 1 and os.path.exists(path):
+        with open(path, "rb+") as fh:
+            end = len(fh.readline())
+            for line in iter(fh.readline, b""):
+                try:
+                    if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) >= next_n:
+                        break
+                except ValueError:
+                    raise DomainError(f"{path} is not a zetalab scan trace") from None
+                end += len(line)
+            fh.truncate(end)
+        return open(path, "a", newline="")
+    fh = open(path, "w", newline="")
+    csv.writer(fh).writerow(["n", "lambda", "P", "T"])
+    return fh
 
 
 def run_scan(
@@ -406,8 +423,9 @@ def run_scan(
 
     When checkpoint_path is given, progress is saved there and an
     existing file resumes the scan; limit and segment_size must match.
-    When csv_path is given, rows (n, lambda, P, T) are appended for
-    every n divisible by csv_stride.
+    When csv_path is given, rows (n, lambda, P, T) are written for
+    every n divisible by csv_stride. A resumed scan returns, saves and
+    traces exactly what the uninterrupted scan does.
     """
     limit = int(limit)
     if limit < 1:
@@ -422,94 +440,47 @@ def run_scan(
     if checkpoint_every < 1:
         raise DomainError("checkpoint_every must be >= 1")
 
-    start = 1
-    p_sum = 0
-    t_acc = CompensatedSum()
-    polya = _SeriesState(math.inf, 0, None, 0, 0)
-    turan = _SeriesState(math.inf, 0, None, 0, 0)
-    segments_done = 0
-
+    ck = ScanCheckpoint(limit, seg)
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = ScanCheckpoint.load(checkpoint_path)
         if ck.limit != limit or ck.segment_size != seg:
-            raise DomainError(
-                "checkpoint was written for different scan parameters "
-                f"(limit={ck.limit}, segment_size={ck.segment_size})"
-            )
-        start = ck.next_n
-        p_sum = ck.p_sum
-        t_acc = CompensatedSum(ck.t_total, ck.t_comp)
-        polya, turan = ck.polya, ck.turan
-        segments_done = ck.segments_done
+            raise DomainError("checkpoint was written for different scan parameters "
+                              f"(limit={ck.limit}, segment_size={ck.segment_size})")
 
-    csv_fh = None
-    writer = None
-    if csv_path is not None:
-        fresh = start == 1 or not os.path.exists(csv_path)
-        csv_fh = open(csv_path, "w" if start == 1 else "a", newline="")
-        writer = csv.writer(csv_fh)
-        if fresh:
-            writer.writerow(["n", "lambda", "P", "T"])
-
-    try:
-        if start <= limit:
+    trace = contextlib.nullcontext() if csv_path is None else _open_trace(csv_path, ck.next_n)
+    with trace as csv_fh:
+        if ck.next_n <= limit:
             for lo, lam in iter_lambda_segments(
-                start, limit + 1, segment_size=seg, threads=threads
+                ck.next_n, limit + 1, segment_size=seg, threads=threads
             ):
-                ns = np.arange(lo, lo + len(lam), dtype=np.int64)
-                p_vals = p_sum + np.cumsum(lam, dtype=np.int64)
-                t_terms = lam.astype(np.float64) / ns
+                p_vals = ck.p_sum + np.cumsum(lam, dtype=np.int64)
+                t_terms = lam.astype(np.float64) / np.arange(lo, lo + len(lam), dtype=np.int64)
+                t_acc = CompensatedSum(ck.t_total, ck.t_comp)
                 t_vals = t_acc.value + np.cumsum(t_terms)
-
                 k = int(lo == 1)  # P(x) is scanned from x = 2
-                polya.fold_segment(ns[k:], p_vals[k:], p_vals[k:] > 0)
-                turan.fold_segment(ns, t_vals, t_vals <= 0.0)
+                ck.polya.fold_segment(lo + k, p_vals[k:], p_vals[k:] > 0)
+                ck.turan.fold_segment(lo, t_vals, t_vals <= 0.0)
 
-                p_sum = int(p_vals[-1])
                 t_acc.add_array(t_terms, exact=True)
-                segments_done += 1
+                ck.t_total, ck.t_comp = t_acc.parts
+                ck.p_sum = int(p_vals[-1])
+                ck.next_n = lo + len(lam)
+                ck.segments_done += 1
 
-                if writer is not None:
-                    rows = ns % csv_stride == 0
-                    if rows.any():
-                        for n, l, p, t in zip(
-                            ns[rows], lam[rows], p_vals[rows], t_vals[rows]
-                        ):
-                            writer.writerow([int(n), int(l), int(p), repr(float(t))])
+                if csv_fh is not None:
+                    i = -lo % csv_stride
+                    csv.writer(csv_fh).writerows(zip(
+                        range(lo + i, ck.next_n, csv_stride), lam[i::csv_stride].tolist(),
+                        p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
+                    ))
+                done = ck.next_n > limit
+                if checkpoint_path and (done or ck.segments_done % checkpoint_every == 0):
+                    if csv_fh is not None:
+                        csv_fh.flush()  # first the trace rows this checkpoint covers
+                    ck.save(checkpoint_path)
 
-                if checkpoint_path and segments_done % checkpoint_every == 0:
-                    ScanCheckpoint(
-                        limit,
-                        seg,
-                        segments_done,
-                        int(ns[-1]) + 1,
-                        p_sum,
-                        *t_acc.parts,
-                        polya=replace(polya),
-                        turan=replace(turan),
-                    ).save(checkpoint_path)
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-
-    if checkpoint_path:
-        ScanCheckpoint(
-            limit, seg, segments_done, limit + 1, p_sum, *t_acc.parts,
-            polya=replace(polya), turan=replace(turan),
-        ).save(checkpoint_path)
-
-    return ScanResult(
-        polya=SignScanReport(
-            limit, polya.first_violation, float(polya.min_value),
-            polya.argmin, polya.sign_changes,
-        ),
-        turan=SignScanReport(
-            limit, turan.first_violation, float(turan.min_value),
-            turan.argmin, turan.sign_changes,
-        ),
-        polya_final=p_sum,
-        turan_final=t_acc.value,
-    )
+    t_final = CompensatedSum(ck.t_total, ck.t_comp).value
+    return ScanResult(ck.polya.report(limit), ck.turan.report(limit), ck.p_sum, t_final)
 
 
 def scan_polya(limit: int, **kwargs) -> SignScanReport:

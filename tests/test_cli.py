@@ -96,6 +96,14 @@ def test_scan_turan_only(capsys):
     assert "first_violation=none" in out
 
 
+def test_scan_damaged_checkpoint_is_an_error(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text("zetalab-scan-checkpoint v1\nlimit=1000\n")
+    code, out, err = run(capsys, "scan", "--limit", "1000", "--checkpoint", str(ckpt))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "segment_size" in err
+
+
 def test_scan_default_reports_both(capsys):
     code, out, _ = run(capsys, "scan", "--limit", "100")
     assert code == 0
@@ -225,6 +233,24 @@ def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys)
     code, out, _ = run(capsys, "integrate", "--kind", "F_one", "--s", "2", "--X", "1000",
                        "--config", str(cfg))
     assert code == 0 and "converged at tolerance 0.0001" in out
+
+
+def test_config_presets_go_through_each_flags_parser(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    for preset, shown in (("2", " s=2.0000 "), ("1.5,2", " s=1.5000+2.0000i ")):
+        cfg.write_text(f"X = 500\ns = {preset}\n")
+        code, out, _ = run(capsys, "verify", "--all", "--config", str(cfg), "--case", "finite")
+        assert code == 0 and out.count("[PASS]") == 1 and shown in out
+    # an explicit repeatable flag replaces the preset list
+    code, out, _ = run(capsys, "verify", "--all", "--config", str(cfg), "--case", "finite",
+                       "--s", "3", "--s", "4")
+    assert code == 0 and out.count("[PASS]") == 2 and "1.5000" not in out
+    cfg.write_text("X = 500\nquiet = true\n")
+    code, out, _ = run(capsys, "verify", "--all", "--config", str(cfg), "--case", "finite")
+    assert code == 0 and out == ""
+    cfg.write_text("X = lots\n")
+    code, _, err = run(capsys, "verify", "--all", "--config", str(cfg))
+    assert code == 1 and err.startswith("error: config X")
 
 
 def test_config_bad_line(tmp_path, capsys):

@@ -191,3 +191,45 @@ def test_complex_sums_match_fsum_per_component(seed, n, e0, spread):
     real = ComplexCompensatedSum()
     real.add_array(values.real, exact=True)
     assert real.value == complex(ref.real, 0.0)
+
+
+def _neumaier(terms):
+    """The parts add() banked before inf totals were special-cased."""
+    total = comp = 0.0
+    for term in terms:
+        t = total + term
+        comp += (total - t) + term if abs(total) >= abs(term) else (term - t) + total
+        total = t
+    return total, comp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_finite_totals_bank_the_same_bits(terms):
+    acc = CompensatedSum()
+    for term in terms:
+        acc.add(term)
+    total, comp = _neumaier(terms)
+    if math.isfinite(total):
+        assert [p.hex() for p in acc.parts] == [total.hex(), comp.hex()]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [math.inf],
+        [1.0, -math.inf, 2.0],
+        [1e308, 1e308],
+        [1e308, 1e308, -1.0],
+        [-1e308, -1e308, 1e308],
+        [math.inf, -math.inf],
+        [1.0, math.nan],
+    ],
+)
+def test_non_finite_totals_match_plain_addition(terms):
+    acc = CompensatedSum()
+    plain = 0.0
+    for term in terms:
+        acc.add(term)
+        plain += term
+    assert acc.value == plain or math.isnan(acc.value) and math.isnan(plain)

@@ -189,27 +189,96 @@ def _kill_points(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@example(kill=(40000, 1024, 7), every=1)
-@given(_kill_points(), st.sampled_from([1, 2, 3]))
-def test_scan_resume_equivalence(kill, every):
+@example(kill=(40000, 1024, 7), every=1, stride=1)
+@example(kill=(20000, 1000, 7), every=4, stride=500)
+@given(_kill_points(), st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=700))
+def test_scan_resume_equivalence(kill, every, stride):
+    """A resumed scan returns, saves and traces what the clean one does."""
     limit, seg, done = kill
-    clean = run_scan(limit, segment_size=seg)
-
     real_iter = lv.iter_lambda_segments
 
     def interrupting(start, stop, **kw):
-        # done == the segment count crashes after the last one, before the final save
+        # done == the segment count crashes once every segment is folded in
         yield from itertools.islice(real_iter(start, stop, **kw), done)
         raise RuntimeError("injected crash")
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        path = os.path.join(tmp, "scan.ckpt")
-        kw = dict(segment_size=seg, checkpoint_path=path, checkpoint_every=every)
+
+        def scan(name):
+            ckpt, trace = (os.path.join(tmp, name + ext) for ext in (".ckpt", ".csv"))
+            result = run_scan(limit, segment_size=seg, checkpoint_path=ckpt,
+                              checkpoint_every=every, csv_path=trace, csv_stride=stride)
+            with open(ckpt, "rb") as ck_fh, open(trace, "rb") as csv_fh:
+                return result, ck_fh.read(), csv_fh.read()
+
+        clean = scan("clean")
         mp.setattr(lv, "iter_lambda_segments", interrupting)
         with pytest.raises(RuntimeError):
-            run_scan(limit, **kw)
+            scan("resumed")
         mp.undo()
-        assert run_scan(limit, **kw) == clean
+        assert scan("resumed") == clean
+
+
+@pytest.mark.parametrize(
+    "damage, key",
+    [
+        (lambda text: text[: text.index("next_n=")], "next_n"),
+        (lambda text: text.replace("limit=5000", "limit=abc"), "limit"),
+    ],
+    ids=["truncated", "garbled"],
+)
+def test_damaged_checkpoint_names_the_key(tmp_path, damage, key):
+    path = tmp_path / "scan.ckpt"
+    run_scan(5000, segment_size=512, checkpoint_path=str(path))
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(DomainError, match=key):
+        run_scan(5000, segment_size=512, checkpoint_path=str(path))
+
+
+def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch):
+    ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
+    real_save, saved = ScanCheckpoint.save, []
+
+    def checking_save(self, path):
+        last_row = trace.read_text().splitlines()[-1]
+        assert int(last_row.split(",")[0]) == (self.next_n - 1) // 7 * 7
+        saved.append(self.next_n)
+        real_save(self, path)
+
+    monkeypatch.setattr(ScanCheckpoint, "save", checking_save)
+    run_scan(5000, segment_size=512, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=7)
+    assert len(saved) == 10
+
+
+def test_resume_leaves_a_foreign_trace_alone(tmp_path):
+    ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "notes.csv"
+    run_scan(2000, segment_size=512, checkpoint_path=str(ckpt))
+    trace.write_text("n,lambda,P,T\nnot a row\n")
+    with pytest.raises(DomainError, match="not a zetalab scan trace"):
+        run_scan(2000, segment_size=512, checkpoint_path=str(ckpt), csv_path=str(trace))
+    assert trace.read_text() == "n,lambda,P,T\nnot a row\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=60),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([np.int64, np.float64]),
+)
+def test_series_fold_matches_a_direct_count(values, cuts, first_n, dtype):
+    """Folding split segments gives the whole array's sign changes, minimum and violation."""
+    vals = np.array(values, dtype=dtype)
+    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    state = lv._SeriesState()
+    for a, b in zip(bounds, bounds[1:]):
+        state.fold_segment(first_n + a, vals[a:b], vals[a:b] > 0)
+    signs = [v > 0 for v in values if v != 0]
+    assert state.sign_changes == sum(x != y for x, y in zip(signs, signs[1:]))
+    assert state.min_value == min(values)
+    assert state.argmin == first_n + values.index(min(values))
+    positive = [i for i, v in enumerate(values) if v > 0]
+    assert state.first_violation == (first_n + positive[0] if positive else None)
 
 
 def test_scan_csv_rows(tmp_path):
