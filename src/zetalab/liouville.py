@@ -8,11 +8,15 @@ are
     P(x) = sum_{n<=x} lambda(n)        (Polya sum)
     T(x) = sum_{n<=x} lambda(n)/n      (Turan sum)
 
-Bulk values come from a segmented sieve over [lo, hi): each segment
-divides out every base-prime power (base primes run up to sqrt of the
-segment end), counting divisions; whatever cofactor is left is either 1
-or a single prime above the base limit. The per-n results are exact
-integers, so segmentation and worker count never change the output.
+Bulk values come from a segmented sieve over [lo, hi) that multiplies
+up each n's base-prime part (base primes run up to sqrt of the segment
+end). The powers of 2, 3, 5 and 7 come from one precomputed period of
+5040, the wheel; a strided pass multiplies in every higher power and
+every other base prime, each factor as -p, so the product's sign
+carries the parity of the count. What is left of n, n / |product|, is
+either 1 or a single prime above the base limit. The per-n results are
+exact integers, so segmentation and worker count never change the
+output.
 """
 
 import contextlib
@@ -78,12 +82,50 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
+# The wheel: 5040 = 2^4 * 3^2 * 5 * 7. Whether 2^a, 3^b, 5 or 7 divides
+# n (a <= 4, b <= 2) depends only on n mod 5040, so one period of
+# products and squares seeds each segment; the strided sieve starts each
+# wheel prime at its first power outside the wheel.
+_WHEEL = 5040
+_WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
+# n is compared with its product in blocks of this many terms, so that no
+# full-length int64 array of n sits next to the product.
+_BLOCK = 1 << 15
+
+
+def _wheel_pattern():
+    """Per residue mod 5040, read-only: the product of the wheel's prime
+    powers dividing it, each factor as -p, and whether 4 or 9 divides it."""
+    r = np.arange(_WHEEL, dtype=np.int64)
+    prod = np.ones(_WHEEL, dtype=np.int64)
+    for p, first_outside in _WHEEL_NEXT.items():
+        pk = p
+        while pk < first_outside:
+            prod[r % pk == 0] *= -p
+            pk *= p
+    squareful = (r % 4 == 0) | (r % 9 == 0)
+    prod.flags.writeable = squareful.flags.writeable = False
+    return prod, squareful
+
+
+_WHEEL_PROD, _WHEEL_SQUAREFUL = _wheel_pattern()
+
+
+def _from_wheel(pattern: np.ndarray, lo: int, span: int) -> np.ndarray:
+    """A writable copy of pattern read from residue lo % _WHEEL on, span long."""
+    return np.resize(np.roll(pattern, -(lo % _WHEEL)), span)
+
+
 def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
-    """Divide every base-prime power out of [lo, hi) in one pass.
+    """Multiply up the base-prime part of every n in [lo, hi) in one pass.
 
     Returns (lambda, squareful): lambda(n) as int8, and a mask of the n
-    divisible by the square of a base prime. A cofactor left above the
-    base limit is a single prime, never a square, so the mask is exact.
+    divisible by the square of a base prime. Each n's running product
+    starts from the wheel pattern, and the strided sieve multiplies in
+    every other base-prime power; each prime factor enters as -p, so
+    the product's sign is lambda of the base-prime part. n has one more
+    prime factor, above the base limit, exactly when |product| < n; that
+    cofactor is never a square, so the mask is exact.
     """
     if lo < 1 or hi <= lo:
         raise DomainError("need 1 <= lo < hi")
@@ -98,25 +140,28 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
         cut = int(np.searchsorted(base_primes, need, side="right"))
         base_primes = base_primes[:cut]
 
-    omega = np.zeros(span, dtype=np.int8)
-    squareful = np.zeros(span, dtype=bool)
-    rem = np.arange(lo, hi, dtype=np.int64)
+    prod = _from_wheel(_WHEEL_PROD, lo, span)
+    squareful = _from_wheel(_WHEEL_SQUAREFUL, lo, span)
     for p in base_primes.tolist():
-        pk = p
+        pk = _WHEEL_NEXT.get(p, p)
         while True:
             start = ((lo + pk - 1) // pk) * pk
             if start >= hi:
                 break
             sl = slice(start - lo, span, pk)
-            omega[sl] += 1
-            rem[sl] //= p
+            prod[sl] *= -p
             if pk == p * p:  # multiples of p^3, p^4, ... are already marked
                 squareful[sl] = True
             if pk > (hi - 1) // p:
                 break
             pk *= p
-    omega += (rem > 1).astype(np.int8)
-    return np.where(omega & 1, np.int8(-1), np.int8(1)), squareful
+    lam = np.empty(span, dtype=np.int8)
+    for a in range(0, span, _BLOCK):
+        b = min(a + _BLOCK, span)
+        part = prod[a:b]
+        odd = (part < 0) ^ (np.abs(part) < np.arange(lo + a, lo + b, dtype=np.int64))
+        np.subtract(1, 2 * odd.view(np.int8), out=lam[a:b])
+    return lam, squareful
 
 
 def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
@@ -369,6 +414,11 @@ class ScanCheckpoint:
                 setattr(obj, name, dec(kv[key]))
             except (KeyError, ValueError):
                 raise DomainError(f"damaged scan checkpoint: no valid {key}") from None
+        if ck.next_n != min(ck.limit, ck.segments_done * ck.segment_size) + 1:
+            raise DomainError(
+                f"damaged scan checkpoint: next_n={ck.next_n} does not follow "
+                f"{ck.segments_done} segments of {ck.segment_size}"
+            )
         return ck
 
     def save(self, path: str) -> None:
@@ -383,19 +433,27 @@ class ScanCheckpoint:
             return cls.from_text(fh.read())
 
 
-def _open_trace(path: str, next_n: int):
-    """Open a CSV trace for the rows from n = next_n on; a resumed trace
-    is first cut back to its header and its whole rows with n < next_n."""
+def _open_trace(path: str, next_n: int, stride: int):
+    """Open a CSV trace for the rows from n = next_n on. A resumed trace
+    is first cut back to its header and its whole rows with n < next_n,
+    which must be the rows n = stride, 2*stride, ... this scan wrote."""
     if next_n > 1 and os.path.exists(path):
         with open(path, "rb+") as fh:
-            end = len(fh.readline())
+            end, rows = len(fh.readline()), 0
             for line in iter(fh.readline, b""):
+                if not line.endswith(b"\n"):
+                    break
                 try:
-                    if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) >= next_n:
-                        break
+                    n = int(line.split(b",", 1)[0])
                 except ValueError:
                     raise DomainError(f"{path} is not a zetalab scan trace") from None
+                if n >= next_n or n != (rows + 1) * stride:
+                    break
+                rows += 1
                 end += len(line)
+            if rows != (next_n - 1) // stride:
+                raise DomainError(f"{path} does not hold this scan's rows n = {stride}, "
+                                  f"{2 * stride}, ... below {next_n}")
             fh.truncate(end)
         return open(path, "a", newline="")
     fh = open(path, "w", newline="")
@@ -447,7 +505,8 @@ def run_scan(
             raise DomainError("checkpoint was written for different scan parameters "
                               f"(limit={ck.limit}, segment_size={ck.segment_size})")
 
-    trace = contextlib.nullcontext() if csv_path is None else _open_trace(csv_path, ck.next_n)
+    trace = (contextlib.nullcontext() if csv_path is None
+             else _open_trace(csv_path, ck.next_n, csv_stride))
     with trace as csv_fh:
         if ck.next_n <= limit:
             for lo, lam in iter_lambda_segments(

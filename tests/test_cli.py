@@ -104,6 +104,17 @@ def test_scan_damaged_checkpoint_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "segment_size" in err
 
 
+def test_scan_checkpoint_with_a_foreign_next_n_is_an_error(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    assert run(capsys, "scan", "--limit", "5000", "--segment-size", "512",
+               "--checkpoint", str(ckpt))[0] == 0
+    ckpt.write_text(ckpt.read_text().replace("next_n=5001", "next_n=99999"))
+    code, out, err = run(capsys, "scan", "--limit", "5000", "--segment-size", "512",
+                         "--checkpoint", str(ckpt))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "next_n=99999" in err
+
+
 def test_scan_default_reports_both(capsys):
     code, out, _ = run(capsys, "scan", "--limit", "100")
     assert code == 0

@@ -3,7 +3,9 @@
 import itertools
 import math
 import os
+import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +83,80 @@ def test_segment_far_window_matches_trial_division():
         vals = lv.lambda_segment(lo, lo + 2048)
         for i in [*range(0, 2048, 37), 1024]:
             assert vals[i] == liouville(lo + i), lo + i
+
+
+def _trial_division(n: int, bound: int):
+    """(Omega(n), squarefree) by division by every d in [2, bound]; a
+    cofactor left above bound counts as one prime factor."""
+    ds = np.arange(2, bound + 1, dtype=np.int64)
+    omega, squarefree = 0, True
+    for d in ds[n % ds == 0].tolist():  # composite d no longer divide when reached
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        omega += k
+        squarefree &= k < 2
+    return omega + (n > 1), squarefree
+
+
+# Near 2^62 the primes up to sqrt(n) (about 2^31) are out of reach, so
+# the kernel gets the primes up to this bound and the oracle divides by
+# the same range: that checks its int64 products and compares there.
+_FAR_BOUND = 1 << 12
+
+
+@st.composite
+def _kernel_windows(draw):
+    """(lo, hi, prime bound or None for all primes to sqrt(hi - 1))."""
+    kind = draw(st.sampled_from(["tiny", "wheel", "2^40", "2^62"]))
+    if kind == "tiny":  # hi <= 50: wheel primes above the base limit
+        lo = draw(st.integers(1, 49))
+        return lo, draw(st.integers(lo + 1, 50)), None
+    first_k = {"wheel": 0, "2^40": 2**40 // lv._WHEEL, "2^62": 2**62 // lv._WHEEL}[kind]
+    k = first_k + draw(st.integers(0, 2000))
+    lo = max(1, k * lv._WHEEL + draw(st.sampled_from([-1, 0, 1])))
+    span = draw(st.integers(1, 400 if kind == "wheel" else 8))
+    return lo, lo + span, _FAR_BOUND if kind == "2^62" else None
+
+
+@settings(max_examples=60, deadline=None)
+@example(window=(1, 2, None))
+@example(window=(5039, 5042, None))
+@example(window=(2**62 // 5040 * 5040 - 1, 2**62 // 5040 * 5040 + 8, _FAR_BOUND))
+@given(_kernel_windows())
+def test_segments_match_trial_division(window):
+    """lambda_segment and mobius_segment agree with trial division at
+    and around multiples of the wheel period, on tiny and on far windows."""
+    lo, hi, bound = window
+    base = None if bound is None else lv._base_primes(bound)
+    lam = lv.lambda_segment(lo, hi, base)
+    mu = lv.mobius_segment(lo, hi, base)
+    for n in range(lo, hi):
+        omega, squarefree = _trial_division(n, math.isqrt(n) if bound is None else bound)
+        assert lam[n - lo] == (-1) ** omega, n
+        assert mu[n - lo] == (lam[n - lo] if squarefree else 0), n
+
+
+def test_wheel_pattern_is_read_only():
+    for pattern in (lv._WHEEL_PROD, lv._WHEEL_SQUAREFUL):
+        assert len(pattern) == lv._WHEEL and not pattern.flags.writeable
+
+
+def test_kernel_memory_stays_near_its_outputs():
+    """One 2^20-term segment allocates at most 12.5 MiB at its peak: the
+    int64 product, the int8 and bool outputs and 2^15-term temporaries,
+    but no second full-length int64 array."""
+    lo = 50 * 2**20 + 1
+    base = lv._base_primes(math.isqrt(lo + 2**20))
+    lv._factor_segment(lo, lo + 2**20, base)
+    tracemalloc.start()
+    try:
+        lv._factor_segment(lo, lo + 2**20, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 2**20
 
 
 def test_mobius_segment_matches_sympy():
@@ -233,6 +309,40 @@ def test_damaged_checkpoint_names_the_key(tmp_path, damage, key):
     path.write_text(damage(path.read_text()))
     with pytest.raises(DomainError, match=key):
         run_scan(5000, segment_size=512, checkpoint_path=str(path))
+
+
+@pytest.mark.parametrize("next_n", [1025, 99999])
+def test_resume_refuses_a_next_n_that_does_not_follow(tmp_path, next_n):
+    path = tmp_path / "scan.ckpt"
+    run_scan(5000, segment_size=512, checkpoint_path=str(path))
+    path.write_text(path.read_text().replace("next_n=5001", f"next_n={next_n}"))
+    with pytest.raises(DomainError, match=f"next_n={next_n}"):
+        run_scan(5000, segment_size=512, checkpoint_path=str(path))
+
+
+def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
+    ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
+    real_iter = lv.iter_lambda_segments
+
+    def interrupting(start, stop, **kw):
+        yield from itertools.islice(real_iter(start, stop, **kw), 3)
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setattr(lv, "iter_lambda_segments", interrupting)
+    with pytest.raises(RuntimeError):
+        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
+                 csv_path=str(trace), csv_stride=500)
+    monkeypatch.undo()
+    written = trace.read_bytes()
+    with pytest.raises(DomainError, match=re.escape("n = 1000, 2000, ... below 3001")):
+        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
+                 csv_path=str(trace), csv_stride=1000)
+    assert trace.read_bytes() == written
+    clean = tmp_path / "clean.csv"
+    run_scan(10000, segment_size=1000, csv_path=str(clean), csv_stride=500)
+    run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
+             csv_path=str(trace), csv_stride=500)
+    assert trace.read_bytes() == clean.read_bytes()
 
 
 def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch):
