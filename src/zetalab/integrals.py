@@ -357,19 +357,23 @@ class SigmaCEstimate:
     flags: tuple[str, ...]
 
 
-def _classify_trace(values, cauchy_tol, slope_margin, x_schedule):
+_CAUCHY_TOL = 1e-3
+_SLOPE_MARGIN = 0.01
+
+
+def _classify_trace(values, x_schedule):
     diffs = np.abs(np.diff(np.asarray(values, dtype=np.complex128)))
     if len(diffs) < 2:
         return "inconclusive"
-    cauchy = bool(np.all(diffs[-2:] < cauchy_tol))
+    cauchy = bool(np.all(diffs[-2:] < _CAUCHY_TOL))
     if cauchy:
         return "converging"
     logx = np.log(np.asarray(x_schedule[1:], dtype=np.float64))
     logd = np.log(np.maximum(diffs, 1e-300))
     slope = float(np.polyfit(logx, logd, 1)[0])
-    if slope < -slope_margin:
+    if slope < -_SLOPE_MARGIN:
         return "converging"
-    if slope > slope_margin:
+    if slope > _SLOPE_MARGIN:
         return "diverging"
     return "inconclusive"
 
@@ -380,8 +384,6 @@ def estimate_sigma_c(
     x_schedule,
     *,
     kernel: str = "auto",
-    cauchy_tol: float = 1e-3,
-    slope_margin: float = 0.01,
     trace_path: str | None = None,
     segment_size: int | None = None,
     threads: int | None = None,
@@ -390,8 +392,8 @@ def estimate_sigma_c(
 
     Each sigma on the grid gets a trace of partial integrals over
     x_schedule and a two-route classification: Cauchy (last two
-    successive differences below cauchy_tol) or the log-log slope of
-    the successive differences (negative beyond slope_margin means the
+    successive differences below 1e-3) or the log-log slope of the
+    successive differences (negative beyond a 0.01 margin means the
     partials are still settling, positive means they are drifting
     apart). Slopes inside the margin are inconclusive, which widens the
     reported bracket instead of forcing a call.
@@ -418,9 +420,7 @@ def estimate_sigma_c(
         results = [values[requests[sigma, x]] for x in sched]
         traces[sigma] = tuple(r.value for r in results)
         tails[sigma] = tuple(r.tail_estimate for r in results)
-        classifications[sigma] = _classify_trace(
-            traces[sigma], cauchy_tol, slope_margin, sched
-        )
+        classifications[sigma] = _classify_trace(traces[sigma], sched)
 
     flags: list[str] = []
     diverging = [s for s in grid if classifications[s] == "diverging"]

@@ -32,7 +32,7 @@ from .compensated import CompensatedSum
 from .errors import CapacityError, DomainError
 
 DEFAULT_SEGMENT = 1 << 20
-# Largest span sieve_range() will hold in memory at once (int8 values).
+# Largest sieve_range() span (int8 values) and _base_primes() limit.
 DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
 MAX_N = 1 << 63
@@ -72,6 +72,8 @@ def liouville(n: int) -> int:
 
 def _base_primes(limit: int) -> np.ndarray:
     """All primes <= limit, as int64, by a plain boolean sieve."""
+    if limit > DEFAULT_MAX_SPAN:
+        raise CapacityError(f"base primes to {limit} exceed capacity {DEFAULT_MAX_SPAN}")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -207,7 +209,6 @@ def sieve_range(
     *,
     segment_size: int | None = None,
     threads: int | None = None,
-    max_span: int = DEFAULT_MAX_SPAN,
 ) -> LiouvilleTable:
     """Sieve lambda over [lo, hi) into one dense table.
 
@@ -217,7 +218,6 @@ def sieve_range(
             choice, it only affects memory traffic.
         threads: sieve workers (default 1); segments are merged in index
             order, so the output does not depend on this either.
-        max_span: capacity guard; hi - lo above it raises CapacityError.
 
     Returns:
         LiouvilleTable with exact int8 values.
@@ -226,9 +226,9 @@ def sieve_range(
         raise DomainError("need 1 <= lo < hi")
     if hi > MAX_N:
         raise DomainError("hi beyond supported 64-bit range")
-    if hi - lo > max_span:
+    if hi - lo > DEFAULT_MAX_SPAN:
         raise CapacityError(
-            f"span {hi - lo} exceeds max_span={max_span}; sieve in segments instead"
+            f"span {hi - lo} exceeds {DEFAULT_MAX_SPAN}; sieve in segments instead"
         )
     out = np.empty(hi - lo, dtype=np.int8)
     for seg_lo, lam in iter_lambda_segments(
@@ -435,9 +435,12 @@ class ScanCheckpoint:
 
 def _open_trace(path: str, next_n: int, stride: int):
     """Open a CSV trace for the rows from n = next_n on. A resumed trace
-    is first cut back to its header and its whole rows with n < next_n,
-    which must be the rows n = stride, 2*stride, ... this scan wrote."""
-    if next_n > 1 and os.path.exists(path):
+    must exist; it is first cut back to its header and its whole rows
+    with n < next_n, which must be the rows n = stride, 2*stride, ...
+    this scan wrote."""
+    if next_n > 1:
+        if not os.path.exists(path):
+            raise DomainError(f"{path} is missing; a resumed scan needs the trace it began")
         with open(path, "rb+") as fh:
             end, rows = len(fh.readline()), 0
             for line in iter(fh.readline, b""):

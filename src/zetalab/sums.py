@@ -55,30 +55,19 @@ class PrefixEvaluator:
         self.history: list[tuple[int, float]] | None = (
             [] if record_history else None
         )
-        self._next_pow = 1
 
     def update(self, lo: int, lam: np.ndarray) -> None:
         if lo != self.limit + 1:
             raise DomainError(
                 f"segments must be contiguous: expected lo={self.limit + 1}, got {lo}"
             )
-        hi = lo + len(lam) - 1
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        terms = lam.astype(np.float64) * ns ** -self.alpha
-        if lo == 1:
-            terms[0] = 0.0  # a(1) = 0
-        if self.history is not None:
-            cs = None
-            while self._next_pow <= hi:
-                if self._next_pow >= lo:
-                    if cs is None:
-                        cs = np.cumsum(terms)
-                    self.history.append(
-                        (self._next_pow, self._acc.value + float(cs[self._next_pow - lo]))
-                    )
-                self._next_pow *= 2
-        self._acc.add_array(terms)
-        self.limit = hi
+        self.limit = lo + len(lam) - 1
+        visit = None if self.history is None else self._record
+        _fold_segment([self._acc], [lambda ns: ns ** -self.alpha], lo, lam, visit)
+
+    def _record(self, ns, prefix) -> None:
+        powers = [1 << k for k in range(int(ns[-1]).bit_length())]
+        self.history.extend(_rows_at(powers, ns, prefix))
 
     @property
     def value(self) -> float:
@@ -94,26 +83,35 @@ def _decomposition_weights(seq: XiSequence) -> list:
     return [lambda ns: ns ** -seq.alpha, lambda ns: ns ** -seq.beta, _mvt(seq)]
 
 
-def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
-    """Totals of sum_{2<=n<=x} lambda(n) w(n), one per weight, in one pass.
+def _fold_segment(accs, weights, lo: int, coeffs: np.ndarray, visit=None) -> None:
+    """Fold a(n) w(n), n = lo, lo + 1, ..., into accs, one compensated
+    sum per weight (float64 n -> w(n)), where a(n) = coeffs[n - lo]
+    except a(1) = 0. visit(ns, prefix), when given, sees the segment's
+    n values and, per weight, the running sums at each of them."""
+    ns = np.arange(lo, lo + len(coeffs), dtype=np.float64)
+    cf = coeffs.astype(np.float64)
+    terms = [cf * w(ns) for w in weights]
+    if lo == 1:
+        for t in terms:
+            t[0] = 0.0  # a(1) = 0
+    if visit is not None:
+        visit(ns, [acc.value + np.cumsum(t) for acc, t in zip(accs, terms)])
+    for acc, t in zip(accs, terms):
+        acc.add_array(t)
 
-    Each weight maps float64 n to w(n). Terms are folded into one
-    compensated sum per weight, segment by segment. visit(ns, prefix),
-    when given, sees every segment's n values and, per weight, the
-    running sums at each of them.
-    """
+
+def _rows_at(marks, ns, prefix) -> list[tuple]:
+    """(m, prefix values at m) for each mark m inside the segment ns."""
+    lo, hi = int(ns[0]), int(ns[-1])
+    return [(m, *(float(p[m - lo]) for p in prefix)) for m in marks if lo <= m <= hi]
+
+
+def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
+    """Totals of sum_{2<=n<=x} lambda(n) w(n), one per weight, in one
+    pass of _fold_segment over the lambda stream (visit as there)."""
     accs = [CompensatedSum() for _ in weights]
     for lo, lam in iter_lambda_segments(1, x + 1, **stream_kw):
-        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
-        lamf = lam.astype(np.float64)
-        terms = [lamf * w(ns) for w in weights]
-        if lo == 1:
-            for t in terms:
-                t[0] = 0.0  # a(1) = 0
-        if visit is not None:
-            visit(ns, [acc.value + np.cumsum(t) for acc, t in zip(accs, terms)])
-        for acc, t in zip(accs, terms):
-            acc.add_array(t)
+        _fold_segment(accs, weights, lo, lam, visit)
     return [acc.value for acc in accs]
 
 
@@ -181,10 +179,7 @@ def _write_sums_csv(path: str, x: int, seq: XiSequence, extra_weights: list, **s
     rows: list[tuple[int, float, float, float]] = []
 
     def visit(ns, prefix):
-        lo, hi = int(ns[0]), int(ns[-1])
-        for m in marks:
-            if lo <= m <= hi:
-                rows.append((m, *(float(p[m - lo]) for p in prefix[:3])))
+        rows.extend(_rows_at(marks, ns, prefix[:3]))
 
     totals = _prefix_fold(x, _decomposition_weights(seq) + extra_weights, visit, **stream_kw)
 

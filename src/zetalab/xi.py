@@ -86,9 +86,7 @@ class XiMonotoneReport:
     gap_at_nmax: float  # xi(n_max) - alpha
 
 
-def check_monotone_limit(
-    seq: XiSequence, n_max: int, chunk: int = 1 << 20
-) -> XiMonotoneReport:
+def check_monotone_limit(seq: XiSequence, n_max: int) -> XiMonotoneReport:
     """Scan xi(n+1) < xi(n) exhaustively for 2 <= n < n_max.
 
     Works in chunks so n_max up to 10^8 stays cheap on memory; the chunk
@@ -101,7 +99,7 @@ def check_monotone_limit(
     first_increase = None
     lo = 2
     while lo < n_max:
-        hi = min(lo + chunk, n_max)
+        hi = min(lo + (1 << 20), n_max)
         ns = np.arange(lo, hi + 1, dtype=np.float64)  # include hi for the seam
         vals = seq.xi(ns)
         d = np.diff(vals)
@@ -127,6 +125,8 @@ def write_xi_csv(path: str, seq: XiSequence, n_max: int, points: int = 200) -> i
 
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
+    if points < 1:
+        raise DomainError("points must be >= 1")
     grid = np.unique(
         np.round(np.logspace(np.log10(2), np.log10(n_max), points)).astype(np.int64)
     )

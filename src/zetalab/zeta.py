@@ -1,17 +1,17 @@
 """Euler-Maclaurin zeta evaluation and the two zeta ratios.
 
 Double precision only, with an explicit error estimate (magnitude of
-the first omitted Bernoulli correction). The strip sigma > -1 with
-|t| <= 100 covers every identity the workbench checks; there is no
-functional-equation reflection and no Riemann-Siegel regime.
+the first omitted Bernoulli correction). The Bernoulli numbers are
+exact rationals, each rounded once to the nearest double. The strip
+sigma > -1 with |t| <= 100 covers every identity the workbench checks;
+there is no functional-equation reflection and no Riemann-Siegel
+regime.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import (
     DivisionInstabilityError,
@@ -24,6 +24,8 @@ from .integrals import StepKind, _evaluate, _Polynomial
 _SIGMA_FLOOR = -1.0
 _T_CEILING = 100.0
 _ZERO_GUARD = 1e-14
+# A value whose estimated error exceeds this raises PrecisionError.
+_TARGET_ABS_ERROR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,25 +39,24 @@ class ZetaParams:
 
     cutoff: int | None = None
     bernoulli_terms: int = 8
-    target_abs_error: float = 1e-12
 
     def __post_init__(self):
         if not 2 <= self.bernoulli_terms <= 15:
             raise DomainError("bernoulli_terms must be in [2, 15]")
         if self.cutoff is not None and self.cutoff < 2:
             raise DomainError("cutoff must be >= 2")
-        if self.target_abs_error <= 0:
-            raise DomainError("target_abs_error must be positive")
 
 
 DEFAULT_PARAMS = ZetaParams()
 
-
-@lru_cache(maxsize=32)
-def _even_bernoulli(kmax: int) -> tuple[float, ...]:
-    # B_2, B_4, ..., B_{2*kmax}
-    b = bernoulli(2 * kmax)
-    return tuple(float(b[2 * k]) for k in range(1, kmax + 1))
+# B_2, B_4, ..., B_32: bernoulli_terms + 1 <= 16 entries are ever read.
+# Each int / int quotient is the correctly rounded double.
+_EVEN_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30,
+    5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+    43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
+    8553103 / 6, -23749461029 / 870, 8615841276005 / 14322, -7709321041217 / 510,
+)
 
 
 def zeta_with_error(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> tuple[complex, float]:
@@ -90,7 +91,7 @@ def zeta_with_error(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> tuple[co
     value = head + nf ** (1 - s) / (s - 1) + 0.5 * nf ** -s
 
     kmax = params.bernoulli_terms
-    b2k = _even_bernoulli(kmax + 1)
+    b2k = _EVEN_BERNOULLI[: kmax + 1]
     poch = s  # (s)_1
     fact = 2.0  # (2k)! at k=1
     npow = nf ** (-s - 1)  # N^{-s-2k+1} at k=1
@@ -105,9 +106,9 @@ def zeta_with_error(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> tuple[co
         npow /= n2
     omitted = (b2k[kmax] / fact) * poch * npow
     err = abs(omitted)
-    if err > params.target_abs_error:
+    if err > _TARGET_ABS_ERROR:
         raise PrecisionError(
-            f"estimated error {err:.3e} exceeds target {params.target_abs_error:.1e};"
+            f"estimated error {err:.3e} exceeds target {_TARGET_ABS_ERROR:.1e};"
             " raise cutoff or bernoulli_terms"
         )
     return value, err

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +153,28 @@ def test_xi_table(tmp_path, capsys):
     rows = list(csv.DictReader(out_path.open()))
     assert rows[0]["n"] == "2" and rows[-1]["n"] == "10000"
     assert all(float(r["residual"]) < 1e-12 for r in rows)
+
+
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_xi_table_needs_a_point(tmp_path, capsys, points):
+    out_path = tmp_path / "xi.csv"
+    code, out, err = run(capsys, "xi", "--table", "100", "--points", points, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: points must be >= 1\n"
+    assert not out_path.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """numpy is the only runtime dependency: a fresh interpreter loads no scipy."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, zetalab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_xi_table_without_out_errors(capsys):

@@ -191,7 +191,18 @@ def test_sieve_range_offsets_and_lookup():
 
 def test_sieve_range_capacity_guard():
     with pytest.raises(CapacityError):
-        sieve_range(1, (1 << 26) + 3, max_span=1 << 26)
+        sieve_range(1, (1 << 26) + 3)
+
+
+def test_far_windows_without_base_primes_are_refused_at_once():
+    """Near 2^62 the base primes to sqrt(hi) would take 2 GiB to sieve."""
+    lo, hi = 2**62 - 3000, 2**62 + 1000
+    with pytest.raises(CapacityError):
+        lv.lambda_segment(lo, hi)
+    with pytest.raises(CapacityError):
+        sieve_range(lo, hi)
+    with pytest.raises(CapacityError):
+        next(iter_lambda_segments(lo, hi))
 
 
 def test_streaming_matches_table():
@@ -320,7 +331,9 @@ def test_resume_refuses_a_next_n_that_does_not_follow(tmp_path, next_n):
         run_scan(5000, segment_size=512, checkpoint_path=str(path))
 
 
-def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
+def _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch):
+    """Paths of the checkpoint and trace of a stride-500 scan to 10000 in
+    1000-term segments that crashed after its third save."""
     ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
     real_iter = lv.iter_lambda_segments
 
@@ -333,6 +346,11 @@ def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
         run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
                  csv_path=str(trace), csv_stride=500)
     monkeypatch.undo()
+    return ckpt, trace
+
+
+def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
+    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch)
     written = trace.read_bytes()
     with pytest.raises(DomainError, match=re.escape("n = 1000, 2000, ... below 3001")):
         run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
@@ -343,6 +361,15 @@ def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
     run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
              csv_path=str(trace), csv_stride=500)
     assert trace.read_bytes() == clean.read_bytes()
+
+
+def test_resume_refuses_a_missing_trace(tmp_path, monkeypatch):
+    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch)
+    trace.unlink()
+    with pytest.raises(DomainError, match="missing"):
+        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
+                 csv_path=str(trace), csv_stride=500)
+    assert not trace.exists()
 
 
 def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Euler-Maclaurin zeta engine tests against a high-precision oracle."""
 
+import importlib
 import math
 
 import mpmath
@@ -21,6 +22,8 @@ from zetalab import (
     zeta_ratio,
     zeta_with_error,
 )
+
+zeta_module = importlib.import_module("zetalab.zeta")
 
 mpmath.mp.dps = 30
 
@@ -89,8 +92,11 @@ def test_pole_and_domain_errors():
         ZetaParams(bernoulli_terms=1)
     with pytest.raises(DomainError):
         ZetaParams(bernoulli_terms=16)
-    with pytest.raises(DomainError):
-        ZetaParams(target_abs_error=0.0)
+
+
+def test_bernoulli_table_is_correctly_rounded():
+    table = zeta_module._EVEN_BERNOULLI
+    assert table == tuple(float(mpmath.bernoulli(2 * k)) for k in range(1, 17))
 
 
 def test_precision_error_when_tail_too_short():
