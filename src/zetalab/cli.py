@@ -38,24 +38,28 @@ def _num_int(text: str) -> int:
     return int(v)
 
 
+def _finite(values, text: str):
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return values
+
+
 def _complex_arg(text: str) -> complex:
     # "2", "0.75", or "RE,IM" like "1.5,2"
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    return complex(*_finite(parts, text))
 
 
 def _float_list(text: str) -> list[float]:
     # "0.4:0.6:0.05" (inclusive range) or "0.4,0.5,0.6"
     if ":" in text:
         try:
-            start, stop, step = (float(p) for p in text.split(":"))
+            start, stop, step = _finite([float(p) for p in text.split(":")], text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}")
         if step <= 0 or stop < start:
@@ -63,7 +67,7 @@ def _float_list(text: str) -> list[float]:
         count = int(round((stop - start) / step)) + 1
         return [round(start + i * step, 12) for i in range(count)]
     try:
-        return [float(p) for p in text.split(",")]
+        return _finite([float(p) for p in text.split(",")], text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}")
 

@@ -19,7 +19,11 @@ factor kernel, whatever the number of requested kinds, exponents and
 truncations: each segment's lambda and squareful mask give lambda, mu
 and the constant ONE alike, and a pass that serves ONE alone does not
 sieve. Within a pass all exponents share one log n per sub-block, and
-G(x-1) and the tail envelope are read off at each truncation point x.
+the complex exponents with one imaginary part t share one phase
+cos(t log n), sin(t log n): n^q is then the real n^(Re q) times that
+phase, so a complex power costs a real exp and two products instead of
+a complex exp. G(x-1) and the tail envelope are read off at each
+truncation point x.
 """
 
 import bisect
@@ -115,7 +119,10 @@ class _Polynomial:
     stop: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _narrow(complex(self.q)))
+        q = complex(self.q)
+        if not (math.isfinite(q.real) and math.isfinite(q.imag)):
+            raise DomainError(f"exponent must be finite, got {q}")
+        object.__setattr__(self, "q", _narrow(q))
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,8 @@ def _integral(kind, s, X, kernel="auto", tolerance=1e-6, window_divisor=10) -> _
     if X < 2:
         raise DomainError("X must be >= 2")
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"s must be finite, got {s}")
     kernel = _resolve_kernel(kind, kernel)
     p = s + 0.5 if kernel == "half_shifted" else s
     p_eff = p + 1.0 if kind is StepKind.P_OVER_U else p
@@ -170,8 +179,21 @@ def _unsieved(lo, hi, base_primes):
     return blank, blank
 
 
-def _coefficients(kind, ns, lam, squareful):
-    """a(n) on ns for kind, from one factor-kernel segment's lambda and squareful mask."""
+class _Memo(dict):
+    """f(key), built on first use and kept as long as the memo."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
+
+
+def _coefficients(kind, ns, powers, lam, squareful):
+    """a(n) on ns for kind, from one factor-kernel segment's lambda and
+    squareful mask; powers[e] is ns**e."""
     if kind is StepKind.ONE:
         return (ns == 1.0).astype(np.float64)  # G(u) = 1
     if kind is StepKind.P_OVER_U:
@@ -179,9 +201,9 @@ def _coefficients(kind, ns, lam, squareful):
     if kind is StepKind.MU_ONE:
         lam = np.where(squareful, 0.0, lam)  # mu = lambda on squarefree n, else 0
     if kind is StepKind.F_HALF:
-        a = lam * ns**-0.5
+        a = lam * powers[-0.5]
     elif kind is StepKind.L_XI:
-        a = lam * (ns**-0.5 - 1.0 / ns)
+        a = lam * (powers[-0.5] - 1.0 / ns)
     else:  # F_ONE, T_SUM, MU_ONE
         a = lam / ns
     if ns[0] == 1 and kind is not StepKind.T_SUM:
@@ -204,7 +226,12 @@ def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
     its own x-dependent sum instead. Sub-blocks are cut at every stop
     and window start, so each block lies wholly inside or outside every
     range. Each n^q is built once per sub-block, taken by every sum that
-    uses it, and dropped before the next.
+    uses it, and dropped before the next. A complex q shares its phase
+    cis(Im q log n) with every exponent of the same imaginary part: its
+    n^q is a real magnitude n^(Re q) times that phase, and its sums take
+    the real and imaginary parts as two real arrays. The powers n^e of
+    the coefficients and tail envelopes are likewise built once per
+    sub-block. The near-1 sums keep their own complex arithmetic.
     """
     requests = set(requests)
     integrals = {r for r in requests if isinstance(r, _Integral)}
@@ -217,7 +244,7 @@ def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
     for r in polys:
         ends[r.kind, r.q] = max(ends.get((r.kind, r.q), 0), r.stop)
     sums = {key: _accumulator(key[1]) for key in ends}
-    exponents = {q for _, q in ends} | {r.q for r in near}
+    exponents = {q for _, q in ends}
     cuts = sorted({r.stop for r in polys} | {r.window_lo for r in integrals})
     kernel = _unsieved if {k for k, _ in ends} == {StepKind.ONE} else _factor_segment
     at = {}  # stop -> {(kind, q): running sum there}
@@ -231,30 +258,41 @@ def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
             ns = np.arange(b, e, dtype=np.float64)
             lam_b = lam[b - lo : e - lo].astype(np.float64)
             sq_b = squareful[b - lo : e - lo]
-            kinds = {k for (k, _), end in ends.items() if b < end}
-            a = {k: _coefficients(k, ns, lam_b, sq_b) for k in kinds}
-            live = {k for k, v in a.items() if v.any()}
             logn = np.log(ns)
+            # built on first use, shared by every sum that needs them, dropped with the sub-block
+            powers = _Memo(lambda ex: ns**ex)
+            phases = _Memo(lambda t: (np.cos(t * logn), np.sin(t * logn)))
+            kinds = {k for (k, _), end in ends.items() if b < end}
+            a = {k: _coefficients(k, ns, powers, lam_b, sq_b) for k in kinds}
+            live = {k for k, v in a.items() if v.any()}
+            g_abs = _Memo(lambda k: np.abs(sums[k, 0.0].value + np.cumsum(a[k])))
+            peaks = _Memo(lambda k_ex: float((g_abs[k_ex[0]] / powers[k_ex[1]]).max()))
 
-            g_abs = {}
             for key in envs:
                 k, ex, w_lo, x = key
                 if w_lo <= b and e <= x:
-                    if k not in g_abs:
-                        g_abs[k] = np.abs(sums[k, 0.0].value + np.cumsum(a[k]))
-                    envs[key] = max(envs[key], float((g_abs[k] / ns**ex).max()))
+                    envs[key] = max(envs[key], peaks[k, ex])
             for q in exponents:
                 q_kinds = [k for k in live if b < ends.get((k, q), 0)]
-                q_near = [r for r in near if r.q == q and r.kind in live and e <= r.x]
-                if not (q_kinds or q_near):
+                if not q_kinds:
                     continue
-                power = np.exp(q * logn) if q else None
-                for k in q_kinds:
-                    sums[k, q].add_array(a[k] * power if q else a[k])
-                for r in q_near:
+                if isinstance(q, complex):
+                    # n^q = n^(Re q) cis(Im q log n), summed as two real parts
+                    mag = np.exp(q.real * logn)
+                    cos, sin = phases[q.imag]
+                    re, im = mag * cos, mag * sin
+                    for k in q_kinds:
+                        sums[k, q].re.add_array(a[k] * re)
+                        sums[k, q].im.add_array(a[k] * im)
+                else:
+                    power = np.exp(q * logn) if q else None
+                    for k in q_kinds:
+                        sums[k, q].add_array(a[k] * power if q else a[k])
+            for r, acc in near.items():
+                if r.kind in live and e <= r.x:
                     log_xn = np.log(r.x / ns)
-                    t = power * np.expm1(q * log_xn) if q else log_xn
-                    near[r].add_array(a[r.kind] * t)
+                    t = np.exp(r.q * logn) * np.expm1(r.q * log_xn) if r.q else log_xn
+                    acc.add_array(a[r.kind] * t)
             if e == cut:
                 at[e] = {key: acc.value for key, acc in sums.items()}
             b = e

@@ -331,23 +331,34 @@ class _SeriesState:
     sign_changes: int = 0
     last_sign: int = 0
 
-    def fold_segment(self, first_n: int, vals, violated) -> None:
-        """Fold in the values at n = first_n, first_n + 1, ..."""
+    def fold_segment(self, first_n: int, vals, positive_violates: bool) -> None:
+        """Fold in the values at n = first_n, first_n + 1, ... A value
+        violates when it is > 0 if positive_violates, else when it is <= 0.
+
+        The minimum and maximum decide the rest: whether the segment
+        holds a violation, and whether it holds both signs, the only
+        case that needs the sign chain.
+        """
         if len(vals) == 0:
             return
         i = int(np.argmin(vals))
-        v = float(vals[i])
-        if v < self.min_value:
-            self.min_value = v
+        lo, hi = float(vals[i]), float(vals.max())
+        if lo < self.min_value:
+            self.min_value = lo
             self.argmin = first_n + i
-        if self.first_violation is None and violated.any():
+        if self.first_violation is None and (hi > 0 if positive_violates else lo <= 0):
+            violated = vals > 0 if positive_violates else vals <= 0
             self.first_violation = first_n + int(np.argmax(violated))
-        positive = (vals > 0)[vals != 0]  # the sign chain, zeros skipped
-        if positive.size:
+        if lo < 0 < hi:
+            positive = (vals > 0)[vals != 0]  # the sign chain, zeros skipped
             if self.last_sign != 0:
                 positive = np.concatenate(([self.last_sign > 0], positive))
             self.sign_changes += int(np.count_nonzero(positive[1:] != positive[:-1]))
             self.last_sign = 1 if positive[-1] else -1
+        elif hi > 0 or lo < 0:  # one sign, zeros aside
+            sign = 1 if hi > 0 else -1
+            self.sign_changes += self.last_sign == -sign
+            self.last_sign = sign
 
     def report(self, limit: int) -> SignScanReport:
         return SignScanReport(
@@ -515,13 +526,15 @@ def run_scan(
             for lo, lam in iter_lambda_segments(
                 ck.next_n, limit + 1, segment_size=seg, threads=threads
             ):
-                p_vals = ck.p_sum + np.cumsum(lam, dtype=np.int64)
+                p_vals = lam.astype(np.int64)
+                p_vals[0] += ck.p_sum
+                np.cumsum(p_vals, out=p_vals)
                 t_terms = lam.astype(np.float64) / np.arange(lo, lo + len(lam), dtype=np.int64)
                 t_acc = CompensatedSum(ck.t_total, ck.t_comp)
                 t_vals = t_acc.value + np.cumsum(t_terms)
                 k = int(lo == 1)  # P(x) is scanned from x = 2
-                ck.polya.fold_segment(lo + k, p_vals[k:], p_vals[k:] > 0)
-                ck.turan.fold_segment(lo, t_vals, t_vals <= 0.0)
+                ck.polya.fold_segment(lo + k, p_vals[k:], positive_violates=True)
+                ck.turan.fold_segment(lo, t_vals, positive_violates=False)
 
                 t_acc.add_array(t_terms, exact=True)
                 ck.t_total, ck.t_comp = t_acc.parts

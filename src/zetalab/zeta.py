@@ -66,6 +66,8 @@ def zeta_with_error(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> tuple[co
     the standard heuristic for this alternating asymptotic tail.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"s must be finite, got {s}")
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
     if s.real <= _SIGMA_FLOOR:

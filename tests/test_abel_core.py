@@ -24,14 +24,19 @@ from zetalab import (
     write_sums_csv,
 )
 from zetalab.cli import main
-from zetalab.integrals import _SUB_BLOCK
+from zetalab.integrals import _SUB_BLOCK, _evaluate, _integral, _Integral, _Polynomial
 from zetalab.verify import DEFAULT_S_POINTS, sort_cases
 
 KERNELS = ("plain", "half_shifted")
 # Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (expm1
 # form, outside the 1e-9 guard), either side of the expm1 switch at
-# |p - 1| = 1e-2, real values above and below 1, and complex values.
-EXPONENTS = (1.0, 1 + 1e-6, 1 - 1e-6, 1.005, 1.02, 2.5, 1.25, 0.7, 2 + 2j, 1.1 + 1j, 1 + 1e-6j)
+# |p - 1| = 1e-2, real values above and below 1, complex values in pairs
+# that share an imaginary part (and so one phase per sub-block), and a
+# complex value on the expm1 route.
+EXPONENTS = (
+    1.0, 1 + 1e-6, 1 - 1e-6, 1.005, 1.02, 2.5, 1.25, 0.7,
+    2 + 2j, 1.5 + 2j, 1.1 + 1j, 2.1 + 1j, 1.2 + 0.3j, 0.8 + 0.3j, 1 + 1e-6j,
+)
 
 
 def _close(a: complex, b: complex, rel: float = 1e-13) -> bool:
@@ -49,11 +54,14 @@ def _s_for(kind: StepKind, kernel: str, p: complex) -> complex:
 def test_abel_matches_per_cell(kind, kernel):
     X = 3000
     G = StepFunction(kind, X)
+    requests = {p: _integral(kind, _s_for(kind, kernel, p), X, kernel) for p in EXPONENTS}
+    together = _evaluate(requests.values())  # one pass, shared phases
     for p in EXPONENTS:
         s = _s_for(kind, kernel, p)
         mine = integrate_step(G, s, kernel=kernel).value
         ref = per_cell_integral(kind, s, X, kernel)
         assert _close(mine, ref), (p, mine, ref)
+        assert _close(together[requests[p]].value, ref), (p, together[requests[p]], ref)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +126,32 @@ def test_suite_sieves_each_n_once(kernel_calls):
         assert (a.name, a.s, a.X, a.passed) == (b.name, b.s, b.X, b.passed)
         assert _close(a.lhs, b.lhs) and _close(a.rhs, b.rhs), a.name
         assert _close(a.residual, b.residual) and _close(a.tolerance, b.tolerance), a.name
+
+
+def test_shared_phases_do_not_couple_requests(monkeypatch):
+    """Each complex request of the suite gets the same bits from the
+    suite's one pass as from a pass of its own, where exponents with its
+    imaginary part no longer share the phase. Sub-blocks are cut at every
+    stop and window start of a pass, so the pass of its own keeps the
+    suite's cuts through q = 0 sums of the constant ONE, which take no
+    power and no phase."""
+    seen = {}
+
+    def recording(requests, **kw):
+        seen.update(_evaluate(requests, **kw))
+        return seen
+
+    verify_module = importlib.import_module("zetalab.verify")
+    monkeypatch.setattr(verify_module, "_evaluate", recording)
+    X = 10**5
+    run_default_suite(X=X)
+    cuts = {c for r in seen for c in (
+        (r.x, r.window_lo) if isinstance(r, _Integral) else (r.stop,))}
+    pins = [_Polynomial(StepKind.ONE, 0.0, c) for c in cuts]
+    shared = [r for r in seen if isinstance(r.q, complex)]
+    assert len({r.q.imag for r in shared}) < len({r.q for r in shared})  # some do share
+    for r in shared:
+        assert repr(_evaluate([r, *pins])[r]) == repr(seen[r]), r
 
 
 def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls):

@@ -66,6 +66,32 @@ def test_non_finite_integer_arg_exits_2():
         assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--s", "nan"],
+    ["zeta", "--s", "2,inf"],
+    ["integrate", "--kind", "F_half", "--s", "nan", "--X", "1000"],
+    ["integrate", "--kind", "F_half", "--s", "2,inf", "--X", "1000"],
+    ["verify", "--all", "--X", "1e4", "--s", "nan"],
+    ["verify", "--all", "--X", "1e4", "--s", "1e400"],
+    ["sigma-c", "--kind", "F_one", "--grid", "0.4,nan,0.6", "--schedule", "1e3,1e4,1e5"],
+    ["sigma-c", "--kind", "F_one", "--grid", "0.4:inf:0.1", "--schedule", "1e3,1e4,1e5"],
+], ids=" ".join)
+def test_non_finite_s_or_sigma_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "not a finite number" in err and "Traceback" not in err
+
+
+def test_non_finite_s_preset_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = nan\n")
+    code, out, err = run(capsys, "verify", "--all", "--X", "1e4", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "error: config s = 'nan' is not a valid value\n"
+
+
 def test_flags_a_subcommand_does_not_read_exit_2():
     for argv in (
         ["sigma-c", "--kind", "F_one", "--grid", "0.4,0.6", "--schedule", "10,100,1000",

@@ -18,6 +18,7 @@ from zetalab import (
     integrate_step,
     j_xi,
     lambda_series,
+    run_default_suite,
     sieve_range,
 )
 
@@ -183,6 +184,28 @@ def test_singular_exponent_guards():
         integrate_step(G, 2.0, X=1)
     with pytest.raises(DomainError):
         StepFunction(StepKind.F_ONE, 1)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(2, math.inf), complex(math.nan, 1))
+
+
+@pytest.mark.parametrize("s", NON_FINITE, ids=repr)
+def test_non_finite_s_is_a_domain_error(s):
+    for kind in StepKind:
+        with pytest.raises(DomainError, match="finite"):
+            integrate_step(StepFunction(kind, 100), s)
+    with pytest.raises(DomainError, match="finite"):
+        lambda_series(s, 100)
+    with pytest.raises(DomainError):  # -inf already fails sigma > 1/2
+        j_xi(s, 100)
+    with pytest.raises(DomainError):
+        run_default_suite((s,), 100)
+
+
+@pytest.mark.parametrize("sigma", (math.nan, math.inf))
+def test_non_finite_sigma_is_a_domain_error(sigma):
+    with pytest.raises(DomainError, match="finite"):
+        estimate_sigma_c(StepFunction(StepKind.F_ONE, 1000), [0.4, sigma], [10, 100, 1000])
 
 
 def test_sigma_c_constant_function():

@@ -396,26 +396,40 @@ def test_resume_leaves_a_foreign_trace_alone(tmp_path):
     assert trace.read_text() == "n,lambda,P,T\nnot a row\n"
 
 
+# A run of values of both signs, of one sign with or without zeros, or of zeros.
+_SIGN_RUN = st.sampled_from([(-2, 2), (0, 2), (1, 2), (-2, 0), (-2, -1), (0, 0)]).flatmap(
+    lambda r: st.lists(st.integers(min_value=r[0], max_value=r[1]), min_size=1, max_size=20)
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=60),
-    st.lists(st.integers(min_value=0, max_value=60), max_size=5),
+    st.lists(_SIGN_RUN, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=120), max_size=5),
     st.integers(min_value=1, max_value=10**6),
     st.sampled_from([np.int64, np.float64]),
+    st.booleans(),
 )
-def test_series_fold_matches_a_direct_count(values, cuts, first_n, dtype):
-    """Folding split segments gives the whole array's sign changes, minimum and violation."""
+def test_series_fold_matches_a_direct_count(runs, cuts, first_n, dtype, positive_violates):
+    """Folding split segments gives the whole array's sign changes, minimum and violation.
+
+    The segments end at every run's end and at the drawn cuts, so many of
+    them hold one sign or only zeros. A value violates when it is > 0
+    (P's rule) or, for T's rule, when it is <= 0.
+    """
+    values = [v for run in runs for v in run]
     vals = np.array(values, dtype=dtype)
-    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    ends = itertools.accumulate(len(run) for run in runs)
+    bounds = [0, *sorted([*ends, *(min(c, len(values)) for c in cuts)])]
     state = lv._SeriesState()
     for a, b in zip(bounds, bounds[1:]):
-        state.fold_segment(first_n + a, vals[a:b], vals[a:b] > 0)
+        state.fold_segment(first_n + a, vals[a:b], positive_violates)
     signs = [v > 0 for v in values if v != 0]
     assert state.sign_changes == sum(x != y for x, y in zip(signs, signs[1:]))
     assert state.min_value == min(values)
     assert state.argmin == first_n + values.index(min(values))
-    positive = [i for i, v in enumerate(values) if v > 0]
-    assert state.first_violation == (first_n + positive[0] if positive else None)
+    violating = [i for i, v in enumerate(values) if (v > 0 if positive_violates else v <= 0)]
+    assert state.first_violation == (first_n + violating[0] if violating else None)
 
 
 def test_scan_csv_rows(tmp_path):

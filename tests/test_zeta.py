@@ -94,6 +94,13 @@ def test_pole_and_domain_errors():
         ZetaParams(bernoulli_terms=16)
 
 
+@pytest.mark.parametrize("s", (math.nan, math.inf, complex(2, math.inf), complex(math.nan, 1)), ids=repr)
+def test_non_finite_s_is_a_domain_error(s):
+    for f in (zeta_with_error, zeta, zeta_ratio, shifted_ratio):
+        with pytest.raises(DomainError, match="finite"):
+            f(s)
+
+
 def test_bernoulli_table_is_correctly_rounded():
     table = zeta_module._EVEN_BERNOULLI
     assert table == tuple(float(mpmath.bernoulli(2 * k)) for k in range(1, 17))
