@@ -18,10 +18,9 @@ from zetalab import growth_exponent_diagnostic, run_scan
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
 parser.add_argument("--limit", type=lambda t: int(float(t)), default=10**6)
 parser.add_argument("--checkpoint", help="resume file for long runs")
-parser.add_argument("--threads", type=int, default=1)
 args = parser.parse_args()
 
-result = run_scan(args.limit, checkpoint_path=args.checkpoint, threads=args.threads)
+result = run_scan(args.limit, checkpoint_path=args.checkpoint)
 
 print(f"scan up to {args.limit}:")
 for label, rep in (("P(x) <= 0 on [2, x]", result.polya), ("T(x) > 0", result.turan)):
@@ -34,7 +33,7 @@ print(f"  final P = {result.polya_final}, final T = {result.turan_final:.12f}")
 # How fast do the record troughs of |P| deepen? A least-squares slope
 # of log|P| against log x over running-maximum peaks lands close to 1/2
 # on every range we can reach; nothing here distinguishes 1/2 + eps.
-diag = growth_exponent_diagnostic(args.limit, threads=args.threads)
+diag = growth_exponent_diagnostic(args.limit)
 print(f"growth exponent of |P| over {diag.peak_count} record peaks: "
       f"{diag.exponent:.4f} +- {diag.stderr:.4f}")
 for flag in diag.flags:

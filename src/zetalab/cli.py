@@ -1,8 +1,12 @@
 """Command-line front end: zetalab <subcommand> [flags].
 
-Every run is seed-free and deterministic: --threads changes wall time,
-never output. A flat key=value config file can preset any flag; explicit
-flags win over the file.
+Every run is seed-free and deterministic. Integer outputs (lambda, mu,
+P, argmins, sign-change counts, checkpoint integers) are bit-exact
+everywhere. Float outputs are byte-identical for one machine, code
+version and --segment-size, whatever the hash seed, and agree within a
+few ulp across segment sizes. A flat key=value config file can preset
+any flag; explicit flags win over the file, and a key that no
+subcommand reads is an error.
 """
 
 import argparse
@@ -42,6 +46,14 @@ def _finite(values, text: str):
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return values
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return _finite([value], text)[0]
 
 
 def _complex_arg(text: str) -> complex:
@@ -121,7 +133,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value preset file")
     common.add_argument("--quiet", action="store_true", help="suppress stdout (files still written)")
     sieving = argparse.ArgumentParser(add_help=False, parents=[common])
-    sieving.add_argument("--threads", type=int, default=1, help="sieve worker count (speed only)")
     sieving.add_argument("--segment-size", type=_num_int, default=None, help="sieve segment length")
 
     parser = argparse.ArgumentParser(
@@ -146,7 +157,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("sums", parents=[sieving], help="Dirichlet polynomial partial sums")
     p.add_argument("--x", type=_num_int, required=True)
-    p.add_argument("--alpha", type=float, default=None, help="evaluate F_x(alpha) only")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="evaluate F_x(alpha) only")
     p.add_argument("--out", help="CSV of (x, F_half, F_one, L) at powers of two")
 
     p = sub.add_parser("xi", parents=[common], help="mean value theorem exponent sequence")
@@ -166,7 +177,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--s", type=_complex_arg, required=True, metavar="RE[,IM]")
     p.add_argument("--X", type=_num_int, required=True)
     p.add_argument("--kernel", choices=("auto", "plain", "half_shifted"), default="auto")
-    p.add_argument("--tolerance", type=float, default=1e-6, help="convergence tolerance")
+    p.add_argument("--tolerance", type=_finite_float, default=1e-6, help="convergence tolerance")
 
     p = sub.add_parser("verify", parents=[sieving], help="run identity residual checks")
     p.add_argument("--all", action="store_true", help="run the default suite")
@@ -183,10 +194,15 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("auto", "plain", "half_shifted"), default="auto")
     p.add_argument("--trace", help="trace CSV destination")
 
+    read = set()
     for subparser in sub.choices.values():
         subparser.set_defaults(**{
             a.dest: _preset(a, config[a.dest]) for a in subparser._actions if a.dest in config
         })
+        read.update(a.dest for a in subparser._actions)
+    unread = [key for key in config if key not in read]
+    if unread:
+        raise DomainError(f"no subcommand reads config key {', '.join(unread)}")
     return parser
 
 
@@ -208,8 +224,7 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
 
 
 def _cmd_sieve(args, say) -> int:
-    table = sieve_range(args.lo, args.hi + 1,
-                        segment_size=args.segment_size, threads=args.threads)
+    table = sieve_range(args.lo, args.hi + 1, segment_size=args.segment_size)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("n,lambda\n")
@@ -226,7 +241,6 @@ def _cmd_scan(args, say) -> int:
     result = run_scan(
         args.limit,
         segment_size=args.segment_size,
-        threads=args.threads,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         csv_path=args.csv,
@@ -246,7 +260,7 @@ def _cmd_scan(args, say) -> int:
 
 
 def _cmd_sums(args, say) -> int:
-    kw = dict(segment_size=args.segment_size, threads=args.threads)
+    kw = dict(segment_size=args.segment_size)
     if args.out:
         # F_x(alpha) rides in the CSV's lambda pass
         extra = [] if args.alpha is None else [lambda ns: ns ** -float(args.alpha)]
@@ -301,8 +315,7 @@ def _cmd_integrate(args, say) -> int:
     G = StepFunction(StepKind(args.kind), max(args.X, 2))
     res = integrate_step(
         G, args.s, args.X,
-        kernel=args.kernel, tolerance=args.tolerance,
-        segment_size=args.segment_size, threads=args.threads,
+        kernel=args.kernel, tolerance=args.tolerance, segment_size=args.segment_size,
     )
     say(f"value = {_fmt_complex(res.value)}")
     say(f"truncation X = {res.truncation}")
@@ -315,9 +328,7 @@ def _cmd_verify(args, say) -> int:
     if not args.all and not args.case:
         raise DomainError("pass --all, or --case NAME to filter")
     s_points = tuple(args.s) if args.s else DEFAULT_S_POINTS
-    cases = run_default_suite(
-        s_points, args.X, segment_size=args.segment_size, threads=args.threads
-    )
+    cases = run_default_suite(s_points, args.X, segment_size=args.segment_size)
     if args.case:
         cases = [c for c in cases if args.case in c.name]
         if not cases:
@@ -338,8 +349,7 @@ def _cmd_sigma_c(args, say) -> int:
     G = StepFunction(StepKind(args.kind), max(args.schedule))
     est = estimate_sigma_c(
         G, args.grid, args.schedule,
-        kernel=args.kernel, trace_path=args.trace,
-        segment_size=args.segment_size, threads=args.threads,
+        kernel=args.kernel, trace_path=args.trace, segment_size=args.segment_size,
     )
     for sigma in est.sigma_grid:
         say(f"sigma={sigma:g}: {est.classifications[sigma]}")

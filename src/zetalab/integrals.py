@@ -215,7 +215,7 @@ def _accumulator(q):
     return CompensatedSum() if isinstance(q, float) else ComplexCompensatedSum()
 
 
-def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
+def _evaluate(requests, *, segment_size=None) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
     One ordered pass of the factor kernel serves every request: each
@@ -249,7 +249,7 @@ def _evaluate(requests, *, segment_size=None, threads=None) -> dict:
     kernel = _unsieved if {k for k, _ in ends} == {StepKind.ONE} else _factor_segment
     at = {}  # stop -> {(kind, q): running sum there}
 
-    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size, threads):
+    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size):
         hi = lo + len(lam)
         b = lo
         while b < hi:
@@ -342,7 +342,6 @@ def integrate_step(
     kernel: str = "auto",
     tolerance: float = 1e-6,
     segment_size: int | None = None,
-    threads: int | None = None,
 ) -> IntegralResult:
     """Integrate G against its kernel over [1, X], exactly, by Abel summation.
 
@@ -352,7 +351,7 @@ def integrate_step(
     decade [X/10, X].
     """
     r = _integral(G.kind, s, G.limit if X is None else X, kernel, tolerance)
-    return _evaluate([r], segment_size=segment_size, threads=threads)[r]
+    return _evaluate([r], segment_size=segment_size)[r]
 
 
 def j_xi(
@@ -361,7 +360,6 @@ def j_xi(
     *,
     tolerance: float = 1e-6,
     segment_size: int | None = None,
-    threads: int | None = None,
 ) -> IntegralResult:
     """Truncation of J(s) = integral of L_u against u^(-s-1/2).
 
@@ -371,7 +369,7 @@ def j_xi(
     last octave [X/2, X], where |L_u| grows too slowly to need a decade.
     """
     r = _j_xi(s, X, tolerance)
-    return _evaluate([r], segment_size=segment_size, threads=threads)[r]
+    return _evaluate([r], segment_size=segment_size)[r]
 
 
 @dataclass(frozen=True)
@@ -424,7 +422,6 @@ def estimate_sigma_c(
     kernel: str = "auto",
     trace_path: str | None = None,
     segment_size: int | None = None,
-    threads: int | None = None,
 ) -> SigmaCEstimate:
     """Bracket the convergence abscissa of the truncated integrals.
 
@@ -453,7 +450,7 @@ def estimate_sigma_c(
         for sigma in grid
         for x in sched
     }
-    values = _evaluate(requests.values(), segment_size=segment_size, threads=threads)
+    values = _evaluate(requests.values(), segment_size=segment_size)
     for sigma in grid:
         results = [values[requests[sigma, x]] for x in sched]
         traces[sigma] = tuple(r.value for r in results)

@@ -15,15 +15,15 @@ end). The powers of 2, 3, 5 and 7 come from one precomputed period of
 every other base prime, each factor as -p, so the product's sign
 carries the parity of the count. What is left of n, n / |product|, is
 either 1 or a single prime above the base limit. The per-n results are
-exact integers, so segmentation and worker count never change the
-output.
+exact integers, so the segment size never changes them. A float fold
+over them, such as the Turan sum, is byte-identical for one segment
+size and agrees within a few ulp across segment sizes.
 """
 
 import contextlib
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,8 @@ from .compensated import CompensatedSum
 from .errors import CapacityError, DomainError
 
 DEFAULT_SEGMENT = 1 << 20
-# Largest sieve_range() span (int8 values) and _base_primes() limit.
+# Largest sieve_range() span (int8 values), segment length and
+# _base_primes() limit.
 DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
 MAX_N = 1 << 63
@@ -203,21 +204,14 @@ class LiouvilleTable:
         return self.hi - self.lo
 
 
-def sieve_range(
-    lo: int,
-    hi: int,
-    *,
-    segment_size: int | None = None,
-    threads: int | None = None,
-) -> LiouvilleTable:
+def sieve_range(lo: int, hi: int, *, segment_size: int | None = None) -> LiouvilleTable:
     """Sieve lambda over [lo, hi) into one dense table.
 
     Args:
         lo, hi: range bounds, 1 <= lo < hi <= 2**63.
-        segment_size: work-unit size; the result is identical for any
-            choice, it only affects memory traffic.
-        threads: sieve workers (default 1); segments are merged in index
-            order, so the output does not depend on this either.
+        segment_size: work-unit size; the values are exact integers, so
+            the result is bit-identical for any choice, it only affects
+            memory traffic.
 
     Returns:
         LiouvilleTable with exact int8 values.
@@ -231,75 +225,46 @@ def sieve_range(
             f"span {hi - lo} exceeds {DEFAULT_MAX_SPAN}; sieve in segments instead"
         )
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg_lo, lam in iter_lambda_segments(
-        lo, hi, segment_size=segment_size, threads=threads
-    ):
+    for seg_lo, lam in iter_lambda_segments(lo, hi, segment_size=segment_size):
         out[seg_lo - lo : seg_lo - lo + len(lam)] = lam
     out.flags.writeable = False
     return LiouvilleTable(lo, hi, out)
 
 
-def _iter_segments(segment_fn, start, stop, segment_size, threads):
+def _segment_length(segment_size: int | None) -> int:
+    """segment_size, or the default when None; it must lie in [1, DEFAULT_MAX_SPAN]."""
+    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
+    if seg < 1:
+        raise DomainError("segment_size must be >= 1")
+    if seg > DEFAULT_MAX_SPAN:
+        raise CapacityError(f"segment_size {seg} exceeds {DEFAULT_MAX_SPAN}")
+    return seg
+
+
+def _iter_segments(segment_fn, start, stop, segment_size):
     if start < 1 or stop <= start:
         raise DomainError("need 1 <= start < stop")
     if stop > MAX_N:
         raise DomainError("stop beyond supported 64-bit range")
-    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
-    if seg < 1:
-        raise DomainError("segment_size must be >= 1")
-    workers = 1 if threads is None else int(threads)
-    if workers < 1:
-        raise DomainError("threads must be >= 1")
-
-    bounds = [(lo, min(lo + seg, stop)) for lo in range(start, stop, seg)]
+    seg = _segment_length(segment_size)
     base = _base_primes(math.isqrt(stop - 1))
-
-    if workers == 1:
-        for lo, hi in bounds:
-            yield lo, segment_fn(lo, hi, base)
-        return
-
-    window = workers + 2
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        it = iter(bounds)
-        for lo, hi in it:
-            pending.append((lo, pool.submit(segment_fn, lo, hi, base)))
-            if len(pending) >= window:
-                break
-        while pending:
-            lo, fut = pending.pop(0)
-            yield lo, fut.result()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append((nxt[0], pool.submit(segment_fn, nxt[0], nxt[1], base)))
+    for lo in range(start, stop, seg):
+        yield lo, segment_fn(lo, min(lo + seg, stop), base)
 
 
-def iter_lambda_segments(
-    start: int,
-    stop: int,
-    *,
-    segment_size: int | None = None,
-    threads: int | None = None,
-):
+def iter_lambda_segments(start: int, stop: int, *, segment_size: int | None = None):
     """Yield (lo, lambda values) segments covering [start, stop) in order.
 
-    With threads > 1 a bounded window of segments is sieved ahead on a
-    thread pool; consumption order stays ascending, so any fold over the
-    stream is deterministic.
+    The values are exact, whatever the segment size; a float fold over
+    the stream is byte-identical for one segment size and may move by a
+    few ulp across segment sizes, as its summation order does.
     """
-    yield from _iter_segments(lambda_segment, start, stop, segment_size, threads)
+    yield from _iter_segments(lambda_segment, start, stop, segment_size)
 
 
-def iter_mobius_segments(
-    start: int,
-    stop: int,
-    *,
-    segment_size: int | None = None,
-    threads: int | None = None,
-):
+def iter_mobius_segments(start: int, stop: int, *, segment_size: int | None = None):
     """Mobius counterpart of iter_lambda_segments, same ordering contract."""
-    yield from _iter_segments(mobius_segment, start, stop, segment_size, threads)
+    yield from _iter_segments(mobius_segment, start, stop, segment_size)
 
 
 @dataclass(frozen=True)
@@ -479,7 +444,6 @@ def run_scan(
     limit: int,
     *,
     segment_size: int | None = None,
-    threads: int | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 1,
     csv_path: str | None = None,
@@ -504,9 +468,7 @@ def run_scan(
         raise DomainError("limit must be >= 1")
     if limit >= MAX_N:
         raise DomainError("limit beyond supported 64-bit range")
-    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
-    if seg < 1:
-        raise DomainError("segment_size must be >= 1")
+    seg = _segment_length(segment_size)
     if csv_stride < 1:
         raise DomainError("csv stride must be >= 1")
     if checkpoint_every < 1:
@@ -523,9 +485,7 @@ def run_scan(
              else _open_trace(csv_path, ck.next_n, csv_stride))
     with trace as csv_fh:
         if ck.next_n <= limit:
-            for lo, lam in iter_lambda_segments(
-                ck.next_n, limit + 1, segment_size=seg, threads=threads
-            ):
+            for lo, lam in iter_lambda_segments(ck.next_n, limit + 1, segment_size=seg):
                 p_vals = lam.astype(np.int64)
                 p_vals[0] += ck.p_sum
                 np.cumsum(p_vals, out=p_vals)

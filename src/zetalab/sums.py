@@ -115,13 +115,7 @@ def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
     return [acc.value for acc in accs]
 
 
-def f_x(
-    alpha: float,
-    x: int,
-    *,
-    segment_size: int | None = None,
-    threads: int | None = None,
-) -> float:
+def f_x(alpha: float, x: int, *, segment_size: int | None = None) -> float:
     """F_x(alpha) = sum_{2<=n<=x} lambda(n) n^(-alpha).
 
     F_1(alpha) = 0 for every alpha, and F_x(1) = T(x) - 1.
@@ -130,16 +124,10 @@ def f_x(
     if x < 1:
         raise DomainError("f_x needs x >= 1")
     alpha = float(alpha)
-    return _prefix_fold(x, [lambda ns: ns ** -alpha], segment_size=segment_size, threads=threads)[0]
+    return _prefix_fold(x, [lambda ns: ns ** -alpha], segment_size=segment_size)[0]
 
 
-def l_x(
-    seq: XiSequence,
-    x: int,
-    *,
-    segment_size: int | None = None,
-    threads: int | None = None,
-) -> float:
+def l_x(seq: XiSequence, x: int, *, segment_size: int | None = None) -> float:
     """L_x for the given xi construction; L_1 = 0.
 
     Sums the exact rearranged weights n^(-alpha) - n^(-beta).
@@ -147,7 +135,7 @@ def l_x(
     x = int(x)
     if x < 1:
         raise DomainError("l_x needs x >= 1")
-    return _prefix_fold(x, [_mvt(seq)], segment_size=segment_size, threads=threads)[0]
+    return _prefix_fold(x, [_mvt(seq)], segment_size=segment_size)[0]
 
 
 def write_sums_csv(
@@ -156,7 +144,6 @@ def write_sums_csv(
     *,
     seq: XiSequence = DEFAULT_XI,
     segment_size: int | None = None,
-    threads: int | None = None,
 ) -> int:
     """Stream to x once, writing (x, F_half, F_one, L) rows.
 
@@ -164,7 +151,7 @@ def write_sums_csv(
     count. F_half/F_one use the seq's endpoints, so the header names
     stay honest for non-default (alpha, beta).
     """
-    return _write_sums_csv(path, x, seq, [], segment_size=segment_size, threads=threads)[0]
+    return _write_sums_csv(path, x, seq, [], segment_size=segment_size)[0]
 
 
 def _write_sums_csv(path: str, x: int, seq: XiSequence, extra_weights: list, **stream_kw):

@@ -75,6 +75,10 @@ def test_non_finite_integer_arg_exits_2():
     ["verify", "--all", "--X", "1e4", "--s", "1e400"],
     ["sigma-c", "--kind", "F_one", "--grid", "0.4,nan,0.6", "--schedule", "1e3,1e4,1e5"],
     ["sigma-c", "--kind", "F_one", "--grid", "0.4:inf:0.1", "--schedule", "1e3,1e4,1e5"],
+    ["sums", "--x", "100", "--alpha", "nan"],
+    ["sums", "--x", "100", "--alpha", "inf"],
+    ["integrate", "--kind", "F_one", "--s", "2", "--X", "1000", "--tolerance", "nan"],
+    ["integrate", "--kind", "F_one", "--s", "2", "--X", "1000", "--tolerance", "inf"],
 ], ids=" ".join)
 def test_non_finite_s_or_sigma_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -97,6 +101,8 @@ def test_flags_a_subcommand_does_not_read_exit_2():
         ["sigma-c", "--kind", "F_one", "--grid", "0.4,0.6", "--schedule", "10,100,1000",
          "--tolerance", "1e-4"],
         ["zeta", "--s", "2", "--threads", "2"],
+        ["scan", "--limit", "100", "--threads", "2"],
+        ["verify", "--all", "--threads", "2"],
         ["xi", "--n", "2", "--segment-size", "64"],
     ):
         with pytest.raises(SystemExit) as e:
@@ -261,17 +267,6 @@ def test_verify_custom_s_points(capsys):
     assert "s=0.7500" not in out and "s=3.0000" in out
 
 
-def test_verify_deterministic_across_threads(tmp_path, capsys):
-    paths = []
-    for threads in ("1", "4"):
-        p = tmp_path / f"t{threads}.json"
-        code, _, _ = run(capsys, "verify", "--all", "--X", "5000",
-                         "--threads", threads, "--out", str(p))
-        assert code == 0
-        paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_config_presets_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("# preset for quick runs\nX = 500\nsegment-size = 128\n")
@@ -290,12 +285,31 @@ def test_config_presets_and_flag_precedence(tmp_path, capsys):
 
 def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("threads = 2\nsegment-size = 128\ntolerance = 1e-4\n")
+    cfg.write_text("checkpoint-every = 4\nsegment-size = 128\ntolerance = 1e-4\n")
     code, out, _ = run(capsys, "zeta", "--s", "2", "--config", str(cfg))
     assert code == 0 and "zeta(2.000000)" in out
     code, out, _ = run(capsys, "integrate", "--kind", "F_one", "--s", "2", "--X", "1000",
                        "--config", str(cfg))
     assert code == 0 and "converged at tolerance 0.0001" in out
+
+
+def test_config_key_no_subcommand_reads_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    for text, key in (("threads = 2\n", "threads"),
+                      ("X = 500\nsegment_sise = 128\n", "segment_sise")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "--all", "--case", "finite", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: no subcommand reads config key {key}\n"
+
+
+def test_scan_segment_size_above_the_cap_is_an_error(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    code, out, err = run(capsys, "scan", "--limit", "100", "--segment-size", "1e9",
+                         "--checkpoint", str(ckpt))
+    assert code == 1 and out == ""
+    assert err == "error: segment_size 1000000000 exceeds 67108864\n"
+    assert not ckpt.exists()
 
 
 def test_config_presets_go_through_each_flags_parser(tmp_path, capsys):

@@ -175,9 +175,8 @@ def test_mobius_far_window_matches_sympy():
 def test_sieve_range_deterministic_across_segmenting():
     ref = sieve_range(1, 30001, segment_size=30000)
     for seg in (1000, 7777, 10000):
-        for threads in (1, 4):
-            got = sieve_range(1, 30001, segment_size=seg, threads=threads)
-            assert np.array_equal(ref.values, got.values)
+        got = sieve_range(1, 30001, segment_size=seg)
+        assert np.array_equal(ref.values, got.values)
 
 
 def test_sieve_range_offsets_and_lookup():
@@ -460,8 +459,9 @@ def test_iter_segments_argument_validation():
         list(iter_lambda_segments(10, 10))
     with pytest.raises(DomainError):
         list(iter_lambda_segments(1, 10, segment_size=0))
-    with pytest.raises(DomainError):
-        list(iter_lambda_segments(1, 10, threads=0))
+    with pytest.raises(CapacityError):
+        list(iter_lambda_segments(1, 10, segment_size=lv.DEFAULT_MAX_SPAN + 1))
+    assert len(next(iter_lambda_segments(1, 10, segment_size=lv.DEFAULT_MAX_SPAN))[1]) == 9
 
 
 def test_table_is_readonly():
