@@ -11,6 +11,7 @@ subcommand reads is an error.
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -206,6 +207,27 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with "-" and still not be a plain number.
+_SIGNED_FLAGS = ("--s", "--grid")
+_SIGNED_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """["--s", "-0.5,1"] as ["--s=-0.5,1"], and likewise for --grid.
+
+    argparse takes a token that starts with "-" for an option unless it
+    is a plain negative number, so "-0.5,1" or "-0.5:0.5:0.5" would
+    leave the flag without its value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _SIGNED_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _extract_config_path(argv: list[str]) -> str | None:
     for i, tok in enumerate(argv):
         if tok == "--config":
@@ -374,7 +396,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_signed_values(list(sys.argv[1:] if argv is None else argv))
     try:
         config_path = _extract_config_path(argv)
         config = load_config(config_path) if config_path else {}

@@ -18,12 +18,20 @@ through one core, _evaluate(). It makes one ordered pass of the sieve's
 factor kernel, whatever the number of requested kinds, exponents and
 truncations: each segment's lambda and squareful mask give lambda, mu
 and the constant ONE alike, and a pass that serves ONE alone does not
-sieve. Within a pass all exponents share one log n per sub-block, and
-the complex exponents with one imaginary part t share one phase
-cos(t log n), sin(t log n): n^q is then the real n^(Re q) times that
-phase, so a complex power costs a real exp and two products instead of
-a complex exp. G(x-1) and the tail envelope are read off at each
-truncation point x.
+sieve. Within a pass the terms go in sub-blocks of at most 2^15. Around
+a sub-block's centre N, n^q = N^q exp(q log(n/N)), so
+
+    sum a(n) n^q = N^q sum_k q^k m_k / k!,   m_k = sum a(n) log(n/N)^k.
+
+The moments m_k of a kind are shared by all its exponents, so an
+exponent costs O(K) scalar operations per sub-block instead of one
+power per term: the block-Taylor step of Odlyzko and Schoenhage's
+multi-evaluation of zeta ("Fast algorithms for multiple evaluations of
+the Riemann zeta function", Trans. AMS 1988). K follows from the
+exponent's own |q| and the block's half-width h; where |q| h > 1,
+which in full sub-blocks means n below about |q| 2^14, the exponent
+sums exp(q log n) term by term.
+G(x-1) and the tail envelope are read off at each truncation point x.
 """
 
 import bisect
@@ -44,6 +52,9 @@ _SINGULAR_WINDOW = 1e-9
 _NEAR_ONE = 1e-2
 # Terms folded per numpy call; bounds the temporaries for any segment size.
 _SUB_BLOCK = 1 << 15
+# A sub-block's Taylor series in q log(n/N) stops where the first omitted
+# term is below 2^-60 of the block's sum of |a(n) N^q|.
+_TAYLOR_TOL = 2.0**-60
 UNMODELED = "unmodeled; conditional"
 
 
@@ -215,6 +226,40 @@ def _accumulator(q):
     return CompensatedSum() if isinstance(q, float) else ComplexCompensatedSum()
 
 
+def _taylor_order(x: float):
+    """Smallest K with x^(K+1)/(K+1)! <= 2^-60, or None when x = |q| h > 1
+    and the sub-block takes the direct route."""
+    if x > 1.0:
+        return None
+    order, term = 0, x
+    while term > _TAYLOR_TOL:
+        order += 1
+        term *= x / (order + 1)
+    return order
+
+
+def _moments(a: dict, rows: dict, delta: np.ndarray) -> dict:
+    """{kind: [m_0, ..., m_top]}, m_j = sum a[kind] delta^j, for each
+    kind's top row in rows. Row j is the same whatever the other kinds
+    and tops: delta^j comes from one running array."""
+    moments = {k: [float(a[k].sum())] for k in rows}
+    delta_row = np.ones_like(delta)
+    for row in range(1, max(rows.values(), default=0) + 1):
+        delta_row *= delta
+        for k, top in rows.items():
+            if row <= top:
+                moments[k].append(float(np.dot(a[k], delta_row)))
+    return moments
+
+
+def _taylor_sum(q, m, order: int):
+    """sum_{k <= order} q^k m_k / k!, by Horner: m_0 + q (m_1 + q/2 (m_2 + ...))."""
+    value = m[order]
+    for row in range(order, 0, -1):
+        value = m[row - 1] + value * q / row
+    return value
+
+
 def _evaluate(requests, *, segment_size=None) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
@@ -225,13 +270,21 @@ def _evaluate(requests, *, segment_size=None) -> dict:
     running sum, read off at each stop. An integral with p near 1 keeps
     its own x-dependent sum instead. Sub-blocks are cut at every stop
     and window start, so each block lies wholly inside or outside every
-    range. Each n^q is built once per sub-block, taken by every sum that
-    uses it, and dropped before the next. A complex q shares its phase
-    cis(Im q log n) with every exponent of the same imaginary part: its
-    n^q is a real magnitude n^(Re q) times that phase, and its sums take
-    the real and imaginary parts as two real arrays. The powers n^e of
-    the coefficients and tail envelopes are likewise built once per
-    sub-block. The near-1 sums keep their own complex arithmetic.
+    range.
+
+    On a sub-block [b, e) with centre log N = (log b + log(e-1))/2 and
+    delta = log n - log N, |delta| <= h, each exponent's sum is
+    N^q sum_k q^k m_k / k!, with the moments m_k = sum a(n) delta^k of
+    its kind. The moments are built once per kind from one running
+    power array, row k the same whatever the other kinds and orders,
+    and each exponent takes the smallest order K its own |q| h needs
+    (_taylor_order). Where |q| h > 1, below about n = |q| 2^14, the
+    exponent sums a(n) exp(q log n) directly. Either way each
+    sub-block's value is one term of the running compensated sum, and
+    a request's bits do not depend on the other requests of the pass.
+    The q = 0 sums add the coefficients themselves, and the near-1 sums
+    keep their own expm1 route. The powers n^e of the coefficients and
+    tail envelopes are built once per sub-block.
     """
     requests = set(requests)
     integrals = {r for r in requests if isinstance(r, _Integral)}
@@ -259,9 +312,10 @@ def _evaluate(requests, *, segment_size=None) -> dict:
             lam_b = lam[b - lo : e - lo].astype(np.float64)
             sq_b = squareful[b - lo : e - lo]
             logn = np.log(ns)
+            log_mid = (logn[0] + logn[-1]) / 2
+            h = (logn[-1] - logn[0]) / 2
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             powers = _Memo(lambda ex: ns**ex)
-            phases = _Memo(lambda t: (np.cos(t * logn), np.sin(t * logn)))
             kinds = {k for (k, _), end in ends.items() if b < end}
             a = {k: _coefficients(k, ns, powers, lam_b, sq_b) for k in kinds}
             live = {k for k, v in a.items() if v.any()}
@@ -272,22 +326,30 @@ def _evaluate(requests, *, segment_size=None) -> dict:
                 k, ex, w_lo, x = key
                 if w_lo <= b and e <= x:
                     envs[key] = max(envs[key], peaks[k, ex])
+            taylor = {}  # q -> (its order K, the kinds that take it)
+            rows = {}  # kind -> highest moment row any of its exponents needs
             for q in exponents:
                 q_kinds = [k for k in live if b < ends.get((k, q), 0)]
                 if not q_kinds:
                     continue
-                if isinstance(q, complex):
-                    # n^q = n^(Re q) cis(Im q log n), summed as two real parts
-                    mag = np.exp(q.real * logn)
-                    cos, sin = phases[q.imag]
-                    re, im = mag * cos, mag * sin
+                if not q:
                     for k in q_kinds:
-                        sums[k, q].re.add_array(a[k] * re)
-                        sums[k, q].im.add_array(a[k] * im)
+                        sums[k, q].add_array(a[k])
+                    continue
+                order = _taylor_order(abs(q) * h)
+                if order is None:
+                    power = np.exp(q * logn)
+                    for k in q_kinds:
+                        sums[k, q].add((a[k] * power).sum())
                 else:
-                    power = np.exp(q * logn) if q else None
+                    taylor[q] = order, q_kinds
                     for k in q_kinds:
-                        sums[k, q].add_array(a[k] * power if q else a[k])
+                        rows[k] = max(rows.get(k, 0), order)
+            moments = _moments(a, rows, logn - log_mid)
+            for q, (order, q_kinds) in taylor.items():
+                scale = np.exp(q * log_mid)
+                for k in q_kinds:
+                    sums[k, q].add(scale * _taylor_sum(q, moments[k], order))
             for r, acc in near.items():
                 if r.kind in live and e <= r.x:
                     log_xn = np.log(r.x / ns)

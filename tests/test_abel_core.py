@@ -1,8 +1,10 @@
 """The Abel-summation integral core against the per-cell route, and its sieve passes."""
 
 import importlib
+import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,18 +26,30 @@ from zetalab import (
     write_sums_csv,
 )
 from zetalab.cli import main
-from zetalab.integrals import _SUB_BLOCK, _evaluate, _integral, _Integral, _Polynomial
+from zetalab.integrals import (
+    _SUB_BLOCK,
+    _TAYLOR_TOL,
+    _evaluate,
+    _integral,
+    _Integral,
+    _moments,
+    _Polynomial,
+    _taylor_order,
+    _taylor_sum,
+)
 from zetalab.verify import DEFAULT_S_POINTS, sort_cases
 
 KERNELS = ("plain", "half_shifted")
 # Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (expm1
 # form, outside the 1e-9 guard), either side of the expm1 switch at
 # |p - 1| = 1e-2, real values above and below 1, complex values in pairs
-# that share an imaginary part (and so one phase per sub-block), and a
-# complex value on the expm1 route.
+# that share an imaginary part, a complex value on the expm1 route, a
+# large imaginary part, and p = 5, whose |q| h > 1 keeps it on the
+# direct route past the first sub-block.
 EXPONENTS = (
     1.0, 1 + 1e-6, 1 - 1e-6, 1.005, 1.02, 2.5, 1.25, 0.7,
     2 + 2j, 1.5 + 2j, 1.1 + 1j, 2.1 + 1j, 1.2 + 0.3j, 0.8 + 0.3j, 1 + 1e-6j,
+    1.5 + 30j, 5.0,
 )
 
 
@@ -55,7 +69,7 @@ def test_abel_matches_per_cell(kind, kernel):
     X = 3000
     G = StepFunction(kind, X)
     requests = {p: _integral(kind, _s_for(kind, kernel, p), X, kernel) for p in EXPONENTS}
-    together = _evaluate(requests.values())  # one pass, shared phases
+    together = _evaluate(requests.values())  # one pass for every exponent
     for p in EXPONENTS:
         s = _s_for(kind, kernel, p)
         mine = integrate_step(G, s, kernel=kernel).value
@@ -81,6 +95,59 @@ def test_abel_at_segment_and_sub_block_boundaries(segment_size, boundary):
                 StepFunction(kind, X), s, kernel=kernel, segment_size=segment_size
             ).value
             assert _close(mine, per_cell_integral(kind, s, X, kernel)), (X, kind, p)
+
+
+@pytest.mark.parametrize("kind, kernel", [
+    (StepKind.F_HALF, "half_shifted"), (StepKind.MU_ONE, "plain"), (StepKind.P_OVER_U, "plain"),
+])
+def test_abel_matches_per_cell_across_the_route_switch(kind, kernel, monkeypatch):
+    """At X = 1e6, p = 5 and p = 1.5 + 30i take the direct route in
+    several sub-blocks and the moment route in the later ones."""
+    routes = {}
+    original = _taylor_order
+
+    def recording(x):
+        order = original(x)
+        routes.setdefault(order is None, set()).add(x)
+        return order
+
+    monkeypatch.setattr(importlib.import_module("zetalab.integrals"), "_taylor_order", recording)
+    X = 10**6
+    for p in (5.0, 1.5 + 30j):
+        routes.clear()
+        s = _s_for(kind, kernel, p)
+        mine = integrate_step(StepFunction(kind, X), s, kernel=kernel).value
+        assert len(routes.get(True, ())) > 1 and routes.get(False), (p, routes)
+        assert _close(mine, per_cell_integral(kind, s, X, kernel)), (kind, p)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-6, 0.016, 0.5, 0.99, 1.0, math.nextafter(1.0, 2.0)])
+def test_taylor_order_is_the_smallest_that_meets_the_bound(x):
+    order = _taylor_order(x)
+    if x > 1.0:
+        assert order is None  # the direct route
+        return
+    assert x ** (order + 1) / math.factorial(order + 1) <= _TAYLOR_TOL
+    assert order == 0 or x**order / math.factorial(order) > _TAYLOR_TOL
+
+
+@pytest.mark.parametrize("centre, length", [(10**4, 1 << 11), (10**6, _SUB_BLOCK)])
+def test_moment_route_matches_a_direct_sum_on_one_sub_block(centre, length):
+    """With +-1/n coefficients, N^q sum_k q^k m_k / k! is the block's
+    sum a(n) n^q to 1e-15 of sum |a(n) n^q|, up to |q| h = 1."""
+    ns = np.arange(centre - length // 2, centre + length // 2, dtype=np.float64)
+    a = np.random.default_rng(centre).choice([-1.0, 1.0], length) / ns
+    logn = np.log(ns)
+    log_mid, h = (logn[0] + logn[-1]) / 2, (logn[-1] - logn[0]) / 2
+    edge = 0.99 / h  # |q| h just inside the moment route
+    for q in (-2.5, -0.25, 0.3, -1 - 2j, -0.1 - 1j, 0.5 + 3j, -edge, edge * (0.6 - 0.8j)):
+        order = _taylor_order(abs(q) * h)
+        assert order is not None, q
+        moments = _moments({0: a}, {0: order}, logn - log_mid)[0]
+        value = np.exp(q * log_mid) * _taylor_sum(q, moments, order)
+        terms = a * np.exp(q * logn)
+        direct = complex(math.fsum(terms.real), math.fsum(np.imag(terms)))
+        assert abs(value - direct) <= 1e-15 * math.fsum(np.abs(terms)), (q, order)
 
 
 @pytest.fixture
@@ -128,13 +195,13 @@ def test_suite_sieves_each_n_once(kernel_calls):
         assert _close(a.residual, b.residual) and _close(a.tolerance, b.tolerance), a.name
 
 
-def test_shared_phases_do_not_couple_requests(monkeypatch):
+def test_requests_of_one_pass_do_not_couple(monkeypatch):
     """Each complex request of the suite gets the same bits from the
-    suite's one pass as from a pass of its own, where exponents with its
-    imaginary part no longer share the phase. Sub-blocks are cut at every
-    stop and window start of a pass, so the pass of its own keeps the
-    suite's cuts through q = 0 sums of the constant ONE, which take no
-    power and no phase."""
+    suite's one pass as from a pass of its own, where no other exponent
+    or kind sets the moment orders of its sub-blocks. Sub-blocks are cut
+    at every stop and window start of a pass, so the pass of its own
+    keeps the suite's cuts through q = 0 sums of the constant ONE, which
+    take no power and no moment."""
     seen = {}
 
     def recording(requests, **kw):

@@ -59,6 +59,29 @@ def test_bad_complex_arg_exits_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["zeta", "--s", "-0.5,1"], "zeta(-0.500000+1.000000i)"),
+    (["integrate", "--kind", "F_one", "--s", "-0.5,1", "--X", "100"], "value = "),
+    (["verify", "--all", "--X", "100", "--s", "-0.5,1"], "s=-0.5000+1.0000i"),
+    (["sigma-c", "--kind", "One", "--kernel", "plain", "--grid", "-0.5:0.5:0.5",
+      "--schedule", "10,100,1000"], "sigma=-0.5:"),
+], ids=["zeta", "integrate", "verify", "sigma-c"])
+def test_signed_value_as_its_own_token(argv, shown, capsys):
+    """A value that starts with "-" but is not a plain negative number
+    parses as the flag's value, as it does in the --flag=VALUE form."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and shown in out
+    i = next(i for i, tok in enumerate(argv) if tok in ("--s", "--grid"))
+    joined = [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2:]]
+    assert run(capsys, *joined) == (code, out, err)
+
+
+def test_signed_value_never_swallows_a_flag():
+    with pytest.raises(SystemExit) as e:
+        main(["zeta", "--s", "--quiet"])
+    assert e.value.code == 2
+
+
 def test_non_finite_integer_arg_exits_2():
     for text in ("1e400", "inf", "nan"):
         with pytest.raises(SystemExit) as e:

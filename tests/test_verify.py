@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -175,3 +176,33 @@ def test_json_schema_exact(tmp_path):
         abs(complex(r["lhs_re"], r["lhs_im"]) - complex(r["rhs_re"], r["rhs_im"])),
         abs=1e-15,
     ) for r in payload)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all_1e5.json"
+
+
+def test_report_matches_the_golden_report():
+    """The `verify --all --X 1e5` report against the one recorded in
+    tests/data: every number within 1e-13 * max(1, |v|), names and pass
+    flags exactly. A flag's text matches exactly up to its number, which
+    is printed to 4 digits and so may also move by half a unit there."""
+    golden = json.loads(GOLDEN.read_text())
+    report = json.loads(report_json_text(run_default_suite(X=10**5)))
+    assert [(r["name"], r["pass"]) for r in report] == [(r["name"], r["pass"]) for r in golden]
+    for got, want in zip(report, golden):
+        assert list(got) == list(want)
+        for field, value in want.items():
+            if field == "flags":
+                assert len(got[field]) == len(value), (want["name"], got[field], value)
+                for g, w in zip(got[field], value):
+                    g_name, _, g_num = g.partition("=")
+                    w_name, _, w_num = w.partition("=")
+                    assert g_name == w_name and bool(g_num) == bool(w_num), (g, w)
+                    if w_num:
+                        w_num = float(w_num)
+                        bound = 1e-13 * max(1.0, abs(w_num)) + 5e-4 * abs(w_num)
+                        assert abs(float(g_num) - w_num) <= bound, (want["name"], g, w)
+            elif isinstance(value, float):
+                assert abs(got[field] - value) <= 1e-13 * max(1.0, abs(value)), (want["name"], field)
+            else:
+                assert got[field] == value, (want["name"], field)
