@@ -152,7 +152,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--polya", action="store_true", help="report only the P(x) series")
     p.add_argument("--turan", action="store_true", help="report only the T(x) series")
     p.add_argument("--checkpoint", help="checkpoint path (resumes if present)")
-    p.add_argument("--checkpoint-every", type=int, default=16, help="segments between saves")
+    p.add_argument("--checkpoint-every", type=_num_int, default=16, help="segments between saves")
     p.add_argument("--csv", help="trace CSV path")
     p.add_argument("--csv-stride", type=_num_int, default=1)
 
@@ -164,14 +164,14 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("xi", parents=[common], help="mean value theorem exponent sequence")
     p.add_argument("--n", type=_num_int, help="print xi(n) and its defining residual")
     p.add_argument("--table", type=_num_int, help="write a log-spaced table up to this n")
-    p.add_argument("--points", type=int, default=200, help="table size")
+    p.add_argument("--points", type=_num_int, default=200, help="table size")
     p.add_argument("--check-monotone", type=_num_int, help="verify xi decreases up to this n")
     p.add_argument("--out", help="table CSV destination")
 
     p = sub.add_parser("zeta", parents=[common], help="evaluate zeta(s) with error estimate")
     p.add_argument("--s", type=_complex_arg, required=True, metavar="RE[,IM]")
     p.add_argument("--N", type=_num_int, default=None, help="Euler-Maclaurin cutoff")
-    p.add_argument("--bern", type=int, default=8, help="Bernoulli correction terms")
+    p.add_argument("--bern", type=_num_int, default=8, help="Bernoulli correction terms")
 
     p = sub.add_parser("integrate", parents=[sieving], help="integrate a step function against a kernel")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)

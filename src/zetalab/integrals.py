@@ -5,13 +5,12 @@ step function with integer breakpoints. Abel summation turns the
 integral over [1, X] into a Dirichlet polynomial over the same
 coefficients. With q = 1 - p:
 
-    integral_1^X G(u) u^(-p) du = (G(X-1) X^q - sum_{n<X} a(n) n^q) / q
+    integral_1^X G(u) u^(-p) du = sum_{n<X} a(n) (X^q - n^q) / q
 
-At p = 1 this becomes its log limit, sum_{n<X} a(n) log(X/n). Near
-p = 1 the difference above cancels, so there the terms are taken in the
-equivalent form a(n) n^q expm1(q log(X/n)) / q. No quadrature grid, no
-quadrature error; what remains is rounding plus the truncation tail,
-which is modeled explicitly and reported rather than hidden.
+At p = 1 this becomes its log limit, sum_{n<X} a(n) log(X/n). No
+quadrature grid, no quadrature error; what remains is rounding plus
+the truncation tail, which is modeled explicitly and reported rather
+than hidden.
 
 Every integral and truncated Dirichlet series in the package goes
 through one core, _evaluate(). It makes one ordered pass of the sieve's
@@ -21,17 +20,19 @@ and the constant ONE alike, and a pass that serves ONE alone does not
 sieve. Within a pass the terms go in sub-blocks of at most 2^15. Around
 a sub-block's centre N, n^q = N^q exp(q log(n/N)), so
 
-    sum a(n) n^q = N^q sum_k q^k m_k / k!,   m_k = sum a(n) log(n/N)^k.
+    sum a(n) n^q           = N^q (m_0 + q T),
+    sum a(n) (X^q - n^q)/q = N^q (m_0 expm1(q D)/q - T),
 
-The moments m_k of a kind are shared by all its exponents, so an
-exponent costs O(K) scalar operations per sub-block instead of one
-power per term: the block-Taylor step of Odlyzko and Schoenhage's
-multi-evaluation of zeta ("Fast algorithms for multiple evaluations of
-the Riemann zeta function", Trans. AMS 1988). K follows from the
-exponent's own |q| and the block's half-width h; where |q| h > 1,
-which in full sub-blocks means n below about |q| 2^14, the exponent
-sums exp(q log n) term by term.
-G(x-1) and the tail envelope are read off at each truncation point x.
+with m_k = sum a(n) log(n/N)^k, T = sum_{k>=1} q^(k-1) m_k / k! and
+D = log(X/N): one formula per block for each request, without
+cancellation at any q (at q = 0 the second is m_0 D - m_1). The moments
+m_k of a kind are shared by all its exponents, so an exponent costs
+O(K) scalar operations per sub-block instead of one power per term: the
+block-Taylor step of Odlyzko and Schoenhage's multi-evaluation of zeta
+("Fast algorithms for multiple evaluations of the Riemann zeta
+function", Trans. AMS 1988). K follows from the exponent's own |q| and
+the block's half-width h; where |q| h > 1, which in full sub-blocks
+means n below about |q| 2^14, the block sums n^q term by term.
 """
 
 import bisect
@@ -47,13 +48,10 @@ from .errors import DomainError
 from .liouville import _factor_segment, _iter_segments
 
 _SINGULAR_WINDOW = 1e-9
-# Below this |p - 1| the Abel difference would cancel more than about
-# two digits, so the pass uses the expm1 form instead.
-_NEAR_ONE = 1e-2
 # Terms folded per numpy call; bounds the temporaries for any segment size.
 _SUB_BLOCK = 1 << 15
 # A sub-block's Taylor series in q log(n/N) stops where the first omitted
-# term is below 2^-60 of the block's sum of |a(n) N^q|.
+# term of T is below 2^-60 of h times the block's sum of |a(n) N^q|.
 _TAYLOR_TOL = 2.0**-60
 UNMODELED = "unmodeled; conditional"
 
@@ -152,6 +150,13 @@ class _Integral:
     window_lo: int
     tolerance: float
 
+    @property
+    def decay(self) -> float:
+        """sigma_d of the modeled integrand envelope c * u^(-sigma_d); the
+        tail is modeled only where it exceeds 1."""
+        shift = self.kind is StepKind.P_OVER_U and self.kernel == "half_shifted"
+        return self.s.real + (0.5 if shift else 0.0)
+
 
 def _integral(kind, s, X, kernel="auto", tolerance=1e-6, window_divisor=10) -> _Integral:
     """Validated request for the integral integrate_step computes."""
@@ -222,16 +227,13 @@ def _coefficients(kind, ns, powers, lam, squareful):
     return a
 
 
-def _accumulator(q):
-    return CompensatedSum() if isinstance(q, float) else ComplexCompensatedSum()
-
-
 def _taylor_order(x: float):
-    """Smallest K with x^(K+1)/(K+1)! <= 2^-60, or None when x = |q| h > 1
-    and the sub-block takes the direct route."""
+    """Smallest K >= 1 with x^K/(K+1)! <= 2^-60, or None when x = |q| h > 1
+    and the sub-block takes the direct route. T's first omitted term is then
+    below 2^-60 h of the block's sum |a(n) N^q|, a polynomial's x times less."""
     if x > 1.0:
         return None
-    order, term = 0, x
+    order, term = 1, x / 2
     while term > _TAYLOR_TOL:
         order += 1
         term *= x / (order + 1)
@@ -252,62 +254,67 @@ def _moments(a: dict, rows: dict, delta: np.ndarray) -> dict:
     return moments
 
 
-def _taylor_sum(q, m, order: int):
-    """sum_{k <= order} q^k m_k / k!, by Horner: m_0 + q (m_1 + q/2 (m_2 + ...))."""
+def _taylor_quotient(q, m, order: int):
+    """T = sum_{1 <= k <= order} q^(k-1) m_k / k!, by Horner:
+    m_1 + q/2 (m_2 + q/3 (m_3 + ...)). It is (sum a(n) e^(q delta) - m_0)/q."""
     value = m[order]
-    for row in range(order, 0, -1):
+    for row in range(order, 1, -1):
         value = m[row - 1] + value * q / row
     return value
+
+
+def _expm1_over(q, d):
+    """(e^(q d) - 1)/q, and its limit d at q = 0."""
+    return np.expm1(q * d) / q if q else d
 
 
 def _evaluate(requests, *, segment_size=None) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
     One ordered pass of the factor kernel serves every request: each
-    segment's lambda and squareful mask give every kind's a(n). An
-    integral needs two polynomials at its x: G(x-1), the q = 0 one, and
-    the one at its own q. Requests with the same (kind, q) share one
-    running sum, read off at each stop. An integral with p near 1 keeps
-    its own x-dependent sum instead. Sub-blocks are cut at every stop
-    and window start, so each block lies wholly inside or outside every
-    range.
+    segment's lambda and squareful mask give every kind's a(n). Each
+    request keeps its own compensated sum, one term per sub-block below
+    its stop (x, for an integral). Sub-blocks are cut at every stop and
+    window start, so each block lies wholly inside or outside every range.
 
     On a sub-block [b, e) with centre log N = (log b + log(e-1))/2 and
-    delta = log n - log N, |delta| <= h, each exponent's sum is
-    N^q sum_k q^k m_k / k!, with the moments m_k = sum a(n) delta^k of
-    its kind. The moments are built once per kind from one running
-    power array, row k the same whatever the other kinds and orders,
-    and each exponent takes the smallest order K its own |q| h needs
-    (_taylor_order). Where |q| h > 1, below about n = |q| 2^14, the
-    exponent sums a(n) exp(q log n) directly. Either way each
-    sub-block's value is one term of the running compensated sum, and
-    a request's bits do not depend on the other requests of the pass.
-    The q = 0 sums add the coefficients themselves, and the near-1 sums
-    keep their own expm1 route. The powers n^e of the coefficients and
-    tail envelopes are built once per sub-block.
+    delta = log n - log N, |delta| <= h, a kind's moments
+    m_k = sum a(n) delta^k come from one running power array, row k the
+    same whatever the other kinds and orders. A polynomial adds
+    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
+    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
+    and D = log x - log N. Where |q| h > 1 the block sums
+    S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
+    So a request's bits depend on its kind, q and stop and on the
+    sub-block cuts: requests that add no cut leave them unchanged, other
+    cuts move them by rounding only. Tail envelopes, from one running G
+    per kind, are built only for the integrals whose tail is modeled.
     """
     requests = set(requests)
-    integrals = {r for r in requests if isinstance(r, _Integral)}
-    near = {r: _accumulator(r.q) for r in integrals if abs(r.q) < _NEAR_ONE}
-    polys = requests - integrals
-    polys |= {_Polynomial(r.kind, 0, r.x) for r in integrals}
-    polys |= {_Polynomial(r.kind, r.q, r.x) for r in integrals - near.keys()}
-    envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals}
-    ends: dict = {}  # (kind, q) -> last stop of its running sum
-    for r in polys:
-        ends[r.kind, r.q] = max(ends.get((r.kind, r.q), 0), r.stop)
-    sums = {key: _accumulator(key[1]) for key in ends}
-    exponents = {q for _, q in ends}
-    cuts = sorted({r.stop for r in polys} | {r.window_lo for r in integrals})
-    kernel = _unsieved if {k for k, _ in ends} == {StepKind.ONE} else _factor_segment
-    at = {}  # stop -> {(kind, q): running sum there}
+    integrals = [r for r in requests if isinstance(r, _Integral)]
+    sums = {r: CompensatedSum() if isinstance(r.q, float) else ComplexCompensatedSum()
+            for r in requests}
+    # q -> {kind: [(stop, sum, log x or None for a polynomial)]}, latest
+    # stop first: resolved once, so that the pass hashes no request
+    plans: dict = {}
+    cuts = {r.window_lo for r in integrals}
+    for r, acc in sums.items():
+        entry = (r.x, acc, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, acc, None)
+        plans.setdefault(r.q, {}).setdefault(r.kind, []).append(entry)
+        cuts.add(entry[0])
+    cuts = sorted(cuts)
+    for by_kind in plans.values():
+        for plan in by_kind.values():
+            plan.sort(key=lambda entry: -entry[0])
+    envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals if r.decay > 1.0}
+    g = {k: CompensatedSum() for k, *_ in envs}  # G(b - 1) of each enveloped kind
+    kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
 
     for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size):
         hi = lo + len(lam)
         b = lo
         while b < hi:
-            cut = cuts[bisect.bisect_right(cuts, b)]
-            e = min(b + _SUB_BLOCK, hi, cut)
+            e = min(b + _SUB_BLOCK, hi, cuts[bisect.bisect_right(cuts, b)])
             ns = np.arange(b, e, dtype=np.float64)
             lam_b = lam[b - lo : e - lo].astype(np.float64)
             sq_b = squareful[b - lo : e - lo]
@@ -316,65 +323,57 @@ def _evaluate(requests, *, segment_size=None) -> dict:
             h = (logn[-1] - logn[0]) / 2
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             powers = _Memo(lambda ex: ns**ex)
-            kinds = {k for (k, _), end in ends.items() if b < end}
-            a = {k: _coefficients(k, ns, powers, lam_b, sq_b) for k in kinds}
-            live = {k for k, v in a.items() if v.any()}
-            g_abs = _Memo(lambda k: np.abs(sums[k, 0.0].value + np.cumsum(a[k])))
+            a = _Memo(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
+            live = _Memo(lambda k: a[k].any())
+            g_abs = _Memo(lambda k: np.abs(g[k].value + np.cumsum(a[k])))
             peaks = _Memo(lambda k_ex: float((g_abs[k_ex[0]] / powers[k_ex[1]]).max()))
 
             for key in envs:
                 k, ex, w_lo, x = key
                 if w_lo <= b and e <= x:
                     envs[key] = max(envs[key], peaks[k, ex])
-            taylor = {}  # q -> (its order K, the kinds that take it)
+            due = []  # (q, its order K or None, [(kind, plan)]) for the sums this block adds to
             rows = {}  # kind -> highest moment row any of its exponents needs
-            for q in exponents:
-                q_kinds = [k for k in live if b < ends.get((k, q), 0)]
-                if not q_kinds:
-                    continue
-                if not q:
-                    for k in q_kinds:
-                        sums[k, q].add_array(a[k])
-                    continue
-                order = _taylor_order(abs(q) * h)
-                if order is None:
-                    power = np.exp(q * logn)
-                    for k in q_kinds:
-                        sums[k, q].add((a[k] * power).sum())
-                else:
-                    taylor[q] = order, q_kinds
-                    for k in q_kinds:
-                        rows[k] = max(rows.get(k, 0), order)
+            for q, by_kind in plans.items():
+                q_plans = [(k, plan) for k, plan in by_kind.items() if b < plan[0][0] and live[k]]
+                if q_plans:
+                    order = _taylor_order(abs(q) * h)
+                    due.append((q, order, q_plans))
+                    for k, _ in q_plans:
+                        rows[k] = max(rows.get(k, 0), order or 0)
             moments = _moments(a, rows, logn - log_mid)
-            for q, (order, q_kinds) in taylor.items():
-                scale = np.exp(q * log_mid)
-                for k in q_kinds:
-                    sums[k, q].add(scale * _taylor_sum(q, moments[k], order))
-            for r, acc in near.items():
-                if r.kind in live and e <= r.x:
-                    log_xn = np.log(r.x / ns)
-                    t = np.exp(r.q * logn) * np.expm1(r.q * log_xn) if r.q else log_xn
-                    acc.add_array(a[r.kind] * t)
-            if e == cut:
-                at[e] = {key: acc.value for key, acc in sums.items()}
+            for k in g.keys() & moments.keys():
+                g[k].add(moments[k][0])
+            for q, order, q_plans in due:
+                if order is None:
+                    power = np.exp(q * logn)  # one array at a time, shared by q's kinds
+                else:
+                    scale = np.exp(q * log_mid)
+                for k, plan in q_plans:
+                    m = moments[k]
+                    if order is None:
+                        total = (a[k] * power).sum()
+                    else:
+                        t = _taylor_quotient(q, m, order)
+                    for stop, acc, log_x in plan:
+                        if stop <= b:
+                            break
+                        if order is None:
+                            acc.add(total if log_x is None else (np.exp(q * log_x) * m[0] - total) / q)
+                        elif log_x is None:
+                            acc.add(scale * (m[0] + q * t))
+                        else:
+                            acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
             b = e
 
-    out = {r: at[r.stop][r.kind, r.q] for r in requests - integrals}
+    out = {r: acc.value for r, acc in sums.items()}
     for r in integrals:
-        if r in near:
-            value = near[r].value / r.q if r.q else near[r].value
-        else:
-            g, total = at[r.x][r.kind, 0.0], at[r.x][r.kind, r.q]
-            value = (g * r.x**r.q - total) / r.q
-        out[r] = _result(r, complex(value), envs[r.kind, r.envelope, r.window_lo, r.x])
+        out[r] = _result(r, complex(out[r]), envs.get((r.kind, r.envelope, r.window_lo, r.x)))
     return out
 
 
-def _result(r: _Integral, value: complex, env_max: float) -> IntegralResult:
-    # decay exponent of the modeled integrand envelope c * u^(-sigma_d)
-    sigma_d = r.s.real + (
-        0.5 if r.kind is StepKind.P_OVER_U and r.kernel == "half_shifted" else 0.0
-    )
+def _result(r: _Integral, value: complex, env_max: float | None) -> IntegralResult:
+    sigma_d = r.decay
     if sigma_d > 1.0:
         tail = env_max * r.x ** (1.0 - sigma_d) / (sigma_d - 1.0)
         fitted = f"fitted on [{r.window_lo}, {r.x}]"

@@ -30,22 +30,24 @@ from zetalab.integrals import (
     _SUB_BLOCK,
     _TAYLOR_TOL,
     _evaluate,
+    _expm1_over,
     _integral,
     _Integral,
     _moments,
     _Polynomial,
     _taylor_order,
-    _taylor_sum,
+    _taylor_quotient,
 )
 from zetalab.verify import DEFAULT_S_POINTS, sort_cases
 
 KERNELS = ("plain", "half_shifted")
-# Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (expm1
-# form, outside the 1e-9 guard), either side of the expm1 switch at
-# |p - 1| = 1e-2, real values above and below 1, complex values in pairs
-# that share an imaginary part, a complex value on the expm1 route, a
-# large imaginary part, and p = 5, whose |q| h > 1 keeps it on the
-# direct route past the first sub-block.
+# Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (just
+# outside the 1e-9 guard), 1.005 and 1.02 (small q, where a difference
+# x^q G - sum a(n) n^q taken at the end of the pass would cancel), real
+# values above and below 1, complex values in pairs that share an
+# imaginary part, a complex value next to the log limit, a large
+# imaginary part, and p = 5, whose |q| h > 1 keeps it on the direct
+# route past the first sub-block.
 EXPONENTS = (
     1.0, 1 + 1e-6, 1 - 1e-6, 1.005, 1.02, 2.5, 1.25, 0.7,
     2 + 2j, 1.5 + 2j, 1.1 + 1j, 2.1 + 1j, 1.2 + 0.3j, 0.8 + 0.3j, 1 + 1e-6j,
@@ -123,31 +125,65 @@ def test_abel_matches_per_cell_across_the_route_switch(kind, kernel, monkeypatch
 
 @pytest.mark.parametrize("x", [0.0, 1e-6, 0.016, 0.5, 0.99, 1.0, math.nextafter(1.0, 2.0)])
 def test_taylor_order_is_the_smallest_that_meets_the_bound(x):
+    """K >= 1 is the smallest order with x^K/(K+1)! <= 2^-60, the bound
+    on T's first omitted term."""
     order = _taylor_order(x)
     if x > 1.0:
         assert order is None  # the direct route
         return
-    assert x ** (order + 1) / math.factorial(order + 1) <= _TAYLOR_TOL
-    assert order == 0 or x**order / math.factorial(order) > _TAYLOR_TOL
+    assert order >= 1 and x**order / math.factorial(order + 1) <= _TAYLOR_TOL
+    assert order == 1 or x ** (order - 1) / math.factorial(order) > _TAYLOR_TOL
+
+
+def _sub_block(centre, length):
+    """ns, +-1/n coefficients, log n, and the block's log N and h."""
+    ns = np.arange(centre - length // 2, centre + length // 2, dtype=np.float64)
+    a = np.random.default_rng(centre).choice([-1.0, 1.0], length) / ns
+    logn = np.log(ns)
+    return ns, a, logn, (logn[0] + logn[-1]) / 2, (logn[-1] - logn[0]) / 2
+
+
+def _fsum_close(value, terms, rel=1e-15):
+    exact = complex(math.fsum(terms.real), math.fsum(np.imag(terms)))
+    return abs(value - exact) <= rel * math.fsum(np.abs(terms))
 
 
 @pytest.mark.parametrize("centre, length", [(10**4, 1 << 11), (10**6, _SUB_BLOCK)])
 def test_moment_route_matches_a_direct_sum_on_one_sub_block(centre, length):
-    """With +-1/n coefficients, N^q sum_k q^k m_k / k! is the block's
+    """With +-1/n coefficients, N^q (m_0 + q T) is the block's
     sum a(n) n^q to 1e-15 of sum |a(n) n^q|, up to |q| h = 1."""
-    ns = np.arange(centre - length // 2, centre + length // 2, dtype=np.float64)
-    a = np.random.default_rng(centre).choice([-1.0, 1.0], length) / ns
-    logn = np.log(ns)
-    log_mid, h = (logn[0] + logn[-1]) / 2, (logn[-1] - logn[0]) / 2
+    ns, a, logn, log_mid, h = _sub_block(centre, length)
     edge = 0.99 / h  # |q| h just inside the moment route
     for q in (-2.5, -0.25, 0.3, -1 - 2j, -0.1 - 1j, 0.5 + 3j, -edge, edge * (0.6 - 0.8j)):
         order = _taylor_order(abs(q) * h)
         assert order is not None, q
-        moments = _moments({0: a}, {0: order}, logn - log_mid)[0]
-        value = np.exp(q * log_mid) * _taylor_sum(q, moments, order)
-        terms = a * np.exp(q * logn)
-        direct = complex(math.fsum(terms.real), math.fsum(np.imag(terms)))
-        assert abs(value - direct) <= 1e-15 * math.fsum(np.abs(terms)), (q, order)
+        m = _moments({0: a}, {0: order}, logn - log_mid)[0]
+        value = np.exp(q * log_mid) * (m[0] + q * _taylor_quotient(q, m, order))
+        assert _fsum_close(value, a * np.exp(q * logn)), (q, order)
+
+
+@pytest.mark.parametrize("centre, length", [(10**4, 1 << 11), (10**6, _SUB_BLOCK)])
+def test_moment_route_matches_a_direct_integral_on_one_sub_block(centre, length):
+    """N^q (m_0 expm1(q D)/q - T), D = log(x/N), is the block's share
+    sum a(n) n^q expm1(q log(x/n))/q of an integral to x, to 1e-15 of the
+    sum of the terms' absolute values: at q = 0 and next to it, up to
+    |q| h = 1, and with x at the block's end or far beyond it."""
+    ns, a, logn, log_mid, h = _sub_block(centre, length)
+    edge = 0.99 / h
+    for q in (0.0, 1e-9, -1e-6j, -0.02, 0.3, -1 - 2j, edge, -edge):
+        with np.errstate(over="ignore", under="ignore"):
+            power = np.abs(np.exp(q * logn))
+        if not (np.all(np.isfinite(power)) and power.min() >= np.finfo(np.float64).tiny):
+            continue  # n^q is not a normal float here: +-0.99/h at N = 1e6
+        order = _taylor_order(abs(q) * h)
+        m = _moments({0: a}, {0: order}, logn - log_mid)[0]
+        t = _taylor_quotient(q, m, order)
+        for x in (ns[-1] + 1, 1.5e6, 1e7):
+            log_x = math.log(x)
+            value = np.exp(q * log_mid) * (m[0] * _expm1_over(q, log_x - log_mid) - t)
+            d = log_x - logn
+            terms = a * (np.exp(q * logn) * np.expm1(q * d) / q if q else d)
+            assert _fsum_close(value, terms), (q, x, order)
 
 
 @pytest.fixture
@@ -200,8 +236,8 @@ def test_requests_of_one_pass_do_not_couple(monkeypatch):
     suite's one pass as from a pass of its own, where no other exponent
     or kind sets the moment orders of its sub-blocks. Sub-blocks are cut
     at every stop and window start of a pass, so the pass of its own
-    keeps the suite's cuts through q = 0 sums of the constant ONE, which
-    take no power and no moment."""
+    keeps the suite's cuts through q = 0 sums of the constant ONE, whose
+    coefficients vanish past n = 1."""
     seen = {}
 
     def recording(requests, **kw):
@@ -219,6 +255,33 @@ def test_requests_of_one_pass_do_not_couple(monkeypatch):
     assert len({r.q.imag for r in shared}) < len({r.q for r in shared})  # some do share
     for r in shared:
         assert repr(_evaluate([r, *pins])[r]) == repr(seen[r]), r
+
+
+def test_a_request_moves_by_rounding_only_with_the_cuts_of_its_pass():
+    """A request alone and the same request in a pass with other stops
+    and windows, which cut its sub-blocks elsewhere, agree within
+    1e-14 max(1, |v|): value, tail estimate and tail model."""
+    X = 3 * 10**5
+    requests = [
+        _integral(kind, s, X, tolerance=math.inf)
+        for kind in (StepKind.F_HALF, StepKind.MU_ONE, StepKind.L_XI, StepKind.F_ONE)
+        for s in (0.505 + 0.003j, 0.75, 1.5 + 2j, 2.0, 0.6 + 1j)
+    ] + [_Polynomial(StepKind.P_OVER_U, -1.5 - 2j, X), _Polynomial(StepKind.F_ONE, 0.0, X)]
+    others = [
+        _Polynomial(StepKind.ONE, 0.0, 12345),
+        _Polynomial(StepKind.MU_ONE, -0.75, 54321),
+        _integral(StepKind.F_HALF, 1.25, 2 * 10**5 + 3),
+    ]
+    together = _evaluate([*requests, *others])
+    for r in requests:
+        alone, shared = _evaluate([r])[r], together[r]
+        if isinstance(r, _Polynomial):
+            assert _close(shared, alone, 1e-14), r
+            continue
+        assert _close(shared.value, alone.value, 1e-14), r
+        tails = shared.tail_estimate, alone.tail_estimate
+        assert tails[0] == tails[1] or _close(*tails, 1e-14), r
+        assert shared.tail_model == alone.tail_model, r
 
 
 def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls):

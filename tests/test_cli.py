@@ -219,6 +219,24 @@ def test_xi_table_needs_a_point(tmp_path, capsys, points):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--limit", "3000", "--segment-size", "100",
+     "--checkpoint", "{out}", "--checkpoint-every", "{n}"),
+    ("xi", "--table", "1000", "--points", "{n}", "--out", "{out}"),
+    ("zeta", "--s", "2", "--bern", "{n}"),
+], ids=["checkpoint-every", "points", "bern"])
+def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys):
+    """As --limit and --X do, these flags read 1e1 as 10."""
+    results = []
+    for n in ("10", "1e1"):
+        out = tmp_path / n / "file"
+        out.parent.mkdir()
+        code, stdout, err = run(capsys, *(tok.format(n=n, out=out) for tok in argv))
+        assert code == 0 and err == "", err
+        results.append((stdout.replace(str(out), "FILE"), out.exists() and out.read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """numpy is the only runtime dependency: a fresh interpreter loads no scipy."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
