@@ -9,12 +9,13 @@
 
 import numpy as np
 
-from zetalab import DEFAULT_XI, f_x, l_x, xi, xi_residual
+from zetalab import f_x, l_x, xi_residual
+from zetalab.xi import xi
 
 for x in (10, 10**3, 10**6):
     fh = f_x(0.5, x)
     fo = f_x(1.0, x)
-    lv = l_x(DEFAULT_XI, x)
+    lv = l_x(x)
     print(f"x = {x:>9}: F(1/2) = {fh:+.9f}  F(1) = {fo:+.9f}  "
           f"L = {lv:+.9f}  gap = {abs(fh - fo - lv):.2e}")
 

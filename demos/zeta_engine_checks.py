@@ -2,8 +2,8 @@
 
 import math
 
-from zetalab import ZetaParams, real_bounds_check, shifted_ratio, zeta, zeta_ratio, zeta_with_error
-from zetalab.zeta import lambda_series
+from zetalab import ZetaParams, real_bounds_check, shifted_ratio, zeta_ratio, zeta_with_error
+from zetalab.zeta import lambda_series, zeta
 
 print("reference points:")
 print(f"  zeta(2)  - pi^2/6  = {zeta(2.0).real - math.pi**2 / 6:+.2e}")

@@ -11,7 +11,6 @@ from .errors import (
     DivisionInstabilityError,
 )
 from .liouville import (
-    liouville,
     sieve_range,
     iter_lambda_segments,
     iter_mobius_segments,
@@ -26,7 +25,6 @@ from .liouville import (
 from .xi import (
     XiSequence,
     DEFAULT_XI,
-    xi,
     xi_residual,
     XiMonotoneReport,
     check_monotone_limit,
@@ -36,7 +34,6 @@ from .sums import PrefixEvaluator, f_x, l_x, mvt_weight, write_sums_csv
 from .zeta import (
     ZetaParams,
     RealBounds,
-    zeta,
     zeta_with_error,
     zeta_ratio,
     shifted_ratio,

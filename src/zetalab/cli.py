@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ZetalabError
 from .integrals import StepFunction, StepKind, estimate_sigma_c, integrate_step
 from .liouville import run_scan, sieve_range
-from .sums import _decomposition_weights, _prefix_fold, _write_sums_csv, f_x
+from .sums import f_x, partial_sums
 from .verify import (
     DEFAULT_S_POINTS,
     DEFAULT_X,
@@ -284,18 +284,16 @@ def _cmd_scan(args, say) -> int:
 def _cmd_sums(args, say) -> int:
     kw = dict(segment_size=args.segment_size)
     if args.out:
-        # F_x(alpha) rides in the CSV's lambda pass
-        extra = [] if args.alpha is None else [lambda ns: ns ** -float(args.alpha)]
-        rows, f_alpha = _write_sums_csv(args.out, args.x, DEFAULT_XI, extra, **kw)
-        say(f"wrote {rows} rows to {args.out}")
+        # F_x(alpha) rides in the CSV's pass
+        alphas = () if args.alpha is None else (args.alpha,)
+        sums = partial_sums(args.x, alphas, csv_path=args.out, **kw)
+        say(f"wrote {sums.rows} rows to {args.out}")
         if args.alpha is not None:
-            say(f"F_{args.x}({args.alpha:g}) = {f_alpha[0]:.15g}")
+            say(f"F_{args.x}({args.alpha:g}) = {sums.f_alpha[0]:.15g}")
     elif args.alpha is not None:
         say(f"F_{args.x}({args.alpha:g}) = {f_x(args.alpha, args.x, **kw):.15g}")
     else:
-        if args.x < 1:
-            raise DomainError("sums needs x >= 1")
-        fh, fo, lv = _prefix_fold(args.x, _decomposition_weights(DEFAULT_XI), **kw)
+        fh, fo, lv, *_ = partial_sums(args.x, **kw)
         say(f"F_{args.x}(1/2) = {fh:.15g}")
         say(f"F_{args.x}(1)   = {fo:.15g}")
         say(f"L_{args.x}      = {lv:.15g}")

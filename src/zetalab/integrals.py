@@ -12,13 +12,13 @@ quadrature grid, no quadrature error; what remains is rounding plus
 the truncation tail, which is modeled explicitly and reported rather
 than hidden.
 
-Every integral and truncated Dirichlet series in the package goes
-through one core, _evaluate(). It makes one ordered pass of the sieve's
-factor kernel, whatever the number of requested kinds, exponents and
-truncations: each segment's lambda and squareful mask give lambda, mu
-and the constant ONE alike, and a pass that serves ONE alone does not
-sieve. Within a pass the terms go in sub-blocks of at most 2^15. Around
-a sub-block's centre N, n^q = N^q exp(q log(n/N)), so
+Every integral, truncated Dirichlet series and running prefix sum in
+the package goes through one core, _evaluate(). It makes one ordered
+pass of the sieve's factor kernel, whatever the number of requests
+(_Polynomial, _Integral, _Prefix): each segment's lambda and squareful
+mask give lambda, mu and the constant ONE alike, and a pass that serves
+ONE alone does not sieve. Within a pass the terms go in sub-blocks of
+at most 2^15. Around a sub-block's centre N, n^q = N^q exp(q log(n/N)), so
 
     sum a(n) n^q           = N^q (m_0 + q T),
     sum a(n) (X^q - n^q)/q = N^q (m_0 expm1(q D)/q - T),
@@ -36,6 +36,7 @@ means n below about |q| 2^14, the block sums n^q term by term.
 """
 
 import bisect
+import functools
 import csv
 import enum
 import math
@@ -158,6 +159,16 @@ class _Integral:
         return self.s.real + (0.5 if shift else 0.0)
 
 
+@dataclass(frozen=True)
+class _Prefix:
+    """Request that visit(ns, G) see kind's running sum G(n) = sum_{m<=n} a(m)
+    at the n of every sub-block below stop, in ascending order."""
+
+    kind: StepKind
+    stop: int
+    visit: object
+
+
 def _integral(kind, s, X, kernel="auto", tolerance=1e-6, window_divisor=10) -> _Integral:
     """Validated request for the integral integrate_step computes."""
     X = int(X)
@@ -240,14 +251,13 @@ def _taylor_order(x: float):
     return order
 
 
-def _moments(a: dict, rows: dict, delta: np.ndarray) -> dict:
+def _moments(a: dict, rows: dict, delta: np.ndarray | None) -> dict:
     """{kind: [m_0, ..., m_top]}, m_j = sum a[kind] delta^j, for each
-    kind's top row in rows. Row j is the same whatever the other kinds
-    and tops: delta^j comes from one running array."""
+    kind's top row in rows (delta is read only above row 0). Row j is the
+    same whatever the other kinds and tops: delta^j is one running array."""
     moments = {k: [float(a[k].sum())] for k in rows}
-    delta_row = np.ones_like(delta)
     for row in range(1, max(rows.values(), default=0) + 1):
-        delta_row *= delta
+        delta_row = delta.copy() if row == 1 else np.multiply(delta_row, delta, out=delta_row)
         for k, top in rows.items():
             if row <= top:
                 moments[k].append(float(np.dot(a[k], delta_row)))
@@ -281,23 +291,27 @@ def _evaluate(requests, *, segment_size=None) -> dict:
     delta = log n - log N, |delta| <= h, a kind's moments
     m_k = sum a(n) delta^k come from one running power array, row k the
     same whatever the other kinds and orders. A polynomial adds
-    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
-    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
-    and D = log x - log N. Where |q| h > 1 the block sums
+    N^q (m_0 + q T) (m_0 alone at q = 0, where no T is read) and an
+    integral N^q (m_0 expm1(q D)/q - T), with T to the order its own
+    |q| h needs (_taylor_quotient, _taylor_order) and
+    D = log x - log N. Where |q| h > 1 the block sums
     S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
     So a request's bits depend on its kind, q and stop and on the
     sub-block cuts: requests that add no cut leave them unchanged, other
-    cuts move them by rounding only. Tail envelopes, from one running G
-    per kind, are built only for the integrals whose tail is modeled.
+    cuts move them by rounding only. One running G per kind, the
+    compensated sum of its blocks' m_0 plus a cumsum within the block,
+    feeds the tail envelopes of the integrals whose tail is modeled and
+    the visits of _Prefix requests, which have no value.
     """
     requests = set(requests)
     integrals = [r for r in requests if isinstance(r, _Integral)]
+    prefixes = [r for r in requests if isinstance(r, _Prefix)]
     sums = {r: CompensatedSum() if isinstance(r.q, float) else ComplexCompensatedSum()
-            for r in requests}
+            for r in requests if not isinstance(r, _Prefix)}
     # q -> {kind: [(stop, sum, log x or None for a polynomial)]}, latest
     # stop first: resolved once, so that the pass hashes no request
     plans: dict = {}
-    cuts = {r.window_lo for r in integrals}
+    cuts = {r.window_lo for r in integrals} | {r.stop for r in prefixes}
     for r, acc in sums.items():
         entry = (r.x, acc, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, acc, None)
         plans.setdefault(r.q, {}).setdefault(r.kind, []).append(entry)
@@ -307,7 +321,7 @@ def _evaluate(requests, *, segment_size=None) -> dict:
         for plan in by_kind.values():
             plan.sort(key=lambda entry: -entry[0])
     envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals if r.decay > 1.0}
-    g = {k: CompensatedSum() for k, *_ in envs}  # G(b - 1) of each enveloped kind
+    g = {k: CompensatedSum() for k in [k for k, *_ in envs] + [r.kind for r in prefixes]}  # G(b - 1)
     kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
 
     for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size):
@@ -318,9 +332,9 @@ def _evaluate(requests, *, segment_size=None) -> dict:
             ns = np.arange(b, e, dtype=np.float64)
             lam_b = lam[b - lo : e - lo].astype(np.float64)
             sq_b = squareful[b - lo : e - lo]
-            logn = np.log(ns)
-            log_mid = (logn[0] + logn[-1]) / 2
-            h = (logn[-1] - logn[0]) / 2
+            log_lo, log_hi = np.log(ns[[0, -1]])  # the bits of np.log(ns) at its ends
+            log_mid, h = (log_lo + log_hi) / 2, (log_hi - log_lo) / 2
+            logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             powers = _Memo(lambda ex: ns**ex)
             a = _Memo(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
@@ -332,21 +346,26 @@ def _evaluate(requests, *, segment_size=None) -> dict:
                 k, ex, w_lo, x = key
                 if w_lo <= b and e <= x:
                     envs[key] = max(envs[key], peaks[k, ex])
+            visited = [r for r in prefixes if b < r.stop]
+            for r in visited:
+                r.visit(ns, g[r.kind].value + np.cumsum(a[r.kind]))  # G(n) on ns
             due = []  # (q, its order K or None, [(kind, plan)]) for the sums this block adds to
-            rows = {}  # kind -> highest moment row any of its exponents needs
+            # kind -> highest moment row any of its exponents needs; m_0 advances a visited G
+            rows = {r.kind: 0 for r in visited}
             for q, by_kind in plans.items():
                 q_plans = [(k, plan) for k, plan in by_kind.items() if b < plan[0][0] and live[k]]
                 if q_plans:
                     order = _taylor_order(abs(q) * h)
                     due.append((q, order, q_plans))
-                    for k, _ in q_plans:
-                        rows[k] = max(rows.get(k, 0), order or 0)
-            moments = _moments(a, rows, logn - log_mid)
+                    for k, plan in q_plans:
+                        m0_only = not q and all(log_x is None for *_, log_x in plan)
+                        rows[k] = max(rows.get(k, 0), 0 if m0_only else order or 0)
+            moments = _moments(a, rows, logn() - log_mid if any(rows.values()) else None)
             for k in g.keys() & moments.keys():
                 g[k].add(moments[k][0])
             for q, order, q_plans in due:
                 if order is None:
-                    power = np.exp(q * logn)  # one array at a time, shared by q's kinds
+                    power = np.exp(q * logn())  # one array at a time, shared by q's kinds
                 else:
                     scale = np.exp(q * log_mid)
                 for k, plan in q_plans:
@@ -354,7 +373,7 @@ def _evaluate(requests, *, segment_size=None) -> dict:
                     if order is None:
                         total = (a[k] * power).sum()
                     else:
-                        t = _taylor_quotient(q, m, order)
+                        t = _taylor_quotient(q, m, order) if len(m) > order else 0.0
                     for stop, acc, log_x in plan:
                         if stop <= b:
                             break

@@ -3,24 +3,24 @@
 Everything here sums a(n) = lambda(n) for n >= 2 (and a(1) = 0):
 
     F_x(alpha) = sum_{2<=n<=x} lambda(n) n^(-alpha)
-    L_x(xi)    = (beta-alpha) sum_{2<=n<=x} lambda(n) log(n) n^(-xi(n))
+    L_x        = (1/2) sum_{2<=n<=x} lambda(n) log(n) n^(-xi(n))
 
-The L sum is never evaluated by exponentiating xi(n): the mean value
-theorem construction makes its per-term weight exactly
-n^(-alpha) - n^(-beta), and summing that rearranged form keeps the
-decomposition F_x(alpha) = F_x(beta) + L_x(xi) tight to rounding.
-Every sum is one weight w(n) of a single lambda pass, _prefix_fold(),
-so one pass serves any number of weights and their running prefixes.
+with xi(n) the mean value exponent of (alpha, beta) = (1/2, 1), which
+makes L's per-term weight exactly n^(-1/2) - n^(-1): summing that
+rearranged form keeps F_x(1/2) = F_x(1) + L_x tight to rounding.
+Every sum is a polynomial request to the Abel core (integrals._evaluate),
+so one sieve pass serves any number of sums and the sums CSV's rows.
+PrefixEvaluator keeps its own fold for callers that feed it segments.
 """
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
 
 from .compensated import CompensatedSum
 from .errors import DomainError
-from .liouville import iter_lambda_segments
-from .xi import DEFAULT_XI, XiSequence
+from .integrals import StepKind, _evaluate, _Polynomial
 
 
 def mvt_weight(n, alpha: float = 0.5, beta: float = 1.0):
@@ -74,15 +74,6 @@ class PrefixEvaluator:
         return self._acc.value
 
 
-def _mvt(seq: XiSequence):
-    return lambda ns: ns ** -seq.alpha - ns ** -seq.beta
-
-
-def _decomposition_weights(seq: XiSequence) -> list:
-    """Weights of F_x(alpha), F_x(beta) and L_x for seq, in that order."""
-    return [lambda ns: ns ** -seq.alpha, lambda ns: ns ** -seq.beta, _mvt(seq)]
-
-
 def _fold_segment(accs, weights, lo: int, coeffs: np.ndarray, visit=None) -> None:
     """Fold a(n) w(n), n = lo, lo + 1, ..., into accs, one compensated
     sum per weight (float64 n -> w(n)), where a(n) = coeffs[n - lo]
@@ -106,13 +97,20 @@ def _rows_at(marks, ns, prefix) -> list[tuple]:
     return [(m, *(float(p[m - lo]) for p in prefix)) for m in marks if lo <= m <= hi]
 
 
-def _prefix_fold(x: int, weights, visit=None, **stream_kw) -> list[float]:
-    """Totals of sum_{2<=n<=x} lambda(n) w(n), one per weight, in one
-    pass of _fold_segment over the lambda stream (visit as there)."""
-    accs = [CompensatedSum() for _ in weights]
-    for lo, lam in iter_lambda_segments(1, x + 1, **stream_kw):
-        _fold_segment(accs, weights, lo, lam, visit)
-    return [acc.value for acc in accs]
+def _f_request(alpha: float, x: int) -> _Polynomial:
+    """The core request for F_x(alpha): F_HALF's coefficients already
+    carry n^(-1/2), and F_ONE's n^(-1) times n^(1 - alpha) is n^(-alpha)."""
+    x, alpha = int(x), float(alpha)
+    if x < 1:
+        raise DomainError("the partial sums need x >= 1")
+    if alpha == 0.5:
+        return _Polynomial(StepKind.F_HALF, 0.0, x + 1)
+    return _Polynomial(StepKind.F_ONE, 1.0 - alpha, x + 1)
+
+
+def _decomposition(x: int) -> list[_Polynomial]:
+    """The requests for F_x(1/2), F_x(1) and L_x, in that order."""
+    return [_f_request(0.5, x), _f_request(1.0, x), _Polynomial(StepKind.L_XI, 0.0, int(x) + 1)]
 
 
 def f_x(alpha: float, x: int, *, segment_size: int | None = None) -> float:
@@ -120,59 +118,49 @@ def f_x(alpha: float, x: int, *, segment_size: int | None = None) -> float:
 
     F_1(alpha) = 0 for every alpha, and F_x(1) = T(x) - 1.
     """
-    x = int(x)
-    if x < 1:
-        raise DomainError("f_x needs x >= 1")
-    alpha = float(alpha)
-    return _prefix_fold(x, [lambda ns: ns ** -alpha], segment_size=segment_size)[0]
+    r = _f_request(alpha, x)
+    return _evaluate([r], segment_size=segment_size)[r]
 
 
-def l_x(seq: XiSequence, x: int, *, segment_size: int | None = None) -> float:
-    """L_x for the given xi construction; L_1 = 0.
+def l_x(x: int, *, segment_size: int | None = None) -> float:
+    """L_x = F_x(1/2) - F_x(1), summed over the exact rearranged weights
+    n^(-1/2) - n^(-1) of the default xi construction; L_1 = 0."""
+    r = _decomposition(x)[2]
+    return _evaluate([r], segment_size=segment_size)[r]
 
-    Sums the exact rearranged weights n^(-alpha) - n^(-beta).
+
+class PartialSums(NamedTuple):
+    """What partial_sums returns; rows is 0 when it wrote no CSV."""
+
+    f_half: float
+    f_one: float
+    l_x: float
+    f_alpha: tuple[float, ...]
+    rows: int
+
+
+def partial_sums(x: int, alphas=(), *, csv_path=None, segment_size=None) -> PartialSums:
+    """F_x(1/2), F_x(1), L_x and F_x(alpha) for each of alphas, in one pass.
+
+    With csv_path, the same pass writes the (x, F_half, F_one, L) rows
+    of write_sums_csv there.
     """
     x = int(x)
-    if x < 1:
-        raise DomainError("l_x needs x >= 1")
-    return _prefix_fold(x, [_mvt(seq)], segment_size=segment_size)[0]
+    marks = sorted({1 << k for k in range(x.bit_length())} | {x}) if csv_path else [x]
+    rows = {m: _decomposition(m) for m in marks}
+    extra = [_f_request(alpha, x) for alpha in alphas]
+    values = _evaluate([*extra, *(r for row in rows.values() for r in row)], segment_size=segment_size)
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x", "F_half", "F_one", "L"])
+            for m, row in rows.items():
+                w.writerow([m, *(repr(values[r]) for r in row)])
+    f_alpha = tuple(values[r] for r in extra)
+    return PartialSums(*(values[r] for r in rows[x]), f_alpha, len(rows) if csv_path else 0)
 
 
-def write_sums_csv(
-    path: str,
-    x: int,
-    *,
-    seq: XiSequence = DEFAULT_XI,
-    segment_size: int | None = None,
-) -> int:
-    """Stream to x once, writing (x, F_half, F_one, L) rows.
-
-    Rows are kept at powers of two plus the final x; returns the row
-    count. F_half/F_one use the seq's endpoints, so the header names
-    stay honest for non-default (alpha, beta).
-    """
-    return _write_sums_csv(path, x, seq, [], segment_size=segment_size)[0]
-
-
-def _write_sums_csv(path: str, x: int, seq: XiSequence, extra_weights: list, **stream_kw):
-    """write_sums_csv, folding extra_weights into the same lambda pass.
-
-    Returns the row count and the totals of the extra weights.
-    """
-    x = int(x)
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    marks = sorted({1 << k for k in range(x.bit_length())} | {x})
-    rows: list[tuple[int, float, float, float]] = []
-
-    def visit(ns, prefix):
-        rows.extend(_rows_at(marks, ns, prefix[:3]))
-
-    totals = _prefix_fold(x, _decomposition_weights(seq) + extra_weights, visit, **stream_kw)
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "F_half", "F_one", "L"])
-        for n, va, vb, vl in rows:
-            w.writerow([n, repr(va), repr(vb), repr(vl)])
-    return len(rows), totals[3:]
+def write_sums_csv(path: str, x: int, *, segment_size: int | None = None) -> int:
+    """Sum to x once, writing (x, F_half, F_one, L) rows at the powers
+    of two and at x; returns the row count."""
+    return partial_sums(x, csv_path=path, segment_size=segment_size).rows

@@ -8,7 +8,9 @@ for 1/2 < sigma <= 1, where convergence of the integral routes is
 conditional, cases carry an "empirical" flag and a fixed 1e-2 band, and
 they report honestly rather than assert. Observational scans (the
 running maximum of L_x, the growth exponent of P) return reports with
-no pass/fail at all: they concern open problems.
+no pass/fail at all: they concern open problems. Every check is a set
+of requests to the Abel core (integrals._evaluate), so a suite makes
+one sieve pass; the scans read L_x and P(n) through its visits.
 """
 
 import json
@@ -18,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .integrals import StepKind, _evaluate, _integral, _j_xi, _Polynomial
-from .sums import _mvt, _prefix_fold
-from .xi import DEFAULT_XI
+from .integrals import StepKind, _evaluate, _integral, _j_xi, _Polynomial, _Prefix
 from .zeta import shifted_ratio, zeta, zeta_ratio
 
 DEFAULT_S_POINTS = (2.0, 3.0, 1.5 + 2j, 0.75, 0.6 + 1j)
@@ -162,6 +162,8 @@ def _ratio_decomposition(s, X):
     s = complex(s)
     if s.real <= 0.5:
         raise DomainError("verify_ratio_decomposition needs sigma > 1/2")
+    if s == 1:
+        raise DomainError("s = 1 sits on the zeta pole")
     j, one = _j_xi(s, X), _integral(StepKind.F_ONE, s, X)
 
     def build(r):
@@ -255,21 +257,20 @@ class ConditionRReport:
     best_r: float
 
 
-def explore_condition_r(x_max: int, *, seq=DEFAULT_XI, **stream_kw) -> ConditionRReport:
+def explore_condition_r(x_max: int, **stream_kw) -> ConditionRReport:
     x_max = int(x_max)
     if x_max < 2:
         raise DomainError("explore_condition_r needs x_max >= 2")
-    best = -math.inf
-    arg = 2
+    best, arg = -math.inf, 2
 
-    def visit(ns, prefix):
+    def visit(ns, running_l):
         nonlocal best, arg
-        vals = np.where(ns >= 2, prefix[0], -math.inf)
+        vals = np.where(ns >= 2, running_l, -math.inf)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, arg = float(vals[i]), int(ns[i])
 
-    _prefix_fold(x_max, [_mvt(seq)], visit, **stream_kw)
+    _evaluate([_Prefix(StepKind.L_XI, x_max + 1, visit)], **stream_kw)
     return ConditionRReport(x_max=x_max, max_value=best, argmax=arg, best_r=1.0 - best)
 
 
@@ -312,19 +313,18 @@ def growth_exponent_diagnostic(x_max: int, **stream_kw) -> GrowthExponentReport:
     x_max = int(x_max)
     if x_max < 10**3:
         raise DomainError("growth_exponent_diagnostic needs x_max >= 1000")
-    xs_peaks, v_peaks = [], []
-    record = 0.0
+    xs_peaks, v_peaks, record = [], [], 0.0
 
-    def visit(ns, prefix):
-        # |P| = |1 + prefix| is exact in float64: every partial sum is an integer below 2^53
+    def visit(ns, p):
+        # P_OVER_U's running sum is P(n) itself, exact in float64: an integer below 2^53
         nonlocal record
-        av = np.abs(1.0 + prefix[0])
+        av = np.abs(p)
         hits = av > np.maximum.accumulate(np.concatenate(([record], av[:-1])))  # strict records
         xs_peaks.extend(ns[hits])
         v_peaks.extend(av[hits])
         record = max(record, float(av.max()))
 
-    _prefix_fold(x_max, [lambda ns: 1.0], visit, **stream_kw)
+    _evaluate([_Prefix(StepKind.P_OVER_U, x_max + 1, visit)], **stream_kw)
     exponent, stderr, count = fit_growth_exponent(xs_peaks, v_peaks)
     flags = []
     if x_max <= 10**3 or count < 10:
@@ -359,10 +359,9 @@ def run_default_suite(
         if s.real > 1:
             plans.append(_reciprocal_integral(s, X))
             plans.append(_ratio_integral(s, X))
-        if s.real > 0.5:
+        if s.real > 0.5 and s != 1:
             plans.append(_ratio_decomposition(s, X))
-            if s != 1:
-                plans.append(_shifted_identity(s, X))
+            plans.append(_shifted_identity(s, X))
         plans.append(_finite_linearity(s, X))
     return sort_cases(_run(plans, stream_kw))
 
@@ -377,10 +376,8 @@ def sort_cases(cases) -> list[VerificationCase]:
 
 def write_report_json(cases, path: str) -> None:
     """Serialize cases (sorted) to a JSON array with fixed field order."""
-    payload = [c.to_json_dict() for c in sort_cases(cases)]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(report_json_text(cases) + "\n")
 
 
 def report_json_text(cases) -> str:

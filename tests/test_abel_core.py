@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from per_cell import per_cell_integral
 from zetalab import (
+    DomainError,
     StepFunction,
     StepKind,
     estimate_sigma_c,
+    explore_condition_r,
     f_x,
+    growth_exponent_diagnostic,
     integrate_step,
     run_default_suite,
     verify_finite_linearity,
@@ -26,6 +29,7 @@ from zetalab import (
     write_sums_csv,
 )
 from zetalab.cli import main
+from zetalab.liouville import mobius_segment, sieve_range
 from zetalab.integrals import (
     _SUB_BLOCK,
     _TAYLOR_TOL,
@@ -35,6 +39,7 @@ from zetalab.integrals import (
     _Integral,
     _moments,
     _Polynomial,
+    _Prefix,
     _taylor_order,
     _taylor_quotient,
 )
@@ -320,6 +325,67 @@ def test_sums_out_with_alpha_is_one_pass(kernel_calls, capsys, tmp_path):
     assert f"F_3000(0.25) = {f_x(0.25, 3000, segment_size=1000):.15g}" in capsys.readouterr().out
     write_sums_csv(str(tmp_path / "alone.csv"), 3000, segment_size=1000)
     assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_scans_are_one_pass(kernel_calls):
+    explore_condition_r(3000, segment_size=1000)
+    assert kernel_calls == _one_pass(3001, 1000)
+    kernel_calls.clear()
+    growth_exponent_diagnostic(3000, segment_size=1000)
+    assert kernel_calls == _one_pass(3001, 1000)
+
+
+def test_ratio_decomposition_at_the_pole_raises_before_the_pass(kernel_calls):
+    with pytest.raises(DomainError):
+        verify_ratio_decomposition(1.0, 10**6)
+    assert kernel_calls == []
+
+
+def _prefix_coefficients(kind, stop):
+    """a(n) for n in [1, stop), from the sieve's table rather than the core."""
+    ns = np.arange(1, stop, dtype=np.float64)
+    lam = sieve_range(1, stop).values.astype(np.float64)
+    if kind is StepKind.P_OVER_U:
+        return lam  # a(1) = lambda(1) = 1, so G(n) = P(n)
+    a = {
+        StepKind.F_HALF: lam * ns**-0.5,
+        StepKind.L_XI: lam * (ns**-0.5 - 1.0 / ns),
+        StepKind.MU_ONE: mobius_segment(1, stop) / ns,
+    }[kind]
+    a[0] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("segment_size", [89, 4097, None])
+def test_prefix_visits_see_each_n_once_in_order(segment_size):
+    """_Prefix visits cover [1, stop) once, in ascending order, with the
+    running sum of the kind's a(n), among other requests whose stops and
+    windows cut the sub-blocks elsewhere, through sub-blocks where a(n)
+    vanishes; an enveloped integral of F_HALF shares its running G with
+    the F_HALF visits."""
+    stops = {StepKind.P_OVER_U: 10007, StepKind.F_HALF: 5000, StepKind.L_XI: 9999,
+             StepKind.MU_ONE: 7001}
+    seen = {kind: [] for kind in stops}
+    prefixes = [
+        _Prefix(kind, stop, lambda ns, g, kind=kind: seen[kind].append((ns.copy(), g.copy())))
+        for kind, stop in stops.items()
+    ]
+    others = [
+        _Polynomial(StepKind.ONE, 0.0, 2),  # a sub-block [1, 2) where only P_OVER_U is live
+        _Polynomial(StepKind.F_ONE, 0.0, 3001),
+        _Polynomial(StepKind.L_XI, -0.5 + 1j, 12345),
+        _integral(StepKind.F_HALF, 2.0, 7777),
+    ]
+    _evaluate([*prefixes, *others], segment_size=segment_size)
+    for kind, stop in stops.items():
+        ns = np.concatenate([ns for ns, _ in seen[kind]])
+        g = np.concatenate([g for _, g in seen[kind]])
+        assert np.array_equal(ns, np.arange(1, stop)), kind
+        expected = np.cumsum(_prefix_coefficients(kind, stop))
+        if kind is StepKind.P_OVER_U:
+            assert np.array_equal(g, expected)  # integers: exact
+        else:
+            assert np.max(np.abs(g - expected)) <= 1e-13, kind
 
 
 @settings(max_examples=25, deadline=None)

@@ -302,6 +302,20 @@ def test_verify_unknown_case(capsys):
     assert code == 1 and "no case name contains" in err
 
 
+def test_verify_all_at_the_pole_reports_the_other_cases(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--X", "1e4", "--s", "2", "--s", "1")
+    assert code == 0
+    cases = {line.split(" X=")[0] for line in out.splitlines() if line.startswith("[")}
+    assert cases == {
+        "[PASS] pnt_limit",
+        *(f"[PASS] {name} s=2.0000" for name in (
+            "zeta_reciprocal_integral", "ratio_integral", "ratio_decomposition",
+            "shifted_ratio_identity", "finite_linearity",
+        )),
+        "[PASS] finite_linearity s=1.0000",
+    }
+
+
 def test_verify_custom_s_points(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--X", "500", "--s", "2", "--s", "3")
     assert code == 0

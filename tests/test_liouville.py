@@ -25,12 +25,12 @@ from zetalab import (
     ScanCheckpoint,
     iter_lambda_segments,
     iter_mobius_segments,
-    liouville,
     run_scan,
     scan_polya,
     scan_turan,
     sieve_range,
 )
+from zetalab.liouville import liouville
 
 
 def _omega_oracle(n: int) -> int:

@@ -16,12 +16,11 @@ from zetalab import (
     PrefixEvaluator,
     f_x,
     l_x,
-    liouville,
     mvt_weight,
     sieve_range,
     write_sums_csv,
 )
-from zetalab.liouville import iter_lambda_segments, mobius_segment
+from zetalab.liouville import iter_lambda_segments, liouville, mobius_segment
 from zetalab.compensated import CompensatedSum
 
 
@@ -29,8 +28,8 @@ def test_hand_values():
     assert f_x(0.5, 3) == pytest.approx(-(2**-0.5 + 3**-0.5), abs=1e-15)
     assert f_x(1.0, 1) == 0.0
     assert f_x(0.5, 1) == 0.0
-    assert l_x(DEFAULT_XI, 1) == 0.0
-    assert l_x(DEFAULT_XI, 2) == pytest.approx(-(2**-0.5 - 0.5), abs=1e-16)
+    assert l_x(1) == 0.0
+    assert l_x(2) == pytest.approx(-(2**-0.5 - 0.5), abs=1e-16)
 
 
 def test_f_one_matches_exact_rational():
@@ -54,7 +53,7 @@ def test_decomposition_identity():
     for x in (10, 1000, 10**5):
         fa = f_x(0.5, x)
         fb = f_x(1.0, x)
-        lv = l_x(DEFAULT_XI, x)
+        lv = l_x(x)
         assert abs(fa - fb - lv) <= 1e-10 * (1.0 + abs(fa))
 
 
@@ -65,7 +64,7 @@ def test_l_x_direct_route_agrees():
         lam = sieve_range(2, x + 1).values
         ns = np.arange(2, x + 1, dtype=np.float64)
         terms = lam * (b - a) * np.log(ns) * np.power(ns, -DEFAULT_XI.xi(ns))
-        assert l_x(DEFAULT_XI, x) == pytest.approx(math.fsum(terms.tolist()), abs=1e-11)
+        assert l_x(x) == pytest.approx(math.fsum(terms.tolist()), abs=1e-11)
 
 
 def test_order_independence():
@@ -133,7 +132,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         f_x(0.5, 0)
     with pytest.raises(DomainError):
-        l_x(DEFAULT_XI, 0)
+        l_x(0)
 
 
 def test_write_sums_csv(tmp_path):
@@ -147,7 +146,7 @@ def test_write_sums_csv(tmp_path):
     last = records[-1]
     assert float(last["F_half"]) == pytest.approx(f_x(0.5, 1000), abs=1e-14)
     assert float(last["F_one"]) == pytest.approx(f_x(1.0, 1000), abs=1e-14)
-    assert float(last["L"]) == pytest.approx(l_x(DEFAULT_XI, 1000), abs=1e-14)
+    assert float(last["L"]) == pytest.approx(l_x(1000), abs=1e-14)
     resid = float(last["F_half"]) - float(last["F_one"]) - float(last["L"])
     assert abs(resid) < 1e-12
 
@@ -167,4 +166,4 @@ def test_sums_csv_rows_match_standalone_sums(tmp_path_factory, x, seg):
         m = int(r["x"])
         assert float(r["F_half"]) == pytest.approx(f_x(0.5, m), abs=1e-13)
         assert float(r["F_one"]) == pytest.approx(f_x(1.0, m), abs=1e-13)
-        assert float(r["L"]) == pytest.approx(l_x(DEFAULT_XI, m), abs=1e-13)
+        assert float(r["L"]) == pytest.approx(l_x(m), abs=1e-13)

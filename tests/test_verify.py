@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from zetalab import (
-    DEFAULT_XI,
     DomainError,
     explore_condition_r,
     fit_growth_exponent,
@@ -103,7 +102,7 @@ def test_condition_r_hand_values():
     assert r.best_r == pytest.approx(1 + (2**-0.5 - 0.5), abs=1e-15)
 
     # independent brute force over x <= 50
-    vals = {x: l_x(DEFAULT_XI, x) for x in range(2, 51)}
+    vals = {x: l_x(x) for x in range(2, 51)}
     best_x = max(vals, key=vals.get)
     r = explore_condition_r(50)
     assert r.argmax == best_x

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import DEFAULT_XI, DomainError, XiSequence, check_monotone_limit, xi, xi_residual
-from zetalab.xi import write_xi_csv
+from zetalab import DEFAULT_XI, DomainError, XiSequence, check_monotone_limit, xi_residual
+from zetalab.xi import write_xi_csv, xi
 
 
 def _bisect_xi(n: float, alpha: float = 0.5, beta: float = 1.0) -> float:

@@ -18,10 +18,10 @@ from zetalab import (
     lambda_series,
     real_bounds_check,
     shifted_ratio,
-    zeta,
     zeta_ratio,
     zeta_with_error,
 )
+from zetalab.zeta import zeta
 
 zeta_module = importlib.import_module("zetalab.zeta")
 
