@@ -3,10 +3,9 @@
 Every run is seed-free and deterministic. Integer outputs (lambda, mu,
 P, argmins, sign-change counts, checkpoint integers) are bit-exact
 everywhere. Float outputs are byte-identical for one machine, code
-version and --segment-size, whatever the hash seed, and agree within a
-few ulp across segment sizes. A flat key=value config file can preset
-any flag; explicit flags win over the file, and a key that no
-subcommand reads is an error.
+version and BLAS thread count, whatever the hash seed. A flat
+key=value config file can preset any flag; explicit flags win over the
+file, and a key that no subcommand reads is an error.
 """
 
 import argparse
@@ -133,8 +132,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value preset file")
     common.add_argument("--quiet", action="store_true", help="suppress stdout (files still written)")
-    sieving = argparse.ArgumentParser(add_help=False, parents=[common])
-    sieving.add_argument("--segment-size", type=_num_int, default=None, help="sieve segment length")
 
     parser = argparse.ArgumentParser(
         prog="zetalab",
@@ -142,12 +139,12 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", parents=[sieving], help="tabulate lambda(n) on a range")
+    p = sub.add_parser("sieve", parents=[common], help="tabulate lambda(n) on a range")
     p.add_argument("--lo", type=_num_int, default=1)
     p.add_argument("--hi", type=_num_int, required=True, help="inclusive upper end")
     p.add_argument("--out", help="CSV destination (default: stdout)")
 
-    p = sub.add_parser("scan", parents=[sieving], help="scan P(x) and T(x) sign behavior")
+    p = sub.add_parser("scan", parents=[common], help="scan P(x) and T(x) sign behavior")
     p.add_argument("--limit", type=_num_int, required=True)
     p.add_argument("--polya", action="store_true", help="report only the P(x) series")
     p.add_argument("--turan", action="store_true", help="report only the T(x) series")
@@ -156,7 +153,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--csv", help="trace CSV path")
     p.add_argument("--csv-stride", type=_num_int, default=1)
 
-    p = sub.add_parser("sums", parents=[sieving], help="Dirichlet polynomial partial sums")
+    p = sub.add_parser("sums", parents=[common], help="Dirichlet polynomial partial sums")
     p.add_argument("--x", type=_num_int, required=True)
     p.add_argument("--alpha", type=_finite_float, default=None, help="evaluate F_x(alpha) only")
     p.add_argument("--out", help="CSV of (x, F_half, F_one, L) at powers of two")
@@ -173,14 +170,14 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--N", type=_num_int, default=None, help="Euler-Maclaurin cutoff")
     p.add_argument("--bern", type=_num_int, default=8, help="Bernoulli correction terms")
 
-    p = sub.add_parser("integrate", parents=[sieving], help="integrate a step function against a kernel")
+    p = sub.add_parser("integrate", parents=[common], help="integrate a step function against a kernel")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
     p.add_argument("--s", type=_complex_arg, required=True, metavar="RE[,IM]")
     p.add_argument("--X", type=_num_int, required=True)
     p.add_argument("--kernel", choices=("auto", "plain", "half_shifted"), default="auto")
     p.add_argument("--tolerance", type=_finite_float, default=1e-6, help="convergence tolerance")
 
-    p = sub.add_parser("verify", parents=[sieving], help="run identity residual checks")
+    p = sub.add_parser("verify", parents=[common], help="run identity residual checks")
     p.add_argument("--all", action="store_true", help="run the default suite")
     p.add_argument("--case", help="only cases whose name contains this substring")
     p.add_argument("--X", type=_num_int, default=DEFAULT_X)
@@ -188,7 +185,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    help="evaluation point (repeatable; default suite points)")
     p.add_argument("--out", help="JSON report destination")
 
-    p = sub.add_parser("sigma-c", parents=[sieving], help="bracket a convergence abscissa empirically")
+    p = sub.add_parser("sigma-c", parents=[common], help="bracket a convergence abscissa empirically")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
     p.add_argument("--grid", type=_float_list, required=True, metavar="A:B:STEP|LIST")
     p.add_argument("--schedule", type=_int_list, required=True, metavar="X1,X2,...")
@@ -246,7 +243,7 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
 
 
 def _cmd_sieve(args, say) -> int:
-    table = sieve_range(args.lo, args.hi + 1, segment_size=args.segment_size)
+    table = sieve_range(args.lo, args.hi + 1)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("n,lambda\n")
@@ -262,7 +259,6 @@ def _cmd_sieve(args, say) -> int:
 def _cmd_scan(args, say) -> int:
     result = run_scan(
         args.limit,
-        segment_size=args.segment_size,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         csv_path=args.csv,
@@ -282,18 +278,17 @@ def _cmd_scan(args, say) -> int:
 
 
 def _cmd_sums(args, say) -> int:
-    kw = dict(segment_size=args.segment_size)
     if args.out:
         # F_x(alpha) rides in the CSV's pass
         alphas = () if args.alpha is None else (args.alpha,)
-        sums = partial_sums(args.x, alphas, csv_path=args.out, **kw)
+        sums = partial_sums(args.x, alphas, csv_path=args.out)
         say(f"wrote {sums.rows} rows to {args.out}")
         if args.alpha is not None:
             say(f"F_{args.x}({args.alpha:g}) = {sums.f_alpha[0]:.15g}")
     elif args.alpha is not None:
-        say(f"F_{args.x}({args.alpha:g}) = {f_x(args.alpha, args.x, **kw):.15g}")
+        say(f"F_{args.x}({args.alpha:g}) = {f_x(args.alpha, args.x):.15g}")
     else:
-        fh, fo, lv, *_ = partial_sums(args.x, **kw)
+        fh, fo, lv, *_ = partial_sums(args.x)
         say(f"F_{args.x}(1/2) = {fh:.15g}")
         say(f"F_{args.x}(1)   = {fo:.15g}")
         say(f"L_{args.x}      = {lv:.15g}")
@@ -333,10 +328,7 @@ def _cmd_zeta(args, say) -> int:
 
 def _cmd_integrate(args, say) -> int:
     G = StepFunction(StepKind(args.kind), max(args.X, 2))
-    res = integrate_step(
-        G, args.s, args.X,
-        kernel=args.kernel, tolerance=args.tolerance, segment_size=args.segment_size,
-    )
+    res = integrate_step(G, args.s, args.X, kernel=args.kernel, tolerance=args.tolerance)
     say(f"value = {_fmt_complex(res.value)}")
     say(f"truncation X = {res.truncation}")
     say(f"tail estimate = {res.tail_estimate:.3e} ({res.tail_model})")
@@ -348,7 +340,7 @@ def _cmd_verify(args, say) -> int:
     if not args.all and not args.case:
         raise DomainError("pass --all, or --case NAME to filter")
     s_points = tuple(args.s) if args.s else DEFAULT_S_POINTS
-    cases = run_default_suite(s_points, args.X, segment_size=args.segment_size)
+    cases = run_default_suite(s_points, args.X)
     if args.case:
         cases = [c for c in cases if args.case in c.name]
         if not cases:
@@ -367,10 +359,7 @@ def _cmd_verify(args, say) -> int:
 
 def _cmd_sigma_c(args, say) -> int:
     G = StepFunction(StepKind(args.kind), max(args.schedule))
-    est = estimate_sigma_c(
-        G, args.grid, args.schedule,
-        kernel=args.kernel, trace_path=args.trace, segment_size=args.segment_size,
-    )
+    est = estimate_sigma_c(G, args.grid, args.schedule, kernel=args.kernel, trace_path=args.trace)
     for sigma in est.sigma_grid:
         say(f"sigma={sigma:g}: {est.classifications[sigma]}")
     say(f"abscissa bracket: [{est.lower:g}, {est.upper:g}]")

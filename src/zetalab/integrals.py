@@ -278,7 +278,7 @@ def _expm1_over(q, d):
     return np.expm1(q * d) / q if q else d
 
 
-def _evaluate(requests, *, segment_size=None) -> dict:
+def _evaluate(requests) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
     One ordered pass of the factor kernel serves every request: each
@@ -324,7 +324,7 @@ def _evaluate(requests, *, segment_size=None) -> dict:
     g = {k: CompensatedSum() for k in [k for k, *_ in envs] + [r.kind for r in prefixes]}  # G(b - 1)
     kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
 
-    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1], segment_size):
+    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1]):
         hi = lo + len(lam)
         b = lo
         while b < hi:
@@ -421,7 +421,6 @@ def integrate_step(
     *,
     kernel: str = "auto",
     tolerance: float = 1e-6,
-    segment_size: int | None = None,
 ) -> IntegralResult:
     """Integrate G against its kernel over [1, X], exactly, by Abel summation.
 
@@ -431,16 +430,10 @@ def integrate_step(
     decade [X/10, X].
     """
     r = _integral(G.kind, s, G.limit if X is None else X, kernel, tolerance)
-    return _evaluate([r], segment_size=segment_size)[r]
+    return _evaluate([r])[r]
 
 
-def j_xi(
-    s: complex,
-    X: int,
-    *,
-    tolerance: float = 1e-6,
-    segment_size: int | None = None,
-) -> IntegralResult:
+def j_xi(s: complex, X: int, *, tolerance: float = 1e-6) -> IntegralResult:
     """Truncation of J(s) = integral of L_u against u^(-s-1/2).
 
     Unconditional convergence holds only for sigma > 1; for
@@ -449,7 +442,7 @@ def j_xi(
     last octave [X/2, X], where |L_u| grows too slowly to need a decade.
     """
     r = _j_xi(s, X, tolerance)
-    return _evaluate([r], segment_size=segment_size)[r]
+    return _evaluate([r])[r]
 
 
 @dataclass(frozen=True)
@@ -501,7 +494,6 @@ def estimate_sigma_c(
     *,
     kernel: str = "auto",
     trace_path: str | None = None,
-    segment_size: int | None = None,
 ) -> SigmaCEstimate:
     """Bracket the convergence abscissa of the truncated integrals.
 
@@ -530,7 +522,7 @@ def estimate_sigma_c(
         for sigma in grid
         for x in sched
     }
-    values = _evaluate(requests.values(), segment_size=segment_size)
+    values = _evaluate(requests.values())
     for sigma in grid:
         results = [values[requests[sigma, x]] for x in sched]
         traces[sigma] = tuple(r.value for r in results)

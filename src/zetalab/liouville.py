@@ -15,9 +15,8 @@ end). The powers of 2, 3, 5 and 7 come from one precomputed period of
 every other base prime, each factor as -p, so the product's sign
 carries the parity of the count. What is left of n, n / |product|, is
 either 1 or a single prime above the base limit. The per-n results are
-exact integers, so the segment size never changes them. A float fold
-over them, such as the Turan sum, is byte-identical for one segment
-size and agrees within a few ulp across segment sizes.
+exact integers. The stream runs in segments of DEFAULT_SEGMENT, so a
+float fold over it, such as the Turan sum, has one summation order.
 """
 
 import contextlib
@@ -31,9 +30,9 @@ import numpy as np
 from .compensated import CompensatedSum
 from .errors import CapacityError, DomainError
 
+# The length of every sieve segment; read when a stream starts.
 DEFAULT_SEGMENT = 1 << 20
-# Largest sieve_range() span (int8 values), segment length and
-# _base_primes() limit.
+# Largest sieve_range() span (int8 values) and _base_primes() limit.
 DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
 MAX_N = 1 << 63
@@ -204,14 +203,11 @@ class LiouvilleTable:
         return self.hi - self.lo
 
 
-def sieve_range(lo: int, hi: int, *, segment_size: int | None = None) -> LiouvilleTable:
+def sieve_range(lo: int, hi: int) -> LiouvilleTable:
     """Sieve lambda over [lo, hi) into one dense table.
 
     Args:
         lo, hi: range bounds, 1 <= lo < hi <= 2**63.
-        segment_size: work-unit size; the values are exact integers, so
-            the result is bit-identical for any choice, it only affects
-            memory traffic.
 
     Returns:
         LiouvilleTable with exact int8 values.
@@ -225,46 +221,32 @@ def sieve_range(lo: int, hi: int, *, segment_size: int | None = None) -> Liouvil
             f"span {hi - lo} exceeds {DEFAULT_MAX_SPAN}; sieve in segments instead"
         )
     out = np.empty(hi - lo, dtype=np.int8)
-    for seg_lo, lam in iter_lambda_segments(lo, hi, segment_size=segment_size):
+    for seg_lo, lam in iter_lambda_segments(lo, hi):
         out[seg_lo - lo : seg_lo - lo + len(lam)] = lam
     out.flags.writeable = False
     return LiouvilleTable(lo, hi, out)
 
 
-def _segment_length(segment_size: int | None) -> int:
-    """segment_size, or the default when None; it must lie in [1, DEFAULT_MAX_SPAN]."""
-    seg = DEFAULT_SEGMENT if segment_size is None else int(segment_size)
-    if seg < 1:
-        raise DomainError("segment_size must be >= 1")
-    if seg > DEFAULT_MAX_SPAN:
-        raise CapacityError(f"segment_size {seg} exceeds {DEFAULT_MAX_SPAN}")
-    return seg
-
-
-def _iter_segments(segment_fn, start, stop, segment_size):
+def _iter_segments(segment_fn, start, stop):
     if start < 1 or stop <= start:
         raise DomainError("need 1 <= start < stop")
     if stop > MAX_N:
         raise DomainError("stop beyond supported 64-bit range")
-    seg = _segment_length(segment_size)
+    seg = DEFAULT_SEGMENT
     base = _base_primes(math.isqrt(stop - 1))
     for lo in range(start, stop, seg):
         yield lo, segment_fn(lo, min(lo + seg, stop), base)
 
 
-def iter_lambda_segments(start: int, stop: int, *, segment_size: int | None = None):
-    """Yield (lo, lambda values) segments covering [start, stop) in order.
-
-    The values are exact, whatever the segment size; a float fold over
-    the stream is byte-identical for one segment size and may move by a
-    few ulp across segment sizes, as its summation order does.
-    """
-    yield from _iter_segments(lambda_segment, start, stop, segment_size)
+def iter_lambda_segments(start: int, stop: int):
+    """Yield (lo, lambda values) segments covering [start, stop) in order,
+    each DEFAULT_SEGMENT long but the last."""
+    yield from _iter_segments(lambda_segment, start, stop)
 
 
-def iter_mobius_segments(start: int, stop: int, *, segment_size: int | None = None):
-    """Mobius counterpart of iter_lambda_segments, same ordering contract."""
-    yield from _iter_segments(mobius_segment, start, stop, segment_size)
+def iter_mobius_segments(start: int, stop: int):
+    """Mobius counterpart of iter_lambda_segments, same segments."""
+    yield from _iter_segments(mobius_segment, start, stop)
 
 
 @dataclass(frozen=True)
@@ -443,7 +425,6 @@ def _open_trace(path: str, next_n: int, stride: int):
 def run_scan(
     limit: int,
     *,
-    segment_size: int | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 1,
     csv_path: str | None = None,
@@ -457,8 +438,9 @@ def run_scan(
     Turan sum is carried across segments with compensated summation and
     each segment is totalled exactly.
 
-    When checkpoint_path is given, progress is saved there and an
-    existing file resumes the scan; limit and segment_size must match.
+    When checkpoint_path is given, progress is saved there every
+    checkpoint_every segments of DEFAULT_SEGMENT and an existing file
+    resumes the scan; its limit and segment length must match.
     When csv_path is given, rows (n, lambda, P, T) are written for
     every n divisible by csv_stride. A resumed scan returns, saves and
     traces exactly what the uninterrupted scan does.
@@ -468,16 +450,15 @@ def run_scan(
         raise DomainError("limit must be >= 1")
     if limit >= MAX_N:
         raise DomainError("limit beyond supported 64-bit range")
-    seg = _segment_length(segment_size)
     if csv_stride < 1:
         raise DomainError("csv stride must be >= 1")
     if checkpoint_every < 1:
         raise DomainError("checkpoint_every must be >= 1")
 
-    ck = ScanCheckpoint(limit, seg)
+    ck = ScanCheckpoint(limit, DEFAULT_SEGMENT)
     if checkpoint_path and os.path.exists(checkpoint_path):
         ck = ScanCheckpoint.load(checkpoint_path)
-        if ck.limit != limit or ck.segment_size != seg:
+        if ck.limit != limit or ck.segment_size != DEFAULT_SEGMENT:
             raise DomainError("checkpoint was written for different scan parameters "
                               f"(limit={ck.limit}, segment_size={ck.segment_size})")
 
@@ -485,7 +466,7 @@ def run_scan(
              else _open_trace(csv_path, ck.next_n, csv_stride))
     with trace as csv_fh:
         if ck.next_n <= limit:
-            for lo, lam in iter_lambda_segments(ck.next_n, limit + 1, segment_size=seg):
+            for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
                 p_vals = lam.astype(np.int64)
                 p_vals[0] += ck.p_sum
                 np.cumsum(p_vals, out=p_vals)

@@ -113,20 +113,20 @@ def _decomposition(x: int) -> list[_Polynomial]:
     return [_f_request(0.5, x), _f_request(1.0, x), _Polynomial(StepKind.L_XI, 0.0, int(x) + 1)]
 
 
-def f_x(alpha: float, x: int, *, segment_size: int | None = None) -> float:
+def f_x(alpha: float, x: int) -> float:
     """F_x(alpha) = sum_{2<=n<=x} lambda(n) n^(-alpha).
 
     F_1(alpha) = 0 for every alpha, and F_x(1) = T(x) - 1.
     """
     r = _f_request(alpha, x)
-    return _evaluate([r], segment_size=segment_size)[r]
+    return _evaluate([r])[r]
 
 
-def l_x(x: int, *, segment_size: int | None = None) -> float:
+def l_x(x: int) -> float:
     """L_x = F_x(1/2) - F_x(1), summed over the exact rearranged weights
     n^(-1/2) - n^(-1) of the default xi construction; L_1 = 0."""
     r = _decomposition(x)[2]
-    return _evaluate([r], segment_size=segment_size)[r]
+    return _evaluate([r])[r]
 
 
 class PartialSums(NamedTuple):
@@ -139,7 +139,7 @@ class PartialSums(NamedTuple):
     rows: int
 
 
-def partial_sums(x: int, alphas=(), *, csv_path=None, segment_size=None) -> PartialSums:
+def partial_sums(x: int, alphas=(), *, csv_path=None) -> PartialSums:
     """F_x(1/2), F_x(1), L_x and F_x(alpha) for each of alphas, in one pass.
 
     With csv_path, the same pass writes the (x, F_half, F_one, L) rows
@@ -149,7 +149,7 @@ def partial_sums(x: int, alphas=(), *, csv_path=None, segment_size=None) -> Part
     marks = sorted({1 << k for k in range(x.bit_length())} | {x}) if csv_path else [x]
     rows = {m: _decomposition(m) for m in marks}
     extra = [_f_request(alpha, x) for alpha in alphas]
-    values = _evaluate([*extra, *(r for row in rows.values() for r in row)], segment_size=segment_size)
+    values = _evaluate([*extra, *(r for row in rows.values() for r in row)])
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -160,7 +160,7 @@ def partial_sums(x: int, alphas=(), *, csv_path=None, segment_size=None) -> Part
     return PartialSums(*(values[r] for r in rows[x]), f_alpha, len(rows) if csv_path else 0)
 
 
-def write_sums_csv(path: str, x: int, *, segment_size: int | None = None) -> int:
+def write_sums_csv(path: str, x: int) -> int:
     """Sum to x once, writing (x, F_half, F_one, L) rows at the powers
     of two and at x; returns the row count."""
-    return partial_sums(x, csv_path=path, segment_size=segment_size).rows
+    return partial_sums(x, csv_path=path).rows

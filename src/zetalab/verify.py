@@ -81,13 +81,13 @@ def _case(name, s, X, lhs, rhs, tolerance, flags=()):
     )
 
 
-def _run(plans, stream_kw) -> list[VerificationCase]:
+def _run(plans) -> list[VerificationCase]:
     """Build each (requests, build) plan's case from one shared evaluation.
 
     The evaluation makes one sieve pass for all plans together, so a
     suite costs what its largest single check costs.
     """
-    results = _evaluate([r for requests, _ in plans for r in requests], **stream_kw)
+    results = _evaluate([r for requests, _ in plans for r in requests])
     return [build(results) for _, build in plans]
 
 
@@ -107,13 +107,13 @@ def _pnt_limit(x):
     return [f_one], build
 
 
-def verify_pnt_limit(x: int, **stream_kw) -> VerificationCase:
+def verify_pnt_limit(x: int) -> VerificationCase:
     """F_x(1) against its limit -1 (equivalent to the prime number theorem).
 
     No unconditional rate is known, so the band is coarse below 10^6
     and 0.01 from there on.
     """
-    return _run([_pnt_limit(x)], stream_kw)[0]
+    return _run([_pnt_limit(x)])[0]
 
 
 def _reciprocal_integral(s, X):
@@ -130,13 +130,13 @@ def _reciprocal_integral(s, X):
     return [mu], build
 
 
-def verify_reciprocal_integral(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
+def verify_reciprocal_integral(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     """(-1 + 1/zeta(s))/(s-1) against the integral of the Mobius prefix sum.
 
     The step function is sum_{2<=n<=u} mu(n)/n under the plain u^(-s)
     kernel; valid for sigma > 1.
     """
-    return _run([_reciprocal_integral(s, X)], stream_kw)[0]
+    return _run([_reciprocal_integral(s, X)])[0]
 
 
 def _ratio_integral(s, X):
@@ -153,9 +153,9 @@ def _ratio_integral(s, X):
     return [half], build
 
 
-def verify_ratio_integral(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
+def verify_ratio_integral(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     """(zeta(2s)/zeta(s) - 1)/(s - 1/2) against the F_u(1/2) integral."""
-    return _run([_ratio_integral(s, X)], stream_kw)[0]
+    return _run([_ratio_integral(s, X)])[0]
 
 
 def _ratio_decomposition(s, X):
@@ -179,14 +179,14 @@ def _ratio_decomposition(s, X):
     return [j, one], build
 
 
-def verify_ratio_decomposition(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
+def verify_ratio_decomposition(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     """The three-term split: ratio integral minus J equals the F_u(1) integral.
 
     For sigma > 1 the tolerance is twice the summed tails of the two
     integrals actually evaluated (a triangle bound on the untracked
     F_half tail); in the conditional strip the case is empirical.
     """
-    return _run([_ratio_decomposition(s, X)], stream_kw)[0]
+    return _run([_ratio_decomposition(s, X)])[0]
 
 
 def _shifted_identity(s, X):
@@ -213,13 +213,13 @@ def _shifted_identity(s, X):
     return [j, series], build
 
 
-def verify_shifted_identity(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
+def verify_shifted_identity(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     """zeta(2s)/zeta(s) - (s-1/2) J(s) against zeta(2s+1)/zeta(s+1/2).
 
     The rhs is additionally cross-checked against the truncated series
     sum lambda(n) n^(-s-1/2); the gap rides along as a flag.
     """
-    return _run([_shifted_identity(s, X)], stream_kw)[0]
+    return _run([_shifted_identity(s, X)])[0]
 
 
 def _finite_linearity(s, X):
@@ -233,13 +233,13 @@ def _finite_linearity(s, X):
     return parts, build
 
 
-def verify_finite_linearity(s: complex, X: int = DEFAULT_X, **stream_kw) -> VerificationCase:
+def verify_finite_linearity(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     """Exact finite-X collapse: F_half integral = F_one integral + L integral.
 
     Holds at every s and X by construction of L, independent of any
     convergence question; the band is pure rounding.
     """
-    return _run([_finite_linearity(s, X)], stream_kw)[0]
+    return _run([_finite_linearity(s, X)])[0]
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ class ConditionRReport:
     best_r: float
 
 
-def explore_condition_r(x_max: int, **stream_kw) -> ConditionRReport:
+def explore_condition_r(x_max: int) -> ConditionRReport:
     x_max = int(x_max)
     if x_max < 2:
         raise DomainError("explore_condition_r needs x_max >= 2")
@@ -270,7 +270,7 @@ def explore_condition_r(x_max: int, **stream_kw) -> ConditionRReport:
         if vals[i] > best:
             best, arg = float(vals[i]), int(ns[i])
 
-    _evaluate([_Prefix(StepKind.L_XI, x_max + 1, visit)], **stream_kw)
+    _evaluate([_Prefix(StepKind.L_XI, x_max + 1, visit)])
     return ConditionRReport(x_max=x_max, max_value=best, argmax=arg, best_r=1.0 - best)
 
 
@@ -308,7 +308,7 @@ def fit_growth_exponent(xs, values) -> tuple[float, float, int]:
     return float(slope), float(math.sqrt(max(cov[0][0], 0.0))), len(peaks_x)
 
 
-def growth_exponent_diagnostic(x_max: int, **stream_kw) -> GrowthExponentReport:
+def growth_exponent_diagnostic(x_max: int) -> GrowthExponentReport:
     """Observational estimate of the growth exponent of P(x) = sum lambda(n)."""
     x_max = int(x_max)
     if x_max < 10**3:
@@ -324,7 +324,7 @@ def growth_exponent_diagnostic(x_max: int, **stream_kw) -> GrowthExponentReport:
         v_peaks.extend(av[hits])
         record = max(record, float(av.max()))
 
-    _evaluate([_Prefix(StepKind.P_OVER_U, x_max + 1, visit)], **stream_kw)
+    _evaluate([_Prefix(StepKind.P_OVER_U, x_max + 1, visit)])
     exponent, stderr, count = fit_growth_exponent(xs_peaks, v_peaks)
     flags = []
     if x_max <= 10**3 or count < 10:
@@ -340,11 +340,7 @@ def growth_exponent_diagnostic(x_max: int, **stream_kw) -> GrowthExponentReport:
     )
 
 
-def run_default_suite(
-    s_points=DEFAULT_S_POINTS,
-    X: int = DEFAULT_X,
-    **stream_kw,
-) -> list[VerificationCase]:
+def run_default_suite(s_points=DEFAULT_S_POINTS, X: int = DEFAULT_X) -> list[VerificationCase]:
     """All identity checks at the default evaluation points.
 
     sigma > 1 points exercise every route; conditional-strip points get
@@ -363,7 +359,7 @@ def run_default_suite(
             plans.append(_ratio_decomposition(s, X))
             plans.append(_shifted_identity(s, X))
         plans.append(_finite_linearity(s, X))
-    return sort_cases(_run(plans, stream_kw))
+    return sort_cases(_run(plans))
 
 
 def sort_cases(cases) -> list[VerificationCase]:

@@ -14,6 +14,7 @@ log log n / log n). This module evaluates the closed form, measures the
 defining-equation residual, and scans monotonicity.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,25 +96,16 @@ def check_monotone_limit(seq: XiSequence, n_max: int) -> XiMonotoneReport:
     n_max = int(n_max)
     if n_max < 3:
         raise DomainError("check_monotone_limit needs n_max >= 3")
-    monotone = True
-    first_increase = None
+    gap = float(seq.xi(float(n_max)) - seq.alpha)
     lo = 2
     while lo < n_max:
         hi = min(lo + (1 << 20), n_max)
         ns = np.arange(lo, hi + 1, dtype=np.float64)  # include hi for the seam
-        vals = seq.xi(ns)
-        d = np.diff(vals)
-        bad = d >= 0
+        bad = np.diff(seq.xi(ns)) >= 0
         if bad.any():
-            monotone = False
-            idx = int(np.argmax(bad))
-            cand = lo + idx
-            if first_increase is None or cand < first_increase:
-                first_increase = cand
-            break
+            return XiMonotoneReport(n_max, False, lo + int(np.argmax(bad)), gap)
         lo = hi
-    gap = seq.xi(float(n_max)) - seq.alpha
-    return XiMonotoneReport(n_max, monotone, first_increase, float(gap))
+    return XiMonotoneReport(n_max, True, None, gap)
 
 
 def write_xi_csv(path: str, seq: XiSequence, n_max: int, points: int = 200) -> int:
@@ -121,8 +113,6 @@ def write_xi_csv(path: str, seq: XiSequence, n_max: int, points: int = 200) -> i
 
     Returns the number of rows written.
     """
-    import csv
-
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     if points < 1:

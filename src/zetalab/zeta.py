@@ -154,7 +154,7 @@ def shifted_ratio(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
     return zeta(2 * s + 1, params) / den
 
 
-def lambda_series(s: complex, n_terms: int, *, segment_size: int | None = None) -> complex:
+def lambda_series(s: complex, n_terms: int) -> complex:
     """Truncated Liouville Dirichlet series sum_{n<=N} lambda(n) n^{-s}.
 
     Converges to zeta(2s)/zeta(s) for sigma > 1 as N grows; the caller
@@ -165,7 +165,7 @@ def lambda_series(s: complex, n_terms: int, *, segment_size: int | None = None) 
         raise DomainError("lambda_series needs N >= 1")
     # P's coefficients are lambda(n) itself, n = 1 included
     series = _Polynomial(StepKind.P_OVER_U, -complex(s), n_terms + 1)
-    return complex(_evaluate([series], segment_size=segment_size)[series])
+    return complex(_evaluate([series])[series])
 
 
 @dataclass(frozen=True)

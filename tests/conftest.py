@@ -3,6 +3,8 @@ import contextlib
 import numpy as np
 import pytest
 
+from zetalab import liouville
+
 # Lines recorded by the acceptance suite, echoed after the run so the
 # per-criterion verdicts survive pytest's output capture.
 ACCEPTANCE_LINES: list[str] = []
@@ -36,3 +38,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def segment_length():
+    """A setter for the sieve's segment length, liouville.DEFAULT_SEGMENT,
+    restored after the test; a short length reaches segment boundaries
+    at small limits."""
+    with pytest.MonkeyPatch.context() as mp:
+        yield lambda n: mp.setattr(liouville, "DEFAULT_SEGMENT", n)

@@ -86,10 +86,12 @@ def test_abel_matches_per_cell(kind, kernel):
 
 
 @pytest.mark.parametrize(
-    "segment_size, boundary",
+    "length, boundary",
     [(97, 1 + 97 * 10), (4097, 1 + 4097 * 2), (None, 1 + _SUB_BLOCK)],
 )
-def test_abel_at_segment_and_sub_block_boundaries(segment_size, boundary):
+def test_abel_at_segment_and_sub_block_boundaries(segment_length, length, boundary):
+    if length is not None:
+        segment_length(length)
     for X in (boundary - 1, boundary, boundary + 1):
         for kind, kernel, p in (
             (StepKind.F_HALF, "half_shifted", 2 + 2j),
@@ -98,9 +100,7 @@ def test_abel_at_segment_and_sub_block_boundaries(segment_size, boundary):
             (StepKind.P_OVER_U, "plain", 1 + 1e-6),
         ):
             s = _s_for(kind, kernel, p)
-            mine = integrate_step(
-                StepFunction(kind, X), s, kernel=kernel, segment_size=segment_size
-            ).value
+            mine = integrate_step(StepFunction(kind, X), s, kernel=kernel).value
             assert _close(mine, per_cell_integral(kind, s, X, kernel)), (X, kind, p)
 
 
@@ -207,9 +207,9 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def _one_pass(stop, segment_size):
+def _one_pass(stop, length):
     """The kernel calls of a single pass over [1, stop)."""
-    return [(lo, min(lo + segment_size, stop)) for lo in range(1, stop, segment_size)]
+    return [(lo, min(lo + length, stop)) for lo in range(1, stop, length)]
 
 
 def _standalone_cases(X):
@@ -223,9 +223,10 @@ def _standalone_cases(X):
     return sort_cases(cases)
 
 
-def test_suite_sieves_each_n_once(kernel_calls):
+def test_suite_sieves_each_n_once(kernel_calls, segment_length):
     X = 10**4
-    suite = run_default_suite(X=X, segment_size=4097)
+    segment_length(4097)
+    suite = run_default_suite(X=X)
     # one pass to X + 1 (F_X(1) sums through n = X) serves lambda and mu alike
     assert kernel_calls == _one_pass(X + 1, 4097)
     standalone = _standalone_cases(X)
@@ -245,8 +246,8 @@ def test_requests_of_one_pass_do_not_couple(monkeypatch):
     coefficients vanish past n = 1."""
     seen = {}
 
-    def recording(requests, **kw):
-        seen.update(_evaluate(requests, **kw))
+    def recording(requests):
+        seen.update(_evaluate(requests))
         return seen
 
     verify_module = importlib.import_module("zetalab.verify")
@@ -289,12 +290,11 @@ def test_a_request_moves_by_rounding_only_with_the_cuts_of_its_pass():
         assert shared.tail_model == alone.tail_model, r
 
 
-def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls):
+def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls, segment_length):
     grid = [0.40, 0.45, 0.50, 0.55, 0.60]
     schedule = [10**2, 10**3, 10**4, 3 * 10**4]
-    est = estimate_sigma_c(
-        StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule, segment_size=4097
-    )
+    segment_length(4097)
+    est = estimate_sigma_c(StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule)
     assert kernel_calls == _one_pass(schedule[-1], 4097)
     for sigma in grid:
         for x, value in zip(schedule, est.traces[sigma]):
@@ -310,28 +310,31 @@ def test_one_alone_runs_no_kernel(kernel_calls):
     assert kernel_calls == []
 
 
-def test_sums_command_is_one_pass(kernel_calls, capsys):
-    assert main(["sums", "--x", "3000", "--segment-size", "1000"]) == 0
+def test_sums_command_is_one_pass(kernel_calls, capsys, segment_length):
+    segment_length(1000)
+    assert main(["sums", "--x", "3000"]) == 0
     assert "L_3000" in capsys.readouterr().out
     assert kernel_calls == _one_pass(3001, 1000)
 
 
-def test_sums_out_with_alpha_is_one_pass(kernel_calls, capsys, tmp_path):
+def test_sums_out_with_alpha_is_one_pass(kernel_calls, capsys, tmp_path, segment_length):
     path = tmp_path / "sums.csv"
-    argv = ["sums", "--x", "3000", "--segment-size", "1000", "--alpha", "0.25"]
+    segment_length(1000)
+    argv = ["sums", "--x", "3000", "--alpha", "0.25"]
     assert main(argv + ["--out", str(path)]) == 0
     assert kernel_calls == _one_pass(3001, 1000)
     # the alpha total and the CSV are what their standalone routes give
-    assert f"F_3000(0.25) = {f_x(0.25, 3000, segment_size=1000):.15g}" in capsys.readouterr().out
-    write_sums_csv(str(tmp_path / "alone.csv"), 3000, segment_size=1000)
+    assert f"F_3000(0.25) = {f_x(0.25, 3000):.15g}" in capsys.readouterr().out
+    write_sums_csv(str(tmp_path / "alone.csv"), 3000)
     assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
-def test_scans_are_one_pass(kernel_calls):
-    explore_condition_r(3000, segment_size=1000)
+def test_scans_are_one_pass(kernel_calls, segment_length):
+    segment_length(1000)
+    explore_condition_r(3000)
     assert kernel_calls == _one_pass(3001, 1000)
     kernel_calls.clear()
-    growth_exponent_diagnostic(3000, segment_size=1000)
+    growth_exponent_diagnostic(3000)
     assert kernel_calls == _one_pass(3001, 1000)
 
 
@@ -356,8 +359,8 @@ def _prefix_coefficients(kind, stop):
     return a
 
 
-@pytest.mark.parametrize("segment_size", [89, 4097, None])
-def test_prefix_visits_see_each_n_once_in_order(segment_size):
+@pytest.mark.parametrize("length", [89, 4097, None])
+def test_prefix_visits_see_each_n_once_in_order(segment_length, length):
     """_Prefix visits cover [1, stop) once, in ascending order, with the
     running sum of the kind's a(n), among other requests whose stops and
     windows cut the sub-blocks elsewhere, through sub-blocks where a(n)
@@ -376,7 +379,9 @@ def test_prefix_visits_see_each_n_once_in_order(segment_size):
         _Polynomial(StepKind.L_XI, -0.5 + 1j, 12345),
         _integral(StepKind.F_HALF, 2.0, 7777),
     ]
-    _evaluate([*prefixes, *others], segment_size=segment_size)
+    if length is not None:
+        segment_length(length)
+    _evaluate([*prefixes, *others])
     for kind, stop in stops.items():
         ns = np.concatenate([ns for ns, _ in seen[kind]])
         g = np.concatenate([g for _, g in seen[kind]])
@@ -401,5 +406,7 @@ def test_segment_size_invariance(kind, kernel, sigma, t, X):
     assume(all(abs(s + shift - 1.0) > 1e-6 for shift in (0.0, 0.5, 1.0, 1.5)))
     G = StepFunction(kind, X)
     base = integrate_step(G, s, kernel=kernel)
-    small = integrate_step(G, s, kernel=kernel, segment_size=89)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("zetalab.liouville.DEFAULT_SEGMENT", 89)
+        small = integrate_step(G, s, kernel=kernel)
     assert _close(small.value, base.value)

@@ -127,6 +127,8 @@ def test_flags_a_subcommand_does_not_read_exit_2():
         ["scan", "--limit", "100", "--threads", "2"],
         ["verify", "--all", "--threads", "2"],
         ["xi", "--n", "2", "--segment-size", "64"],
+        ["scan", "--limit", "100", "--segment-size", "64"],
+        ["verify", "--all", "--segment-size", "64"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -163,13 +165,12 @@ def test_scan_damaged_checkpoint_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "segment_size" in err
 
 
-def test_scan_checkpoint_with_a_foreign_next_n_is_an_error(tmp_path, capsys):
+def test_scan_checkpoint_with_a_foreign_next_n_is_an_error(tmp_path, capsys, segment_length):
     ckpt = tmp_path / "scan.ckpt"
-    assert run(capsys, "scan", "--limit", "5000", "--segment-size", "512",
-               "--checkpoint", str(ckpt))[0] == 0
+    segment_length(512)
+    assert run(capsys, "scan", "--limit", "5000", "--checkpoint", str(ckpt))[0] == 0
     ckpt.write_text(ckpt.read_text().replace("next_n=5001", "next_n=99999"))
-    code, out, err = run(capsys, "scan", "--limit", "5000", "--segment-size", "512",
-                         "--checkpoint", str(ckpt))
+    code, out, err = run(capsys, "scan", "--limit", "5000", "--checkpoint", str(ckpt))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "next_n=99999" in err
 
@@ -220,13 +221,13 @@ def test_xi_table_needs_a_point(tmp_path, capsys, points):
 
 
 @pytest.mark.parametrize("argv", [
-    ("scan", "--limit", "3000", "--segment-size", "100",
-     "--checkpoint", "{out}", "--checkpoint-every", "{n}"),
+    ("scan", "--limit", "3000", "--checkpoint", "{out}", "--checkpoint-every", "{n}"),
     ("xi", "--table", "1000", "--points", "{n}", "--out", "{out}"),
     ("zeta", "--s", "2", "--bern", "{n}"),
 ], ids=["checkpoint-every", "points", "bern"])
-def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys):
+def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys, segment_length):
     """As --limit and --X do, these flags read 1e1 as 10."""
+    segment_length(100)  # the scan's 30 segments give --checkpoint-every a count
     results = []
     for n in ("10", "1e1"):
         out = tmp_path / n / "file"
@@ -324,7 +325,7 @@ def test_verify_custom_s_points(capsys):
 
 def test_config_presets_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("# preset for quick runs\nX = 500\nsegment-size = 128\n")
+    cfg.write_text("# preset for quick runs\nX = 500\n")
     out_a = tmp_path / "a.json"
     code, _, _ = run(capsys, "verify", "--all", "--config", str(cfg),
                      "--case", "finite", "--out", str(out_a))
@@ -340,7 +341,7 @@ def test_config_presets_and_flag_precedence(tmp_path, capsys):
 
 def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("checkpoint-every = 4\nsegment-size = 128\ntolerance = 1e-4\n")
+    cfg.write_text("checkpoint-every = 4\ncsv-stride = 4\ntolerance = 1e-4\n")
     code, out, _ = run(capsys, "zeta", "--s", "2", "--config", str(cfg))
     assert code == 0 and "zeta(2.000000)" in out
     code, out, _ = run(capsys, "integrate", "--kind", "F_one", "--s", "2", "--X", "1000",
@@ -351,20 +352,12 @@ def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys)
 def test_config_key_no_subcommand_reads_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     for text, key in (("threads = 2\n", "threads"),
+                      ("segment_size = 128\n", "segment_size"),
                       ("X = 500\nsegment_sise = 128\n", "segment_sise")):
         cfg.write_text(text)
         code, out, err = run(capsys, "verify", "--all", "--case", "finite", "--config", str(cfg))
         assert code == 1 and out == ""
         assert err == f"error: no subcommand reads config key {key}\n"
-
-
-def test_scan_segment_size_above_the_cap_is_an_error(tmp_path, capsys):
-    ckpt = tmp_path / "scan.ckpt"
-    code, out, err = run(capsys, "scan", "--limit", "100", "--segment-size", "1e9",
-                         "--checkpoint", str(ckpt))
-    assert code == 1 and out == ""
-    assert err == "error: segment_size 1000000000 exceeds 67108864\n"
-    assert not ckpt.exists()
 
 
 def test_config_presets_go_through_each_flags_parser(tmp_path, capsys):

@@ -172,10 +172,12 @@ def test_mobius_far_window_matches_sympy():
             assert vals[i] == sympy.mobius(lo + i), lo + i
 
 
-def test_sieve_range_deterministic_across_segmenting():
-    ref = sieve_range(1, 30001, segment_size=30000)
+def test_sieve_range_deterministic_across_segmenting(segment_length):
+    segment_length(30000)
+    ref = sieve_range(1, 30001)
     for seg in (1000, 7777, 10000):
-        got = sieve_range(1, 30001, segment_size=seg)
+        segment_length(seg)
+        got = sieve_range(1, 30001)
         assert np.array_equal(ref.values, got.values)
 
 
@@ -204,15 +206,17 @@ def test_far_windows_without_base_primes_are_refused_at_once():
         next(iter_lambda_segments(lo, hi))
 
 
-def test_streaming_matches_table():
+def test_streaming_matches_table(segment_length):
     table = sieve_range(1, 12001)
-    chunks = [vals for _, vals in iter_lambda_segments(1, 12001, segment_size=997)]
+    segment_length(997)
+    chunks = [vals for _, vals in iter_lambda_segments(1, 12001)]
     assert np.array_equal(np.concatenate(chunks), table.values)
 
 
-def test_mobius_streaming_matches_segment():
+def test_mobius_streaming_matches_segment(segment_length):
     whole = lv.mobius_segment(1, 9001)
-    chunks = [vals for _, vals in iter_mobius_segments(1, 9001, segment_size=1234)]
+    segment_length(1234)
+    chunks = [vals for _, vals in iter_mobius_segments(1, 9001)]
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
@@ -248,9 +252,10 @@ def test_scan_sign_change_counter():
     assert result.polya.sign_change_count == 0  # P restricted to x >= 2 stays <= 0
 
 
-def test_checkpoint_text_roundtrip(tmp_path):
+def test_checkpoint_text_roundtrip(tmp_path, segment_length):
     path = tmp_path / "scan.ckpt"
-    run_scan(5000, segment_size=512, checkpoint_path=str(path))
+    segment_length(512)
+    run_scan(5000, checkpoint_path=str(path))
     ck = ScanCheckpoint.load(str(path))
     assert ck.limit == 5000
     assert ck.next_n == 5001
@@ -259,11 +264,25 @@ def test_checkpoint_text_roundtrip(tmp_path):
     assert again == ck  # hex float fields survive bit-exactly
 
 
-def test_checkpoint_parameter_mismatch(tmp_path):
+def test_checkpoint_parameter_mismatch(tmp_path, segment_length):
     path = tmp_path / "scan.ckpt"
-    run_scan(2000, segment_size=512, checkpoint_path=str(path))
+    segment_length(512)
+    run_scan(2000, checkpoint_path=str(path))
     with pytest.raises(DomainError):
-        run_scan(3000, segment_size=512, checkpoint_path=str(path))
+        run_scan(3000, checkpoint_path=str(path))
+
+
+def test_checkpoint_of_another_segment_length_is_refused(tmp_path):
+    """A checkpoint of 512-term segments, as a scan in segments of 512
+    leaves it, does not resume at the one segment length."""
+    path = tmp_path / "scan.ckpt"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "DEFAULT_SEGMENT", 512)
+        run_scan(5000, checkpoint_path=str(path))
+    written = path.read_bytes()
+    with pytest.raises(DomainError, match="segment_size=512"):
+        run_scan(5000, checkpoint_path=str(path))
+    assert path.read_bytes() == written
 
 
 @st.composite
@@ -283,25 +302,26 @@ def test_scan_resume_equivalence(kill, every, stride):
     limit, seg, done = kill
     real_iter = lv.iter_lambda_segments
 
-    def interrupting(start, stop, **kw):
+    def interrupting(start, stop):
         # done == the segment count crashes once every segment is folded in
-        yield from itertools.islice(real_iter(start, stop, **kw), done)
+        yield from itertools.islice(real_iter(start, stop), done)
         raise RuntimeError("injected crash")
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "DEFAULT_SEGMENT", seg)
 
         def scan(name):
             ckpt, trace = (os.path.join(tmp, name + ext) for ext in (".ckpt", ".csv"))
-            result = run_scan(limit, segment_size=seg, checkpoint_path=ckpt,
-                              checkpoint_every=every, csv_path=trace, csv_stride=stride)
+            result = run_scan(limit, checkpoint_path=ckpt, checkpoint_every=every,
+                              csv_path=trace, csv_stride=stride)
             with open(ckpt, "rb") as ck_fh, open(trace, "rb") as csv_fh:
                 return result, ck_fh.read(), csv_fh.read()
 
         clean = scan("clean")
-        mp.setattr(lv, "iter_lambda_segments", interrupting)
-        with pytest.raises(RuntimeError):
-            scan("resumed")
-        mp.undo()
+        with pytest.MonkeyPatch.context() as crash:
+            crash.setattr(lv, "iter_lambda_segments", interrupting)
+            with pytest.raises(RuntimeError):
+                scan("resumed")
         assert scan("resumed") == clean
 
 
@@ -313,65 +333,65 @@ def test_scan_resume_equivalence(kill, every, stride):
     ],
     ids=["truncated", "garbled"],
 )
-def test_damaged_checkpoint_names_the_key(tmp_path, damage, key):
+def test_damaged_checkpoint_names_the_key(tmp_path, segment_length, damage, key):
     path = tmp_path / "scan.ckpt"
-    run_scan(5000, segment_size=512, checkpoint_path=str(path))
+    segment_length(512)
+    run_scan(5000, checkpoint_path=str(path))
     path.write_text(damage(path.read_text()))
     with pytest.raises(DomainError, match=key):
-        run_scan(5000, segment_size=512, checkpoint_path=str(path))
+        run_scan(5000, checkpoint_path=str(path))
 
 
 @pytest.mark.parametrize("next_n", [1025, 99999])
-def test_resume_refuses_a_next_n_that_does_not_follow(tmp_path, next_n):
+def test_resume_refuses_a_next_n_that_does_not_follow(tmp_path, segment_length, next_n):
     path = tmp_path / "scan.ckpt"
-    run_scan(5000, segment_size=512, checkpoint_path=str(path))
+    segment_length(512)
+    run_scan(5000, checkpoint_path=str(path))
     path.write_text(path.read_text().replace("next_n=5001", f"next_n={next_n}"))
     with pytest.raises(DomainError, match=f"next_n={next_n}"):
-        run_scan(5000, segment_size=512, checkpoint_path=str(path))
+        run_scan(5000, checkpoint_path=str(path))
 
 
-def _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch):
+def _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch, segment_length):
     """Paths of the checkpoint and trace of a stride-500 scan to 10000 in
-    1000-term segments that crashed after its third save."""
+    1000-term segments that crashed after its third save; the segment
+    length stays 1000."""
     ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
     real_iter = lv.iter_lambda_segments
 
-    def interrupting(start, stop, **kw):
-        yield from itertools.islice(real_iter(start, stop, **kw), 3)
+    def interrupting(start, stop):
+        yield from itertools.islice(real_iter(start, stop), 3)
         raise RuntimeError("injected crash")
 
+    segment_length(1000)
     monkeypatch.setattr(lv, "iter_lambda_segments", interrupting)
     with pytest.raises(RuntimeError):
-        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
-                 csv_path=str(trace), csv_stride=500)
+        run_scan(10000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=500)
     monkeypatch.undo()
     return ckpt, trace
 
 
-def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch):
-    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch)
+def test_resume_refuses_a_trace_of_another_stride(tmp_path, monkeypatch, segment_length):
+    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch, segment_length)
     written = trace.read_bytes()
     with pytest.raises(DomainError, match=re.escape("n = 1000, 2000, ... below 3001")):
-        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
-                 csv_path=str(trace), csv_stride=1000)
+        run_scan(10000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=1000)
     assert trace.read_bytes() == written
     clean = tmp_path / "clean.csv"
-    run_scan(10000, segment_size=1000, csv_path=str(clean), csv_stride=500)
-    run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
-             csv_path=str(trace), csv_stride=500)
+    run_scan(10000, csv_path=str(clean), csv_stride=500)
+    run_scan(10000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=500)
     assert trace.read_bytes() == clean.read_bytes()
 
 
-def test_resume_refuses_a_missing_trace(tmp_path, monkeypatch):
-    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch)
+def test_resume_refuses_a_missing_trace(tmp_path, monkeypatch, segment_length):
+    ckpt, trace = _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch, segment_length)
     trace.unlink()
     with pytest.raises(DomainError, match="missing"):
-        run_scan(10000, segment_size=1000, checkpoint_path=str(ckpt),
-                 csv_path=str(trace), csv_stride=500)
+        run_scan(10000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=500)
     assert not trace.exists()
 
 
-def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch):
+def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch, segment_length):
     ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
     real_save, saved = ScanCheckpoint.save, []
 
@@ -382,16 +402,18 @@ def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch)
         real_save(self, path)
 
     monkeypatch.setattr(ScanCheckpoint, "save", checking_save)
-    run_scan(5000, segment_size=512, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=7)
+    segment_length(512)
+    run_scan(5000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=7)
     assert len(saved) == 10
 
 
-def test_resume_leaves_a_foreign_trace_alone(tmp_path):
+def test_resume_leaves_a_foreign_trace_alone(tmp_path, segment_length):
     ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "notes.csv"
-    run_scan(2000, segment_size=512, checkpoint_path=str(ckpt))
+    segment_length(512)
+    run_scan(2000, checkpoint_path=str(ckpt))
     trace.write_text("n,lambda,P,T\nnot a row\n")
     with pytest.raises(DomainError, match="not a zetalab scan trace"):
-        run_scan(2000, segment_size=512, checkpoint_path=str(ckpt), csv_path=str(trace))
+        run_scan(2000, checkpoint_path=str(ckpt), csv_path=str(trace))
     assert trace.read_text() == "n,lambda,P,T\nnot a row\n"
 
 
@@ -452,16 +474,13 @@ def test_scan_rejects_checkpoint_every_below_one(tmp_path):
             run_scan(100, checkpoint_path=str(tmp_path / "scan.ckpt"), checkpoint_every=every)
 
 
-def test_iter_segments_argument_validation():
+def test_iter_segments_argument_validation(segment_length):
     with pytest.raises(DomainError):
         list(iter_lambda_segments(0, 10))
     with pytest.raises(DomainError):
         list(iter_lambda_segments(10, 10))
-    with pytest.raises(DomainError):
-        list(iter_lambda_segments(1, 10, segment_size=0))
-    with pytest.raises(CapacityError):
-        list(iter_lambda_segments(1, 10, segment_size=lv.DEFAULT_MAX_SPAN + 1))
-    assert len(next(iter_lambda_segments(1, 10, segment_size=lv.DEFAULT_MAX_SPAN))[1]) == 9
+    segment_length(lv.DEFAULT_MAX_SPAN)
+    assert len(next(iter_lambda_segments(1, 10))[1]) == 9
 
 
 def test_table_is_readonly():

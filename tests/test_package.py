@@ -1,5 +1,6 @@
 """The root package's namespace."""
 
+import inspect
 import types
 
 import zetalab
@@ -13,3 +14,13 @@ def test_submodule_names_resolve_to_modules():
         assert isinstance(module, types.ModuleType), name
         assert module.__name__ == f"zetalab.{name}"
         assert callable(getattr(module, name))
+
+
+def test_no_public_function_takes_a_segment_size_or_threads():
+    """The sieve has one segment length and one thread: no public
+    function offers either as a parameter. (The ScanCheckpoint record
+    keeps its segment_size field: the checkpoint format stores it.)"""
+    for name in dir(zetalab):
+        obj = getattr(zetalab, name)
+        if inspect.isfunction(obj):
+            assert not {"segment_size", "threads"} & set(inspect.signature(obj).parameters), name

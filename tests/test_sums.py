@@ -81,16 +81,17 @@ def test_order_independence():
         assert abs(acc.value - forward) <= 1e-11 * max(1.0, abs(forward))
 
 
-def test_segmenting_invariance():
+def test_segmenting_invariance(segment_length):
+    default = f_x(0.5, 12000)
     for seg in (100, 999, 4096):
-        assert f_x(0.5, 12000, segment_size=seg) == pytest.approx(
-            f_x(0.5, 12000), abs=1e-13
-        )
+        segment_length(seg)
+        assert f_x(0.5, 12000) == pytest.approx(default, abs=1e-13)
 
 
-def test_prefix_evaluator_history_and_contiguity():
+def test_prefix_evaluator_history_and_contiguity(segment_length):
     ev = PrefixEvaluator(1.0, record_history=True)
-    for lo, lam in iter_lambda_segments(1, 1025, segment_size=100):
+    segment_length(100)
+    for lo, lam in iter_lambda_segments(1, 1025):
         ev.update(lo, lam)
     marks = [n for n, _ in ev.history]
     assert marks == [2**k for k in range(11)]
@@ -156,7 +157,10 @@ def test_write_sums_csv(tmp_path):
 def test_sums_csv_rows_match_standalone_sums(tmp_path_factory, x, seg):
     # rows are read off inside segments and at their edges alike
     path = tmp_path_factory.mktemp("rows") / "sums.csv"
-    write_sums_csv(str(path), x, segment_size=seg)
+    with pytest.MonkeyPatch.context() as mp:
+        if seg is not None:
+            mp.setattr("zetalab.liouville.DEFAULT_SEGMENT", seg)
+        write_sums_csv(str(path), x)
     with open(path) as fh:
         records = list(csv.DictReader(fh))
     assert [int(r["x"]) for r in records] == sorted(
