@@ -11,9 +11,10 @@ arithmetic, after Neal's superaccumulators ("Fast exact summation using
 small and large superaccumulators", 2015): every term is an integer
 mantissa times a power of two, so shifting the mantissas onto the
 smallest exponent and adding them in int64 limbs gives the exact sum
-as one Python int. math.fsum still sums an array with a zero,
-subnormal, inf or nan term, with a term of 2^960 or more, or with a
-block of 2^15 terms whose exponents lie more than 9 apart, and any
+as one Python int. A block of 2^15 terms whose exponents lie more than
+9 apart is cut into windows of 10 exponents, each shifted onto its own
+smallest exponent. math.fsum still sums an array with a zero,
+subnormal, inf or nan term or with a term of 2^960 or more, and any
 input that is not a 1-D float64 array.
 """
 
@@ -38,40 +39,63 @@ _HIDDEN = 1 << 52
 _MAX_EXP = 2046 - 64
 
 
+def _limb_sum(bits: np.ndarray, exps: np.ndarray, e_min: int) -> int:
+    """The exact sum of float64 terms, given as their int64 bits and
+    biased exponents (overwritten), in units of 2^(e_min - 1075). Every
+    exponent lies within _MAX_SHIFT above e_min."""
+    exps -= e_min
+    m = bits & _FRACTION
+    m |= _HIDDEN
+    m <<= exps
+    sign = bits >> 63  # 0 or -1, and (m ^ -1) - (-1) = -m
+    m ^= sign
+    m -= sign
+    hi = np.right_shift(m, _LIMB, out=sign)
+    m &= (1 << _LIMB) - 1
+    return (int(hi.sum()) << _LIMB) + int(m.sum())
+
+
 def _exact_sum(values: np.ndarray) -> float:
     """math.fsum of a 1-D float64 array, bit for bit, in integer numpy.
 
     Each block's exact sum is one Python int in units of its smallest
-    exponent; the blocks are joined exactly and rounded once. math.fsum
-    is kept for what the limbs do not cover: a zero or subnormal term
-    (no hidden bit), an inf or nan term (fsum's result, or its
-    ValueError on inf + -inf), a term of 2^960 or more (fsum's
-    OverflowError), and a block whose exponents are more than
-    _MAX_SHIFT apart (the first 2^15 terms of 1/n, for one).
+    exponent, or one per window of _MAX_SHIFT + 1 exponents that holds
+    terms when the block's exponents are further apart (the first 2^15
+    terms of 1/n, for one); the sums are joined exactly and rounded
+    once. math.fsum is kept for what the limbs do not cover: a zero or
+    subnormal term (no hidden bit), an inf or nan term (fsum's result,
+    or its ValueError on inf + -inf), and a term of 2^960 or more
+    (fsum's OverflowError).
     """
     bits = values.view(np.int64)
-    blocks = []
+    sums = []
     for i in range(0, len(bits), _BLOCK):
         b = bits[i:i + _BLOCK]
-        shift = b >> 52
-        shift &= 0x7FF
-        e_min, e_max = int(shift.min()), int(shift.max())
-        if e_min == 0 or e_max > _MAX_EXP or e_max - e_min > _MAX_SHIFT:
+        exps = b >> 52
+        exps &= 0x7FF
+        e_min, e_max = int(exps.min()), int(exps.max())
+        if e_min == 0 or e_max > _MAX_EXP:
             return math.fsum(values.tolist())
-        shift -= e_min
-        m = b & _FRACTION
-        m |= _HIDDEN
-        m <<= shift
-        sign = b >> 63  # 0 or -1, and (m ^ -1) - (-1) = -m
-        m ^= sign
-        m -= sign
-        hi = np.right_shift(m, _LIMB, out=sign)
-        m &= (1 << _LIMB) - 1
-        blocks.append(((int(hi.sum()) << _LIMB) + int(m.sum()), e_min))
-    e_min = min(e for _, e in blocks)
-    total = sum(t << (e - e_min) for t, e in blocks)
+        # One window needs no masks: about 7 ms against 11 ms per
+        # 2^20-term scan segment (2-core Xeon, numpy 2.4).
+        if e_max - e_min <= _MAX_SHIFT:
+            sums.append((_limb_sum(b, exps, e_min), e_min))
+            continue
+        for e in range(e_min, e_max + 1, _MAX_SHIFT + 1):
+            window = (exps >= e) & (exps <= e + _MAX_SHIFT)
+            if window.any():
+                sums.append((_limb_sum(b[window], exps[window], e), e))
+    e_min = min(e for _, e in sums)
+    total = sum(t << (e - e_min) for t, e in sums)
     # float() rounds to nearest even and ldexp only rescales: a result
-    # below 2^-1022 has |total| < 2^52, so it is exact there too.
+    # below 2^-1022 has |total| < 2^52, so it is exact there too. Terms
+    # far apart in size make total too long for float(); it keeps 64
+    # bits and a sticky bit for what it drops, which round alike.
+    size = abs(total)
+    drop = size.bit_length() - 64
+    if drop > 0:
+        kept = (size >> drop) | bool(size & ((1 << drop) - 1))
+        total, e_min = (kept if total > 0 else -kept), e_min + drop
     return math.ldexp(float(total), e_min - 1075)
 
 

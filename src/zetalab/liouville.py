@@ -90,8 +90,9 @@ def _base_primes(limit: int) -> np.ndarray:
 # wheel prime at its first power outside the wheel.
 _WHEEL = 5040
 _WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
-# n is compared with its product in blocks of this many terms, so that no
-# full-length int64 array of n sits next to the product.
+# n is compared with its product, and run_scan folds P and T, in blocks
+# of this many terms, so that no full-length int64 or float64 temporary
+# sits next to the segment.
 _BLOCK = 1 << 15
 
 
@@ -436,7 +437,11 @@ def run_scan(
     [1, limit]; min/argmin are tracked over those same ranges and sign
     changes are counted on the integer lattice (zeros skipped). The
     Turan sum is carried across segments with compensated summation and
-    each segment is totalled exactly.
+    each segment is totalled exactly, rounded once. Each segment is
+    folded in blocks of _BLOCK terms through buffers allocated once per
+    scan: one segment of T terms and one block each of running P and T.
+    A block's running T starts from the last one of the block before,
+    so its values are those of one np.cumsum over the segment.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -466,29 +471,46 @@ def run_scan(
              else _open_trace(csv_path, ck.next_n, csv_stride))
     with trace as csv_fh:
         if ck.next_n <= limit:
+            rows = None if csv_fh is None else csv.writer(csv_fh)
+            # One segment of T terms; the running P and T of one fold block.
+            t_terms = np.empty(min(DEFAULT_SEGMENT, limit + 1 - ck.next_n))
+            p_buf = np.empty(_BLOCK, dtype=np.int64)
+            t_buf = np.empty(_BLOCK)
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
-                p_vals = lam.astype(np.int64)
-                p_vals[0] += ck.p_sum
-                np.cumsum(p_vals, out=p_vals)
-                t_terms = lam.astype(np.float64) / np.arange(lo, lo + len(lam), dtype=np.int64)
                 t_acc = CompensatedSum(ck.t_total, ck.t_comp)
-                t_vals = t_acc.value + np.cumsum(t_terms)
-                k = int(lo == 1)  # P(x) is scanned from x = 2
-                ck.polya.fold_segment(lo + k, p_vals[k:], positive_violates=True)
-                ck.turan.fold_segment(lo, t_vals, positive_violates=False)
+                t_base = t_acc.value
+                t_run = 0.0  # the segment's running T before t_base is added
+                for a in range(0, len(lam), _BLOCK):
+                    n0, lam_b = lo + a, lam[a:a + _BLOCK]
+                    m = len(lam_b)
+                    terms = t_terms[a:a + m]
+                    np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64), out=terms)
+                    p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
+                    p_vals += ck.p_sum
+                    ck.p_sum = int(p_vals[-1])
+                    # t_run enters the first term, so the adds are those
+                    # of one np.cumsum over the whole segment.
+                    t_vals = t_buf[:m]
+                    t_vals[:] = terms
+                    t_vals[0] += t_run
+                    np.cumsum(t_vals, out=t_vals)
+                    t_run = float(t_vals[-1])
+                    t_vals += t_base
+                    k = int(n0 == 1)  # P(x) is scanned from x = 2
+                    ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
+                    ck.turan.fold_segment(n0, t_vals, positive_violates=False)
+                    if rows is not None:
+                        i = -n0 % csv_stride
+                        rows.writerows(zip(
+                            range(n0 + i, n0 + m, csv_stride), lam_b[i::csv_stride].tolist(),
+                            p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
+                        ))
 
-                t_acc.add_array(t_terms, exact=True)
+                t_acc.add_array(t_terms[:len(lam)], exact=True)
                 ck.t_total, ck.t_comp = t_acc.parts
-                ck.p_sum = int(p_vals[-1])
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1
 
-                if csv_fh is not None:
-                    i = -lo % csv_stride
-                    csv.writer(csv_fh).writerows(zip(
-                        range(lo + i, ck.next_n, csv_stride), lam[i::csv_stride].tolist(),
-                        p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
-                    ))
                 done = ck.next_n > limit
                 if checkpoint_path and (done or ck.segments_done % checkpoint_every == 0):
                     if csv_fh is not None:

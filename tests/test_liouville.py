@@ -325,6 +325,74 @@ def test_scan_resume_equivalence(kill, every, stride):
         assert scan("resumed") == clean
 
 
+def _scan_outputs(tmp_path, name, limit, **kwargs):
+    """A scan's result, checkpoint bytes and trace bytes, the trace of
+    every n."""
+    ckpt, trace = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.csv"
+    result = run_scan(limit, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=1, **kwargs)
+    return result, ckpt.read_bytes(), trace.read_bytes()
+
+
+@pytest.mark.parametrize("block", [64, 97])
+def test_fold_blocks_leave_the_scan_alone(tmp_path, segment_length, block):
+    """Folding each segment in blocks of 64 or 97 terms returns, saves
+    and traces what folding it whole (one block of _BLOCK) does."""
+    segment_length(5000)
+    whole = _scan_outputs(tmp_path, "whole", 20000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "_BLOCK", block)
+        assert _scan_outputs(tmp_path, "blocks", 20000) == whole
+
+
+_CHECKPOINT_3_SEGMENTS = """zetalab-scan-checkpoint v1
+limit=3145745
+segment_size=1048576
+segments_done=4
+next_n=3145746
+p_sum=-1375
+t_total=0x1.6d426904c0864p-12
+t_comp=0x1.3000000000000p-67
+polya_min=-0x1.c2c0000000000p+10
+polya_argmin=2110931
+polya_first_violation=none
+polya_sign_changes=0
+polya_last_sign=-1
+turan_min=0x1.ca72987653eb3p-15
+turan_argmin=925985
+turan_first_violation=none
+turan_sign_changes=0
+turan_last_sign=1
+"""
+
+
+def test_checkpoint_past_three_segments_is_pinned(tmp_path):
+    """The checkpoint of a scan just past three 2^20-term segments, as
+    a whole-segment fold wrote it, bit for bit."""
+    path = tmp_path / "scan.ckpt"
+    run_scan(3 * 2**20 + 17, checkpoint_path=str(path))
+    assert path.read_text() == _CHECKPOINT_3_SEGMENTS
+
+
+def test_scan_memory_stays_near_the_sieve(tmp_path, monkeypatch):
+    """A scan from n = 1 over two 2^20-term segments and a part allocates
+    at most 24 MiB at its peak: the sieve kernel's 12.5 MiB, one segment
+    of float64 T terms and 2^15-term temporaries, but no full-length
+    running P or T. No segment's exact T total falls back to math.fsum."""
+    limit = 2 * 2**20 + 12345
+    run_scan(limit, checkpoint_path=str(tmp_path / "warm.ckpt"))
+    fsum_calls = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or real_fsum(xs))
+    tracemalloc.start()
+    try:
+        run_scan(limit, checkpoint_path=str(tmp_path / "scan.ckpt"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    assert not fsum_calls
+
+
 @pytest.mark.parametrize(
     "damage, key",
     [
