@@ -2,7 +2,6 @@
 # conditional point, then bracket the convergence abscissa empirically
 
 from zetalab import (
-    StepFunction,
     StepKind,
     estimate_sigma_c,
     verify_finite_linearity,
@@ -45,7 +44,7 @@ show(verify_finite_linearity(0.75, X))
 # bracket left between observed divergence and observed convergence.
 print("\nempirical abscissa bracket for the F_one integral, shifted kernel:")
 est = estimate_sigma_c(
-    StepFunction(StepKind.F_ONE, 10**6),
+    StepKind.F_ONE,
     [0.40, 0.45, 0.50, 0.55, 0.60],
     (10**3, 10**4, 10**5, 10**6),
 )

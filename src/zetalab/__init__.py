@@ -19,18 +19,14 @@ from .liouville import (
     ScanResult,
     ScanCheckpoint,
     run_scan,
-    scan_polya,
-    scan_turan,
 )
 from .xi import (
-    XiSequence,
-    DEFAULT_XI,
     xi_residual,
     XiMonotoneReport,
     check_monotone_limit,
     write_xi_csv,
 )
-from .sums import PrefixEvaluator, f_x, l_x, mvt_weight, write_sums_csv
+from .sums import PrefixEvaluator, f_x, l_x
 from .zeta import (
     ZetaParams,
     RealBounds,
@@ -42,7 +38,6 @@ from .zeta import (
 )
 from .integrals import (
     StepKind,
-    StepFunction,
     IntegralResult,
     SigmaCEstimate,
     integrate_step,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, ZetalabError
-from .integrals import StepFunction, StepKind, estimate_sigma_c, integrate_step
+from .integrals import StepKind, estimate_sigma_c, integrate_step
 from .liouville import run_scan, sieve_range
 from .sums import f_x, partial_sums
 from .verify import (
@@ -25,7 +25,7 @@ from .verify import (
     run_default_suite,
     write_report_json,
 )
-from .xi import DEFAULT_XI, check_monotone_limit, write_xi_csv, xi, xi_residual
+from .xi import check_monotone_limit, write_xi_csv, xi, xi_residual
 from .zeta import ZetaParams, zeta_with_error
 
 _KIND_CHOICES = tuple(k.value for k in StepKind)
@@ -33,6 +33,8 @@ _KIND_CHOICES = tuple(k.value for k in StepKind)
 
 def _num_int(text: str) -> int:
     # accepts 1000000 and 1e6 alike
+    if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+        return int(text)  # exact, where float() rounds above 2^53
     try:
         v = float(text)
     except ValueError:
@@ -76,7 +78,9 @@ def _float_list(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"expected START:STOP:STEP, got {text!r}")
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("need STOP >= START and STEP > 0")
-        count = int(round((stop - start) / step)) + 1
+        # the last point stays at or below STOP; the 1e-9 keeps a step count
+        # that rounding left a hair below an integer
+        count = math.floor((stop - start) / step * (1 + 1e-9)) + 1
         return [round(start + i * step, 12) for i in range(count)]
     try:
         return _finite([float(p) for p in text.split(",")], text)
@@ -302,7 +306,7 @@ def _cmd_xi(args, say) -> int:
         say(f"xi({args.n}) = {xi(args.n):.15g}  residual = {xi_residual(args.n):.3e}")
         did = True
     if args.check_monotone is not None:
-        rep = check_monotone_limit(DEFAULT_XI, args.check_monotone)
+        rep = check_monotone_limit(args.check_monotone)
         say(
             f"monotone up to {rep.n_max}: {rep.monotone} "
             f"first_increase={rep.first_increase} gap_at_nmax={rep.gap_at_nmax:.6g}"
@@ -311,7 +315,7 @@ def _cmd_xi(args, say) -> int:
     if args.table is not None:
         if not args.out:
             raise DomainError("--table needs --out for the CSV destination")
-        rows = write_xi_csv(args.out, DEFAULT_XI, args.table, points=args.points)
+        rows = write_xi_csv(args.out, args.table, points=args.points)
         say(f"wrote {rows} rows to {args.out}")
         did = True
     if not did:
@@ -327,8 +331,7 @@ def _cmd_zeta(args, say) -> int:
 
 
 def _cmd_integrate(args, say) -> int:
-    G = StepFunction(StepKind(args.kind), max(args.X, 2))
-    res = integrate_step(G, args.s, args.X, kernel=args.kernel, tolerance=args.tolerance)
+    res = integrate_step(StepKind(args.kind), args.s, args.X, kernel=args.kernel, tolerance=args.tolerance)
     say(f"value = {_fmt_complex(res.value)}")
     say(f"truncation X = {res.truncation}")
     say(f"tail estimate = {res.tail_estimate:.3e} ({res.tail_model})")
@@ -358,8 +361,8 @@ def _cmd_verify(args, say) -> int:
 
 
 def _cmd_sigma_c(args, say) -> int:
-    G = StepFunction(StepKind(args.kind), max(args.schedule))
-    est = estimate_sigma_c(G, args.grid, args.schedule, kernel=args.kernel, trace_path=args.trace)
+    est = estimate_sigma_c(StepKind(args.kind), args.grid, args.schedule,
+                           kernel=args.kernel, trace_path=args.trace)
     for sigma in est.sigma_grid:
         say(f"sigma={sigma:g}: {est.classifications[sigma]}")
     say(f"abscissa bracket: [{est.lower:g}, {est.upper:g}]")

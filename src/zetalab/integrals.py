@@ -80,18 +80,6 @@ _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
 
 
 @dataclass(frozen=True)
-class StepFunction:
-    """A step integrand plus its default truncation point."""
-
-    kind: StepKind
-    limit: int
-
-    def __post_init__(self):
-        if self.limit < 2:
-            raise DomainError("StepFunction limit must be >= 2")
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     """Truncated integral with an explicit tail model.
 
@@ -415,21 +403,21 @@ def _result(r: _Integral, value: complex, env_max: float | None) -> IntegralResu
 
 
 def integrate_step(
-    G: StepFunction,
+    kind: StepKind,
     s: complex,
-    X: int | None = None,
+    X: int,
     *,
     kernel: str = "auto",
     tolerance: float = 1e-6,
 ) -> IntegralResult:
-    """Integrate G against its kernel over [1, X], exactly, by Abel summation.
+    """Integrate kind's step function against its kernel over [1, X],
+    exactly, by Abel summation.
 
-    X defaults to G.limit. The kernel is u^(-s-1/2) for the F/L kinds
-    and u^(-s) for T_SUM and P_OVER_U; pass kernel="plain" or
-    "half_shifted" to override. The tail envelope is fitted on the last
-    decade [X/10, X].
+    The kernel is u^(-s-1/2) for the F/L kinds and u^(-s) for T_SUM and
+    P_OVER_U; pass kernel="plain" or "half_shifted" to override. The
+    tail envelope is fitted on the last decade [X/10, X].
     """
-    r = _integral(G.kind, s, G.limit if X is None else X, kernel, tolerance)
+    r = _integral(kind, s, X, kernel, tolerance)
     return _evaluate([r])[r]
 
 
@@ -488,7 +476,7 @@ def _classify_trace(values, x_schedule):
 
 
 def estimate_sigma_c(
-    G: StepFunction,
+    kind: StepKind,
     sigma_grid,
     x_schedule,
     *,
@@ -512,13 +500,13 @@ def estimate_sigma_c(
     if len(sched) < 3 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise DomainError("x_schedule must be increasing with >= 3 points")
 
-    kernel = _resolve_kernel(G.kind, kernel)
+    kernel = _resolve_kernel(kind, kernel)
     traces: dict[float, tuple[complex, ...]] = {}
     tails: dict[float, tuple[float, ...]] = {}
     classifications: dict[float, str] = {}
     # one pass to max(sched) serves every (sigma, x) pair
     requests = {
-        (sigma, x): _integral(G.kind, sigma, x, kernel, math.inf)
+        (sigma, x): _integral(kind, sigma, x, kernel, math.inf)
         for sigma in grid
         for x in sched
     }
@@ -560,7 +548,7 @@ def estimate_sigma_c(
                     w.writerow([repr(sigma), x, repr(v.real), repr(v.imag), repr(t)])
 
     return SigmaCEstimate(
-        kind=G.kind,
+        kind=kind,
         kernel=kernel,
         sigma_grid=tuple(grid),
         x_schedule=tuple(sched),

@@ -519,21 +519,3 @@ def run_scan(
 
     t_final = CompensatedSum(ck.t_total, ck.t_comp).value
     return ScanResult(ck.polya.report(limit), ck.turan.report(limit), ck.p_sum, t_final)
-
-
-def scan_polya(limit: int, **kwargs) -> SignScanReport:
-    """Scan P(x) over [2, limit] for positivity violations.
-
-    Returns the smallest x with P(x) > 0 if any, the minimum of P and
-    where it is first attained, and the count of sign changes.
-    """
-    if limit < 2:
-        raise DomainError("scan_polya needs limit >= 2")
-    return run_scan(limit, **kwargs).polya
-
-
-def scan_turan(limit: int, **kwargs) -> SignScanReport:
-    """Scan T(n) over [1, limit] for nonpositive values."""
-    if limit < 1:
-        raise DomainError("scan_turan needs limit >= 1")
-    return run_scan(limit, **kwargs).turan

@@ -5,11 +5,12 @@ Everything here sums a(n) = lambda(n) for n >= 2 (and a(1) = 0):
     F_x(alpha) = sum_{2<=n<=x} lambda(n) n^(-alpha)
     L_x        = (1/2) sum_{2<=n<=x} lambda(n) log(n) n^(-xi(n))
 
-with xi(n) the mean value exponent of (alpha, beta) = (1/2, 1), which
-makes L's per-term weight exactly n^(-1/2) - n^(-1): summing that
-rearranged form keeps F_x(1/2) = F_x(1) + L_x tight to rounding.
-Every sum is a polynomial request to the Abel core (integrals._evaluate),
-so one sieve pass serves any number of sums and the sums CSV's rows.
+with xi(n) the mean value exponent of (alpha, beta) = (1/2, 1) (see
+xi.py), which makes L's per-term weight exactly n^(-1/2) - n^(-1), the
+L_XI coefficient of integrals._coefficients: summing that rearranged
+form keeps F_x(1/2) = F_x(1) + L_x tight to rounding. Every sum is a
+polynomial request to the Abel core (integrals._evaluate), so one sieve
+pass of partial_sums serves any number of sums and the sums CSV's rows.
 PrefixEvaluator keeps its own fold for callers that feed it segments.
 """
 
@@ -21,22 +22,6 @@ import numpy as np
 from .compensated import CompensatedSum
 from .errors import DomainError
 from .integrals import StepKind, _evaluate, _Polynomial
-
-
-def mvt_weight(n, alpha: float = 0.5, beta: float = 1.0):
-    """The exact per-term MVT weight (beta-alpha) log(n) n^(-xi(n)).
-
-    Computed through its closed rearrangement n^(-alpha) - n^(-beta),
-    which the defining equation of xi makes identical.
-    """
-    if not beta > alpha:
-        raise DomainError("mvt_weight needs beta > alpha")
-    arr = np.asarray(n)
-    if not np.all(arr >= 2):
-        raise DomainError("mvt_weight needs n >= 2")
-    arr = arr.astype(np.float64)
-    out = arr ** -alpha - arr ** -beta
-    return float(out[()]) if np.isscalar(n) or out.ndim == 0 else out
 
 
 class PrefixEvaluator:
@@ -142,8 +127,8 @@ class PartialSums(NamedTuple):
 def partial_sums(x: int, alphas=(), *, csv_path=None) -> PartialSums:
     """F_x(1/2), F_x(1), L_x and F_x(alpha) for each of alphas, in one pass.
 
-    With csv_path, the same pass writes the (x, F_half, F_one, L) rows
-    of write_sums_csv there.
+    With csv_path, the same pass writes the sums CSV there: a header,
+    then (x, F_half, F_one, L) at every power of two up to x and at x.
     """
     x = int(x)
     marks = sorted({1 << k for k in range(x.bit_length())} | {x}) if csv_path else [x]
@@ -158,9 +143,3 @@ def partial_sums(x: int, alphas=(), *, csv_path=None) -> PartialSums:
                 w.writerow([m, *(repr(values[r]) for r in row)])
     f_alpha = tuple(values[r] for r in extra)
     return PartialSums(*(values[r] for r in rows[x]), f_alpha, len(rows) if csv_path else 0)
-
-
-def write_sums_csv(path: str, x: int) -> int:
-    """Sum to x once, writing (x, F_half, F_one, L) rows at the powers
-    of two and at x; returns the row count."""
-    return partial_sums(x, csv_path=path).rows

@@ -1,7 +1,7 @@
 """The mean-value-theorem exponent sequence xi(n).
 
-For fixed beta > alpha and integer n >= 2 there is a unique xi(n) in
-(alpha, beta) with
+With (alpha, beta) = (1/2, 1), the pair behind L_x's weight, every
+integer n >= 2 has a unique xi(n) in (alpha, beta) with
 
     n^(-beta) - n^(-alpha) = -(beta - alpha) * log(n) * n^(-xi(n))
 
@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DomainError
 
+ALPHA, BETA = 0.5, 1.0
+
 
 def _as_n_array(n) -> np.ndarray:
     arr = np.asarray(n)
@@ -31,52 +33,32 @@ def _as_n_array(n) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-@dataclass(frozen=True)
-class XiSequence:
-    """Exponent interval (alpha, beta) defining the sequence."""
-
-    alpha: float = 0.5
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not self.beta > self.alpha:
-            raise DomainError("XiSequence needs beta > alpha")
-
-    def xi(self, n):
-        """xi(n) for scalar or array n >= 2.
-
-        The second closed-form term is computed as
-        log(beta-alpha) - log1p(-n^(alpha-beta)) so no precision is lost
-        when n^(alpha-beta) is small.
-        """
-        arr = _as_n_array(n)
-        logn = np.log(arr)
-        second = (np.log(self.beta - self.alpha)
-                  - np.log1p(-np.exp((self.alpha - self.beta) * logn)))
-        out = np.log(logn) / logn + second / logn + self.alpha
-        return float(out[()]) if np.isscalar(n) or out.ndim == 0 else out
-
-    def residual(self, n):
-        """Defining-equation residual n^-b - n^-a + (b-a) log(n) n^-xi(n).
-
-        Stays below 1e-14 * n^-alpha in magnitude; a perturbed exponent
-        breaks this immediately, which is what makes it a useful check.
-        """
-        arr = _as_n_array(n)
-        out = (arr ** -self.beta - arr ** -self.alpha
-               + (self.beta - self.alpha) * np.log(arr) * np.power(arr, -self.xi(arr)))
-        return float(out[()]) if np.isscalar(n) or out.ndim == 0 else out
+def _scalar_or_array(n, out):
+    """out as a float when n is a scalar."""
+    return float(out[()]) if np.isscalar(n) or out.ndim == 0 else out
 
 
-DEFAULT_XI = XiSequence(0.5, 1.0)
+def xi(n):
+    """xi(n) for scalar or array n >= 2.
+
+    The second closed-form term is computed as
+    log(beta-alpha) - log1p(-n^(alpha-beta)) so no precision is lost
+    when n^(alpha-beta) is small.
+    """
+    logn = np.log(_as_n_array(n))
+    second = np.log(BETA - ALPHA) - np.log1p(-np.exp((ALPHA - BETA) * logn))
+    return _scalar_or_array(n, np.log(logn) / logn + second / logn + ALPHA)
 
 
-def xi(n, seq: XiSequence = DEFAULT_XI):
-    return seq.xi(n)
+def xi_residual(n):
+    """Defining-equation residual n^-b - n^-a + (b-a) log(n) n^-xi(n).
 
-
-def xi_residual(n, seq: XiSequence = DEFAULT_XI):
-    return seq.residual(n)
+    Stays below 1e-14 * n^-alpha in magnitude; a perturbed exponent
+    breaks this immediately, which is what makes it a useful check.
+    """
+    arr = _as_n_array(n)
+    out = arr ** -BETA - arr ** -ALPHA + (BETA - ALPHA) * np.log(arr) * np.power(arr, -xi(arr))
+    return _scalar_or_array(n, out)
 
 
 @dataclass(frozen=True)
@@ -87,7 +69,7 @@ class XiMonotoneReport:
     gap_at_nmax: float  # xi(n_max) - alpha
 
 
-def check_monotone_limit(seq: XiSequence, n_max: int) -> XiMonotoneReport:
+def check_monotone_limit(n_max: int) -> XiMonotoneReport:
     """Scan xi(n+1) < xi(n) exhaustively for 2 <= n < n_max.
 
     Works in chunks so n_max up to 10^8 stays cheap on memory; the chunk
@@ -96,19 +78,19 @@ def check_monotone_limit(seq: XiSequence, n_max: int) -> XiMonotoneReport:
     n_max = int(n_max)
     if n_max < 3:
         raise DomainError("check_monotone_limit needs n_max >= 3")
-    gap = float(seq.xi(float(n_max)) - seq.alpha)
+    gap = float(xi(float(n_max)) - ALPHA)
     lo = 2
     while lo < n_max:
         hi = min(lo + (1 << 20), n_max)
         ns = np.arange(lo, hi + 1, dtype=np.float64)  # include hi for the seam
-        bad = np.diff(seq.xi(ns)) >= 0
+        bad = np.diff(xi(ns)) >= 0
         if bad.any():
             return XiMonotoneReport(n_max, False, lo + int(np.argmax(bad)), gap)
         lo = hi
     return XiMonotoneReport(n_max, True, None, gap)
 
 
-def write_xi_csv(path: str, seq: XiSequence, n_max: int, points: int = 200) -> int:
+def write_xi_csv(path: str, n_max: int, points: int = 200) -> int:
     """Write (n, xi, residual) on a log grid of about `points` integers.
 
     Returns the number of rows written.
@@ -121,8 +103,8 @@ def write_xi_csv(path: str, seq: XiSequence, n_max: int, points: int = 200) -> i
         np.round(np.logspace(np.log10(2), np.log10(n_max), points)).astype(np.int64)
     )
     grid = grid[(grid >= 2) & (grid <= n_max)]
-    vals = seq.xi(grid)
-    res = seq.residual(grid)
+    vals = xi(grid)
+    res = xi_residual(grid)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "xi", "residual"])

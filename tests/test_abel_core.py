@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from per_cell import per_cell_integral
 from zetalab import (
     DomainError,
-    StepFunction,
     StepKind,
     estimate_sigma_c,
     explore_condition_r,
@@ -26,10 +25,10 @@ from zetalab import (
     verify_ratio_integral,
     verify_reciprocal_integral,
     verify_shifted_identity,
-    write_sums_csv,
 )
 from zetalab.cli import main
 from zetalab.liouville import mobius_segment, sieve_range
+from zetalab.sums import partial_sums
 from zetalab.integrals import (
     _SUB_BLOCK,
     _TAYLOR_TOL,
@@ -74,12 +73,11 @@ def _s_for(kind: StepKind, kernel: str, p: complex) -> complex:
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_abel_matches_per_cell(kind, kernel):
     X = 3000
-    G = StepFunction(kind, X)
     requests = {p: _integral(kind, _s_for(kind, kernel, p), X, kernel) for p in EXPONENTS}
     together = _evaluate(requests.values())  # one pass for every exponent
     for p in EXPONENTS:
         s = _s_for(kind, kernel, p)
-        mine = integrate_step(G, s, kernel=kernel).value
+        mine = integrate_step(kind, s, X, kernel=kernel).value
         ref = per_cell_integral(kind, s, X, kernel)
         assert _close(mine, ref), (p, mine, ref)
         assert _close(together[requests[p]].value, ref), (p, together[requests[p]], ref)
@@ -100,7 +98,7 @@ def test_abel_at_segment_and_sub_block_boundaries(segment_length, length, bounda
             (StepKind.P_OVER_U, "plain", 1 + 1e-6),
         ):
             s = _s_for(kind, kernel, p)
-            mine = integrate_step(StepFunction(kind, X), s, kernel=kernel).value
+            mine = integrate_step(kind, s, X, kernel=kernel).value
             assert _close(mine, per_cell_integral(kind, s, X, kernel)), (X, kind, p)
 
 
@@ -123,7 +121,7 @@ def test_abel_matches_per_cell_across_the_route_switch(kind, kernel, monkeypatch
     for p in (5.0, 1.5 + 30j):
         routes.clear()
         s = _s_for(kind, kernel, p)
-        mine = integrate_step(StepFunction(kind, X), s, kernel=kernel).value
+        mine = integrate_step(kind, s, X, kernel=kernel).value
         assert len(routes.get(True, ())) > 1 and routes.get(False), (p, routes)
         assert _close(mine, per_cell_integral(kind, s, X, kernel)), (kind, p)
 
@@ -294,18 +292,18 @@ def test_sigma_c_is_one_pass_and_matches_integrate_step(kernel_calls, segment_le
     grid = [0.40, 0.45, 0.50, 0.55, 0.60]
     schedule = [10**2, 10**3, 10**4, 3 * 10**4]
     segment_length(4097)
-    est = estimate_sigma_c(StepFunction(StepKind.F_ONE, schedule[-1]), grid, schedule)
+    est = estimate_sigma_c(StepKind.F_ONE, grid, schedule)
     assert kernel_calls == _one_pass(schedule[-1], 4097)
     for sigma in grid:
         for x, value in zip(schedule, est.traces[sigma]):
-            ref = integrate_step(StepFunction(StepKind.F_ONE, x), sigma, x).value
+            ref = integrate_step(StepKind.F_ONE, sigma, x).value
             assert _close(value, ref), (sigma, x)
 
 
 def test_one_alone_runs_no_kernel(kernel_calls):
     X = 10**5
     for kernel in KERNELS:
-        value = integrate_step(StepFunction(StepKind.ONE, X), 2.0, kernel=kernel).value
+        value = integrate_step(StepKind.ONE, 2.0, X, kernel=kernel).value
         assert _close(value, per_cell_integral(StepKind.ONE, 2.0, X, kernel))
     assert kernel_calls == []
 
@@ -325,7 +323,7 @@ def test_sums_out_with_alpha_is_one_pass(kernel_calls, capsys, tmp_path, segment
     assert kernel_calls == _one_pass(3001, 1000)
     # the alpha total and the CSV are what their standalone routes give
     assert f"F_3000(0.25) = {f_x(0.25, 3000):.15g}" in capsys.readouterr().out
-    write_sums_csv(str(tmp_path / "alone.csv"), 3000)
+    partial_sums(3000, csv_path=str(tmp_path / "alone.csv"))
     assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
@@ -404,9 +402,8 @@ def test_prefix_visits_see_each_n_once_in_order(segment_length, length):
 def test_segment_size_invariance(kind, kernel, sigma, t, X):
     s = complex(sigma, t)
     assume(all(abs(s + shift - 1.0) > 1e-6 for shift in (0.0, 0.5, 1.0, 1.5)))
-    G = StepFunction(kind, X)
-    base = integrate_step(G, s, kernel=kernel)
+    base = integrate_step(kind, s, X, kernel=kernel)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("zetalab.liouville.DEFAULT_SEGMENT", 89)
-        small = integrate_step(G, s, kernel=kernel)
+        small = integrate_step(kind, s, X, kernel=kernel)
     assert _close(small.value, base.value)

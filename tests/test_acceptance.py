@@ -21,23 +21,20 @@ import pytest
 
 from conftest import criterion
 from zetalab import (
-    DEFAULT_XI,
-    StepFunction,
     StepKind,
     check_monotone_limit,
     estimate_sigma_c,
     f_x,
     l_x,
     real_bounds_check,
-    scan_polya,
-    scan_turan,
+    run_scan,
     sieve_range,
     verify_finite_linearity,
     verify_ratio_integral,
     verify_reciprocal_integral,
     verify_shifted_identity,
 )
-from zetalab.xi import xi
+from zetalab.xi import xi, xi_residual
 from zetalab.zeta import zeta
 from zetalab.verify import DEFAULT_S_POINTS
 
@@ -100,7 +97,7 @@ def test_c01_lambda_oracle_and_multiplicativity():
 def test_c02_turan_positive_to_1000():
     with criterion("C02", "T(n) > 0 with margin 1e-6 for n <= 1000") as info:
         t0 = time.perf_counter()
-        rep = scan_turan(1000)
+        rep = run_scan(1000).turan
         elapsed = time.perf_counter() - t0
         info["note"] = f"min={rep.min_value:.6f} at n={rep.argmin}, {elapsed:.3f}s"
         assert rep.first_violation is None
@@ -111,7 +108,7 @@ def test_c02_turan_positive_to_1000():
 def test_c03_polya_nonpositive_to_1e6():
     with criterion("C03", "P(x) <= 0 for 2 <= x <= 1e6") as info:
         t0 = time.perf_counter()
-        rep = scan_polya(10**6)
+        rep = run_scan(10**6).polya
         elapsed = time.perf_counter() - t0
         info["note"] = f"min={rep.min_value:.0f} at x={rep.argmin}, {elapsed:.2f}s"
         assert rep.first_violation is None
@@ -131,9 +128,9 @@ def test_c04_harmonic_lambda_sum_approaches_minus_one():
 def test_c05_xi_sequence(rng):
     with criterion("C05", "xi identity residual, strict decrease, bisection match") as info:
         ns = np.unique(np.round(np.logspace(np.log10(2), 9, 500)).astype(np.int64))
-        rel = np.max(np.abs(DEFAULT_XI.residual(ns)) / ns.astype(np.float64) ** -0.5)
+        rel = np.max(np.abs(xi_residual(ns)) / ns.astype(np.float64) ** -0.5)
         assert rel < 1e-14
-        rep = check_monotone_limit(DEFAULT_XI, 10**6)
+        rep = check_monotone_limit(10**6)
         assert rep.monotone and rep.first_increase is None
         worst = 0.0
         for n in rng.integers(2, 10**9, size=50):
@@ -224,14 +221,14 @@ def test_c11_convergence_abscissa_brackets():
     with criterion("C11", "empirical sigma_c brackets: 1/2 for F_one vs u^(-s-1/2), 1 for the unit step") as info:
         schedule = (10**4, 10**5, 10**6, 10**7)
         est = estimate_sigma_c(
-            StepFunction(StepKind.F_ONE, schedule[-1]),
+            StepKind.F_ONE,
             [0.40, 0.45, 0.50, 0.55, 0.60],
             schedule,
         )
         assert est.lower <= 0.5 <= est.upper
         assert est.upper - est.lower <= 0.1 + 1e-12
         one = estimate_sigma_c(
-            StepFunction(StepKind.ONE, schedule[-1]),
+            StepKind.ONE,
             [0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20],
             schedule,
             kernel="plain",

@@ -1,5 +1,6 @@
 """CLI surface tests, driven in-process through main()."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from zetalab.cli import main
+from zetalab.cli import _float_list, _num_int, main
 
 
 def run(capsys, *argv):
@@ -88,6 +89,28 @@ def test_non_finite_integer_arg_exits_2():
             main(["scan", "--limit", text])
         assert e.value.code == 2
 
+
+
+@pytest.mark.parametrize("text, points", [
+    ("0:1:0.6", [0.0, 0.6]),
+    ("0.4:0.6:0.05", [0.4, 0.45, 0.5, 0.55, 0.6]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ("1:1:0.3", [1.0]),
+])
+def test_grid_range_stops_at_stop(text, points):
+    """The last point of START:STOP:STEP never passes STOP, and a STOP
+    that rounding puts a hair short of a step still counts."""
+    assert _float_list(text) == points
+
+
+def test_integer_flags_read_integer_literals_exactly(capsys):
+    assert _num_int("9007199254740993") == 2**53 + 1
+    assert _num_int("1e6") == 10**6
+    for text in ("1.5", "1e400", "inf", "nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _num_int(text)
+    code, out, _ = run(capsys, "xi", "--n", "12345678901234567")
+    assert code == 0 and out.startswith("xi(12345678901234567) = ")
 
 @pytest.mark.parametrize("argv", [
     ["zeta", "--s", "nan"],

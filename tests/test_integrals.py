@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from per_cell import prefix
 from zetalab import (
     DomainError,
-    StepFunction,
     StepKind,
     estimate_sigma_c,
     integrate_step,
@@ -25,23 +24,22 @@ from zetalab import (
 
 def test_constant_function_closed_forms():
     X = 10**5
-    G = StepFunction(StepKind.ONE, X)
     # half-shifted kernel at s=2 integrates u^(-5/2)
-    r = integrate_step(G, 2.0)
+    r = integrate_step(StepKind.ONE, 2.0, X)
     assert r.value == pytest.approx((1 - X**-1.5) / 1.5, abs=1e-13)
     assert r.converged and r.tail_estimate < 1e-6
     # plain kernel, q = 2
-    r = integrate_step(G, 2.0, kernel="plain")
+    r = integrate_step(StepKind.ONE, 2.0, X, kernel="plain")
     assert r.value == pytest.approx(1 - 1 / X, abs=1e-13)
     # q = 1 exactly: the log branch
-    r = integrate_step(G, 1.0, kernel="plain")
+    r = integrate_step(StepKind.ONE, 1.0, X, kernel="plain")
     assert r.value == pytest.approx(math.log(X), rel=1e-14)
     assert r.tail_estimate == math.inf
     assert not r.converged
 
 
 def test_f_one_at_x_two_is_zero():
-    assert integrate_step(StepFunction(StepKind.F_ONE, 2), 2.0).value == 0j
+    assert integrate_step(StepKind.F_ONE, 2.0, 2).value == 0j
 
 
 def test_quadrature_oracle_per_cell():
@@ -55,7 +53,7 @@ def test_quadrature_oracle_per_cell():
             for n in range(1, X):
                 part, _ = quad(lambda u: u**-q_exp, n, n + 1, epsabs=1e-14)
                 total += g[n - 1] * part
-            mine = integrate_step(StepFunction(kind, X), s).value
+            mine = integrate_step(kind, s, X).value
             assert mine.real == pytest.approx(total, rel=1e-8, abs=1e-12), (kind, s)
             assert mine.imag == 0.0
 
@@ -69,7 +67,7 @@ def test_p_over_u_cell_shape():
     for n in range(1, X):
         part, _ = quad(lambda u: u ** -(s + 1), n, n + 1, epsabs=1e-14)
         total += g[n - 1] * part
-    mine = integrate_step(StepFunction(StepKind.P_OVER_U, X), s).value
+    mine = integrate_step(StepKind.P_OVER_U, s, X).value
     assert mine.real == pytest.approx(total, rel=1e-10)
 
 
@@ -80,7 +78,7 @@ def test_partial_summation_exact_p_route():
         p_final = int(np.sum(sieve_range(1, X + 1).values))
         lhs = lambda_series(s, X)
         rhs = (
-            s * integrate_step(StepFunction(StepKind.P_OVER_U, X), s, kernel="plain").value
+            s * integrate_step(StepKind.P_OVER_U, s, X, kernel="plain").value
             + p_final * X ** complex(-s)
         )
         assert abs(lhs - rhs) < 1e-12, s
@@ -93,7 +91,7 @@ def test_partial_summation_exact_t_route():
     for s in (2.0, 3.0, 1.5 + 2j):
         lhs = lambda_series(s, X)
         rhs = (s - 1) * integrate_step(
-            StepFunction(StepKind.T_SUM, X), s, kernel="plain"
+            StepKind.T_SUM, s, X, kernel="plain"
         ).value + g[-1] * X ** complex(1 - s)
         assert abs(lhs - rhs) < 1e-12, s
 
@@ -102,8 +100,8 @@ def test_additivity_against_reference():
     # integral over [1, Y] minus [1, X] equals the directly-summed middle part
     X, Y, s = 700, 2500, 1.3 + 0.7j
     kind = StepKind.F_HALF
-    whole = integrate_step(StepFunction(kind, Y), s).value
-    head = integrate_step(StepFunction(kind, X), s).value
+    whole = integrate_step(kind, s, Y).value
+    head = integrate_step(kind, s, X).value
     g = prefix(kind, Y)
     q = s + 0.5
     ns = np.arange(X, Y, dtype=np.float64)
@@ -114,10 +112,9 @@ def test_additivity_against_reference():
 
 def test_conjugate_symmetry():
     for kind in (StepKind.F_HALF, StepKind.L_XI):
-        G = StepFunction(kind, 4000)
         s = 1.2 + 1.7j
-        a = integrate_step(G, s).value
-        b = integrate_step(G, s.conjugate()).value
+        a = integrate_step(kind, s, 4000).value
+        b = integrate_step(kind, s.conjugate(), 4000).value
         assert abs(a.conjugate() - b) < 1e-14
 
 
@@ -129,17 +126,17 @@ def test_conjugate_symmetry():
 )
 def test_linearity_collapse_property(sigma, t, X):
     s = complex(sigma, t)
-    vh = integrate_step(StepFunction(StepKind.F_HALF, X), s).value
-    vo = integrate_step(StepFunction(StepKind.F_ONE, X), s).value
-    vl = integrate_step(StepFunction(StepKind.L_XI, X), s).value
+    vh = integrate_step(StepKind.F_HALF, s, X).value
+    vo = integrate_step(StepKind.F_ONE, s, X).value
+    vl = integrate_step(StepKind.L_XI, s, X).value
     assert abs(vh - vo - vl) < 1e-12
 
 
 def test_j_xi_is_the_difference():
     for s in (2.0, 0.75, 1.5 + 2j):
         X = 10**4
-        vh = integrate_step(StepFunction(StepKind.F_HALF, X), s).value
-        vo = integrate_step(StepFunction(StepKind.F_ONE, X), s).value
+        vh = integrate_step(StepKind.F_HALF, s, X).value
+        vo = integrate_step(StepKind.F_ONE, s, X).value
         assert abs(j_xi(s, X).value - (vh - vo)) < 1e-13
 
 
@@ -158,32 +155,30 @@ def test_j_xi_domain():
 
 
 def test_tail_model_fields():
-    r = integrate_step(StepFunction(StepKind.F_HALF, 10**4), 2.0)
+    r = integrate_step(StepKind.F_HALF, 2.0, 10**4)
     assert r.tail_estimate > 0 and math.isfinite(r.tail_estimate)
     assert "sqrt(u)" in r.tail_model
     assert r.truncation == 10**4
-    r = integrate_step(StepFunction(StepKind.F_HALF, 10**4), 0.8)
+    r = integrate_step(StepKind.F_HALF, 0.8, 10**4)
     assert r.tail_estimate == math.inf
     assert r.tail_model == "unmodeled; conditional"
-    r = integrate_step(StepFunction(StepKind.T_SUM, 10**4), 2.0)
+    r = integrate_step(StepKind.T_SUM, 2.0, 10**4)
     assert "sqrt" not in r.tail_model
 
 
 def test_singular_exponent_guards():
-    G = StepFunction(StepKind.F_ONE, 100)
+    kind = StepKind.F_ONE
     with pytest.raises(DomainError):
-        integrate_step(G, 0.5 + 1e-12)  # too close to the kernel singularity
+        integrate_step(kind, 0.5 + 1e-12, 100)  # too close to the kernel singularity
     with pytest.raises(DomainError):
-        integrate_step(G, 1.0 - 1e-12, kernel="plain")
+        integrate_step(kind, 1.0 - 1e-12, 100, kernel="plain")
     # exactly singular exponents take the log branch instead
-    r = integrate_step(G, 0.5)
+    r = integrate_step(kind, 0.5, 100)
     assert math.isfinite(r.value.real)
     with pytest.raises(DomainError):
-        integrate_step(G, 2.0, kernel="mystery")
+        integrate_step(kind, 2.0, 100, kernel="mystery")
     with pytest.raises(DomainError):
-        integrate_step(G, 2.0, X=1)
-    with pytest.raises(DomainError):
-        StepFunction(StepKind.F_ONE, 1)
+        integrate_step(kind, 2.0, X=1)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf, complex(2, math.inf), complex(math.nan, 1))
@@ -193,7 +188,7 @@ NON_FINITE = (math.nan, math.inf, -math.inf, complex(2, math.inf), complex(math.
 def test_non_finite_s_is_a_domain_error(s):
     for kind in StepKind:
         with pytest.raises(DomainError, match="finite"):
-            integrate_step(StepFunction(kind, 100), s)
+            integrate_step(kind, s, 100)
     with pytest.raises(DomainError, match="finite"):
         lambda_series(s, 100)
     with pytest.raises(DomainError):  # -inf already fails sigma > 1/2
@@ -205,12 +200,12 @@ def test_non_finite_s_is_a_domain_error(s):
 @pytest.mark.parametrize("sigma", (math.nan, math.inf))
 def test_non_finite_sigma_is_a_domain_error(sigma):
     with pytest.raises(DomainError, match="finite"):
-        estimate_sigma_c(StepFunction(StepKind.F_ONE, 1000), [0.4, sigma], [10, 100, 1000])
+        estimate_sigma_c(StepKind.F_ONE, [0.4, sigma], [10, 100, 1000])
 
 
 def test_sigma_c_constant_function():
     est = estimate_sigma_c(
-        StepFunction(StepKind.ONE, 10**5),
+        StepKind.ONE,
         [0.8, 0.9, 1.0, 1.1, 1.2],
         [10**2, 10**3, 10**4, 10**5],
         kernel="plain",
@@ -224,7 +219,7 @@ def test_sigma_c_constant_function():
 def test_sigma_c_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     est = estimate_sigma_c(
-        StepFunction(StepKind.ONE, 10**4),
+        StepKind.ONE,
         [0.9, 1.1],
         [10**2, 10**3, 10**4],
         kernel="plain",
@@ -241,19 +236,18 @@ def test_sigma_c_trace_csv(tmp_path):
 
 
 def test_sigma_c_validation():
-    G = StepFunction(StepKind.ONE, 10**4)
+    kind = StepKind.ONE
     with pytest.raises(DomainError):
-        estimate_sigma_c(G, [0.9], [100, 1000, 10000])
+        estimate_sigma_c(kind, [0.9], [100, 1000, 10000])
     with pytest.raises(DomainError):
-        estimate_sigma_c(G, [1.1, 0.9], [100, 1000, 10000])
+        estimate_sigma_c(kind, [1.1, 0.9], [100, 1000, 10000])
     with pytest.raises(DomainError):
-        estimate_sigma_c(G, [0.9, 1.1], [100, 1000])
+        estimate_sigma_c(kind, [0.9, 1.1], [100, 1000])
     with pytest.raises(DomainError):
-        estimate_sigma_c(G, [0.9, 1.1], [1000, 1000, 1000])
+        estimate_sigma_c(kind, [0.9, 1.1], [1000, 1000, 1000])
 
 
 def test_every_stream_validates_its_arguments():
     for kind in StepKind:
-        G = StepFunction(kind, 100)
         with pytest.raises(DomainError):
-            integrate_step(G, 2.0, 2**63 + 1)
+            integrate_step(kind, 2.0, 2**63 + 1)

@@ -26,8 +26,6 @@ from zetalab import (
     iter_lambda_segments,
     iter_mobius_segments,
     run_scan,
-    scan_polya,
-    scan_turan,
     sieve_range,
 )
 from zetalab.liouville import liouville
@@ -233,13 +231,13 @@ def test_scan_hand_values_to_ten():
 
 
 def test_scan_turan_positive_to_1000():
-    rep = scan_turan(1000)
+    rep = run_scan(1000).turan
     assert rep.first_violation is None
     assert rep.min_value > 1e-6
 
 
 def test_scan_polya_nonpositive_to_100k():
-    rep = scan_polya(10**5)
+    rep = run_scan(10**5).polya
     assert rep.first_violation is None
     assert rep.min_value < -100  # deep negative excursion, not just boundary
 
@@ -324,6 +322,35 @@ def test_scan_resume_equivalence(kill, every, stride):
                 scan("resumed")
         assert scan("resumed") == clean
 
+
+
+@st.composite
+def _scan_lengths(draw):
+    """A segment length and a scan limit up to 3e4 that it cuts into at
+    most 200 segments."""
+    seg = draw(st.integers(min_value=1, max_value=(1 << 15) + 5))
+    return draw(st.integers(min_value=1, max_value=min(30000, 200 * seg))), seg
+
+
+@settings(max_examples=30, deadline=None)
+@example(cut=(30000, (1 << 15) + 5))
+@example(cut=(30000, 997))
+@example(cut=(200, 1))
+@given(_scan_lengths())
+def test_scan_at_a_patched_segment_length(cut):
+    """P's report is exact at any segment length; T's sign decisions are
+    the same and its values move by rounding only."""
+    limit, seg = cut
+    base = run_scan(limit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "DEFAULT_SEGMENT", seg)
+        small = run_scan(limit)
+    assert small.polya == base.polya and small.polya_final == base.polya_final
+    assert small.turan.first_violation == base.turan.first_violation
+    assert small.turan.sign_change_count == base.turan.sign_change_count
+    for mine, ref in ((small.turan_final, base.turan_final),
+                      (small.turan.min_value, base.turan.min_value)):
+        assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref)), (mine, ref)
 
 def _scan_outputs(tmp_path, name, limit, **kwargs):
     """A scan's result, checkpoint bytes and trace bytes, the trace of

@@ -10,17 +10,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import (
-    DEFAULT_XI,
-    DomainError,
-    PrefixEvaluator,
-    f_x,
-    l_x,
-    mvt_weight,
-    sieve_range,
-    write_sums_csv,
-)
+from zetalab import DomainError, PrefixEvaluator, f_x, l_x, sieve_range
 from zetalab.liouville import iter_lambda_segments, liouville, mobius_segment
+from zetalab.sums import partial_sums
+from zetalab.xi import xi
 from zetalab.compensated import CompensatedSum
 
 
@@ -38,17 +31,6 @@ def test_f_one_matches_exact_rational():
     assert f_x(1.0, x) == pytest.approx(float(exact), abs=1e-13)
 
 
-def test_mvt_weight_values_and_domain():
-    assert mvt_weight(4) == pytest.approx(0.25, abs=1e-16)
-    assert mvt_weight(100) == pytest.approx(0.09, abs=1e-15)
-    arr = mvt_weight(np.array([4, 100]))
-    assert arr == pytest.approx([0.25, 0.09])
-    with pytest.raises(DomainError):
-        mvt_weight(1)
-    with pytest.raises(DomainError):
-        mvt_weight(4, alpha=1.0, beta=0.5)
-
-
 def test_decomposition_identity():
     for x in (10, 1000, 10**5):
         fa = f_x(0.5, x)
@@ -59,11 +41,10 @@ def test_decomposition_identity():
 
 def test_l_x_direct_route_agrees():
     # the direct route exponentiates xi(n): (beta-alpha) log(n) n^(-xi(n)) per term
-    a, b = DEFAULT_XI.alpha, DEFAULT_XI.beta
     for x in (10, 5000):
         lam = sieve_range(2, x + 1).values
         ns = np.arange(2, x + 1, dtype=np.float64)
-        terms = lam * (b - a) * np.log(ns) * np.power(ns, -DEFAULT_XI.xi(ns))
+        terms = lam * (1.0 - 0.5) * np.log(ns) * np.power(ns, -xi(ns))
         assert l_x(x) == pytest.approx(math.fsum(terms.tolist()), abs=1e-11)
 
 
@@ -138,7 +119,7 @@ def test_domain_errors():
 
 def test_write_sums_csv(tmp_path):
     path = tmp_path / "sums.csv"
-    rows = write_sums_csv(str(path), 1000)
+    rows = partial_sums(1000, csv_path=str(path)).rows
     with open(path) as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == rows
@@ -160,7 +141,7 @@ def test_sums_csv_rows_match_standalone_sums(tmp_path_factory, x, seg):
     with pytest.MonkeyPatch.context() as mp:
         if seg is not None:
             mp.setattr("zetalab.liouville.DEFAULT_SEGMENT", seg)
-        write_sums_csv(str(path), x)
+        partial_sums(x, csv_path=str(path))
     with open(path) as fh:
         records = list(csv.DictReader(fh))
     assert [int(r["x"]) for r in records] == sorted(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import DEFAULT_XI, DomainError, XiSequence, check_monotone_limit, xi_residual
+from zetalab import DomainError, check_monotone_limit, xi_residual
 from zetalab.xi import write_xi_csv, xi
 
 
@@ -44,7 +44,7 @@ def test_xi_matches_bisection_random(rng):
 
 def test_defining_residual_small_on_log_grid():
     ns = np.unique(np.round(np.logspace(np.log10(2), 6, 400)).astype(np.int64))
-    res = DEFAULT_XI.residual(ns)
+    res = xi_residual(ns)
     scale = ns.astype(np.float64) ** -0.5  # dominant term of the identity
     assert np.max(np.abs(res) / scale) < 1e-14
 
@@ -58,7 +58,7 @@ def test_xi_vectorized_matches_scalar():
 
 
 def test_xi_strictly_decreasing_prefix():
-    rep = check_monotone_limit(DEFAULT_XI, 10**5)
+    rep = check_monotone_limit(10**5)
     assert rep.monotone
     assert rep.first_increase is None
     assert rep.gap_at_nmax > 0
@@ -71,18 +71,14 @@ def test_xi_interior_and_limits():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=0.05, max_value=2.0),
-    st.floats(min_value=0.05, max_value=1.5),
-    st.integers(min_value=2, max_value=10**6),
-)
-def test_xi_generic_interval_properties(alpha, width, n):
-    seq = XiSequence(alpha=alpha, beta=alpha + width)
-    value = seq.xi(n)
-    assert alpha < value < alpha + width
+@given(st.integers(min_value=2, max_value=10**6))
+def test_xi_generic_interval_properties(n):
+    alpha, beta = 0.5, 1.0
+    value = xi(n)
+    assert alpha < value < beta
     # the defining identity itself, relative to its largest term
-    res = seq.residual(n)
-    assert abs(res) < 1e-13 * (n**-alpha + width * math.log(n) * n ** -value)
+    res = xi_residual(n)
+    assert abs(res) < 1e-13 * (n**-alpha + (beta - alpha) * math.log(n) * n ** -value)
 
 
 def test_perturbation_breaks_identity():
@@ -100,14 +96,12 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         xi_residual(0)
     with pytest.raises(DomainError):
-        XiSequence(alpha=1.0, beta=0.5)
-    with pytest.raises(DomainError):
-        check_monotone_limit(DEFAULT_XI, 2)
+        check_monotone_limit(2)
 
 
 def test_write_xi_csv(tmp_path):
     path = tmp_path / "xi.csv"
-    rows = write_xi_csv(str(path), DEFAULT_XI, 10**6, points=50)
+    rows = write_xi_csv(str(path), 10**6, points=50)
     with open(path) as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == rows
