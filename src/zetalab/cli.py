@@ -69,6 +69,11 @@ def _complex_arg(text: str) -> complex:
     return complex(*_finite(parts, text))
 
 
+# A START:STOP:STEP grid is refused above this many points, before any
+# list is built.
+_MAX_GRID_POINTS = 10**6
+
+
 def _float_list(text: str) -> list[float]:
     # "0.4:0.6:0.05" (inclusive range) or "0.4,0.5,0.6"
     if ":" in text:
@@ -81,6 +86,9 @@ def _float_list(text: str) -> list[float]:
         # the last point stays at or below STOP; the 1e-9 keeps a step count
         # that rounding left a hair below an integer
         count = math.floor((stop - start) / step * (1 + 1e-9)) + 1
+        if count > _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has {count} points, more than {_MAX_GRID_POINTS}")
         return [round(start + i * step, 12) for i in range(count)]
     try:
         return _finite([float(p) for p in text.split(",")], text)

@@ -6,85 +6,82 @@ cross-segment carries here use Neumaier's variant of Kahan summation:
 the rounding error of every add is recovered and banked in a side term.
 
 A segment summed with exact=True is rounded once, correctly, as
-math.fsum rounds it. For a float64 array that is done in integer numpy
-arithmetic, after Neal's superaccumulators ("Fast exact summation using
-small and large superaccumulators", 2015): every term is an integer
-mantissa times a power of two, so shifting the mantissas onto the
-smallest exponent and adding them in int64 limbs gives the exact sum
-as one Python int. A block of 2^15 terms whose exponents lie more than
-9 apart is cut into windows of 10 exponents, each shifted onto its own
-smallest exponent. math.fsum still sums an array with a zero,
-subnormal, inf or nan term or with a term of 2^960 or more, and any
-input that is not a 1-D float64 array.
+math.fsum rounds it. A float64 array is summed exactly with plain float
+adds, in blocks of at most 2^15 terms, after an error-free split on a
+fixed grid (Rump, Ogita and Oishi, "Accurate floating-point summation,
+part I", SIAM J. Sci. Comput. 2008). Let e_max and e_min be the largest
+and smallest biased exponents of a block's terms, and g = 2^(e_max - 1059)
+the grid. With sigma = 1.5 * 2^(e_max - 1007), whose ulp is g, each
+term x splits exactly into hi = (x + sigma) - sigma, a multiple of g of
+at most 2^(e_max - 1022), and lo = x - hi, a multiple of 2^(e_min - 1075)
+of at most g/2. Every partial sum of the hi parts is a multiple of g
+of at most 2^52 * g, and every partial sum of the lo parts one of
+2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
+e_max - e_min <= 23, so both float sums are exact, in any order. A
+block whose exponents lie further apart is cut into windows of 24
+exponents, each split on its own grid. The blocks' exact sums, Python
+ints in units of their smallest exponent, are joined and rounded once.
+math.fsum still sums an array with a zero, subnormal, inf or nan term
+or with a term of 2^960 or more, and any input that is not a 1-D
+float64 array.
 """
 
 import math
 
 import numpy as np
 
-# A float64 term is (-1)^s * M * 2^(E - 1075), M = 2^52 + fraction, for
-# biased exponents 1 <= E <= 2046. Shifted onto the smallest E of its
-# block by at most _MAX_SHIFT bits, M spans at most 62 bits: a signed
-# high limb and a low limb of _LIMB bits each, whose sums over a block
-# stay far inside int64. Blocks of _BLOCK terms stay in cache: a
-# 2^20-term scan segment sums about 4x faster in blocks than in
-# whole-segment passes (2-core Xeon, numpy 2.4).
+# A float64 term is (-1)^s * M * 2^(E - 1075), M < 2^53, for biased
+# exponents 1 <= E <= 2046. A block of at most _BLOCK terms whose
+# exponents lie within _MAX_SPREAD of each other is split and summed
+# exactly on one grid. Blocks of _BLOCK terms stay in cache.
 _BLOCK = 1 << 15
-_LIMB = 31
-_MAX_SHIFT = 2 * _LIMB - 53
-_FRACTION = (1 << 52) - 1
-_HIDDEN = 1 << 52
+_MAX_SPREAD = 23
 # Below 2^960 no partial sum of an array that fits in memory comes near
 # overflow, where math.fsum raises "intermediate overflow".
 _MAX_EXP = 2046 - 64
 
 
-def _limb_sum(bits: np.ndarray, exps: np.ndarray, e_min: int) -> int:
-    """The exact sum of float64 terms, given as their int64 bits and
-    biased exponents (overwritten), in units of 2^(e_min - 1075). Every
-    exponent lies within _MAX_SHIFT above e_min."""
-    exps -= e_min
-    m = bits & _FRACTION
-    m |= _HIDDEN
-    m <<= exps
-    sign = bits >> 63  # 0 or -1, and (m ^ -1) - (-1) = -m
-    m ^= sign
-    m -= sign
-    hi = np.right_shift(m, _LIMB, out=sign)
-    m &= (1 << _LIMB) - 1
-    return (int(hi.sum()) << _LIMB) + int(m.sum())
+def _split_sum(x: np.ndarray, e_min: int, e_max: int, buf: np.ndarray) -> int:
+    """The exact sum of float64 terms, in units of 2^(e_min - 1075),
+    using buf, as long as x, for scratch. Every biased exponent lies in
+    [e_min, e_max], and e_max - e_min <= _MAX_SPREAD."""
+    sigma = math.ldexp(1.5, e_max - 1007)
+    hi = np.add(x, sigma, out=buf)
+    hi -= sigma
+    hi_sum = float(hi.sum())
+    lo = np.subtract(x, hi, out=buf)
+    # Both sums are whole in the unit, the hi one at most 2^91 of them.
+    scale = 1075 - e_min
+    return int(math.ldexp(hi_sum, scale)) + int(math.ldexp(float(lo.sum()), scale))
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum of a 1-D float64 array, bit for bit, in integer numpy.
-
-    Each block's exact sum is one Python int in units of its smallest
-    exponent, or one per window of _MAX_SHIFT + 1 exponents that holds
-    terms when the block's exponents are further apart (the first 2^15
-    terms of 1/n, for one); the sums are joined exactly and rounded
-    once. math.fsum is kept for what the limbs do not cover: a zero or
-    subnormal term (no hidden bit), an inf or nan term (fsum's result,
-    or its ValueError on inf + -inf), and a term of 2^960 or more
-    (fsum's OverflowError).
-    """
-    bits = values.view(np.int64)
+def exact_block_sums(block: np.ndarray) -> list[tuple[int, int]] | None:
+    """The exact sum of a 1-D float64 block of at most _BLOCK terms, as
+    (int, e) pairs that each count units of 2^(e - 1075): one pair, or
+    one per window of _MAX_SPREAD + 1 exponents that holds terms when
+    the block's exponents are further apart (the first 2^15 terms of
+    1/n, for one). None when a term is zero, subnormal, inf, nan or
+    2^960 or more, which the split does not cover."""
+    mag = np.abs(block)
+    bits = mag.view(np.int64)
+    e_min, e_max = int(bits.min()) >> 52, int(bits.max()) >> 52
+    if e_min < 1 or e_max > _MAX_EXP:
+        return None
+    if e_max - e_min <= _MAX_SPREAD:
+        return [(_split_sum(block, e_min, e_max, mag), e_min)]
+    exps = bits >> 52
     sums = []
-    for i in range(0, len(bits), _BLOCK):
-        b = bits[i:i + _BLOCK]
-        exps = b >> 52
-        exps &= 0x7FF
-        e_min, e_max = int(exps.min()), int(exps.max())
-        if e_min == 0 or e_max > _MAX_EXP:
-            return math.fsum(values.tolist())
-        # One window needs no masks: about 7 ms against 11 ms per
-        # 2^20-term scan segment (2-core Xeon, numpy 2.4).
-        if e_max - e_min <= _MAX_SHIFT:
-            sums.append((_limb_sum(b, exps, e_min), e_min))
-            continue
-        for e in range(e_min, e_max + 1, _MAX_SHIFT + 1):
-            window = (exps >= e) & (exps <= e + _MAX_SHIFT)
-            if window.any():
-                sums.append((_limb_sum(b[window], exps[window], e), e))
+    for e in range(e_min, e_max + 1, _MAX_SPREAD + 1):
+        window = (exps >= e) & (exps <= e + _MAX_SPREAD)
+        if window.any():
+            x = block[window]
+            sums.append((_split_sum(x, e, e + _MAX_SPREAD, mag[:len(x)]), e))
+    return sums
+
+
+def round_exact_sums(sums: list[tuple[int, int]]) -> float:
+    """The float nearest the exact sum of (int, e) pairs, each counting
+    units of 2^(e - 1075), ties to even: math.fsum of the terms."""
     e_min = min(e for _, e in sums)
     total = sum(t << (e - e_min) for t, e in sums)
     # float() rounds to nearest even and ldexp only rescales: a result
@@ -97,6 +94,21 @@ def _exact_sum(values: np.ndarray) -> float:
         kept = (size >> drop) | bool(size & ((1 << drop) - 1))
         total, e_min = (kept if total > 0 else -kept), e_min + drop
     return math.ldexp(float(total), e_min - 1075)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum of a 1-D float64 array, bit for bit, from exact block
+    sums. math.fsum is kept for what the split does not cover: a zero or
+    subnormal term, an inf or nan term (fsum's result, or its ValueError
+    on inf + -inf), and a term of 2^960 or more (fsum's OverflowError).
+    """
+    sums = []
+    for i in range(0, len(values), _BLOCK):
+        block_sums = exact_block_sums(values[i:i + _BLOCK])
+        if block_sums is None:
+            return math.fsum(values.tolist())
+        sums += block_sums
+    return round_exact_sums(sums)
 
 
 class CompensatedSum:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compensated import CompensatedSum
+from .compensated import CompensatedSum, exact_block_sums, round_exact_sums
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -92,7 +92,8 @@ _WHEEL = 5040
 _WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
 # n is compared with its product, and run_scan folds P and T, in blocks
 # of this many terms, so that no full-length int64 or float64 temporary
-# sits next to the segment.
+# sits next to the segment. At most 2^15, the size of a block that
+# compensated.exact_block_sums sums exactly.
 _BLOCK = 1 << 15
 
 
@@ -435,13 +436,16 @@ def run_scan(
 
     Violations are P(x) > 0 on x in [2, limit] and T(n) <= 0 on
     [1, limit]; min/argmin are tracked over those same ranges and sign
-    changes are counted on the integer lattice (zeros skipped). The
-    Turan sum is carried across segments with compensated summation and
-    each segment is totalled exactly, rounded once. Each segment is
-    folded in blocks of _BLOCK terms through buffers allocated once per
-    scan: one segment of T terms and one block each of running P and T.
-    A block's running T starts from the last one of the block before,
-    so its values are those of one np.cumsum over the segment.
+    changes are counted on the integer lattice (zeros skipped); limit
+    must be at least 2. The Turan sum is carried across segments with
+    compensated summation. Each segment is folded in blocks of _BLOCK
+    terms through two block-length buffers allocated once per scan, one
+    each for the running P and T. A block's terms lambda(n)/n are
+    written into the T buffer and summed exactly there, while in cache,
+    before its running sum overwrites them; the segment's exact sum is
+    rounded once at its end, so it does not depend on the blocks. A
+    block's running T starts from the last one of the block before, so
+    its values are those of one np.cumsum over the segment.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -451,8 +455,8 @@ def run_scan(
     traces exactly what the uninterrupted scan does.
     """
     limit = int(limit)
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
+    if limit < 2:
+        raise DomainError("limit must be >= 2: P is scanned from x = 2")
     if limit >= MAX_N:
         raise DomainError("limit beyond supported 64-bit range")
     if csv_stride < 1:
@@ -472,26 +476,26 @@ def run_scan(
     with trace as csv_fh:
         if ck.next_n <= limit:
             rows = None if csv_fh is None else csv.writer(csv_fh)
-            # One segment of T terms; the running P and T of one fold block.
-            t_terms = np.empty(min(DEFAULT_SEGMENT, limit + 1 - ck.next_n))
+            # The running P and T of one fold block.
             p_buf = np.empty(_BLOCK, dtype=np.int64)
             t_buf = np.empty(_BLOCK)
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
                 t_acc = CompensatedSum(ck.t_total, ck.t_comp)
                 t_base = t_acc.value
                 t_run = 0.0  # the segment's running T before t_base is added
+                t_sums = []  # the segment's exact sum of T terms, block by block
                 for a in range(0, len(lam), _BLOCK):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
                     m = len(lam_b)
-                    terms = t_terms[a:a + m]
-                    np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64), out=terms)
+                    t_vals = np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64),
+                                       out=t_buf[:m])
+                    # lambda(n)/n is normal and at most 1, so never None
+                    t_sums += exact_block_sums(t_vals)
                     p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
                     p_vals += ck.p_sum
                     ck.p_sum = int(p_vals[-1])
                     # t_run enters the first term, so the adds are those
                     # of one np.cumsum over the whole segment.
-                    t_vals = t_buf[:m]
-                    t_vals[:] = terms
                     t_vals[0] += t_run
                     np.cumsum(t_vals, out=t_vals)
                     t_run = float(t_vals[-1])
@@ -506,7 +510,7 @@ def run_scan(
                             p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
                         ))
 
-                t_acc.add_array(t_terms[:len(lam)], exact=True)
+                t_acc.add(round_exact_sums(t_sums))
                 ck.t_total, ck.t_comp = t_acc.parts
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1

@@ -103,6 +103,26 @@ def test_grid_range_stops_at_stop(text, points):
     assert _float_list(text) == points
 
 
+def test_grid_range_point_count_is_bounded(capsys):
+    """A START:STOP:STEP grid of more than 10^6 points is refused by its
+    count, before its list is built."""
+    assert len(_float_list("1:1000000:1")) == 10**6
+    with pytest.raises(argparse.ArgumentTypeError, match="1000001 points"):
+        _float_list("0:1000000:1")
+    with pytest.raises(argparse.ArgumentTypeError, match="1000000001001 points"):
+        _float_list("0:1:1e-12")
+    with pytest.raises(SystemExit) as e:
+        main(["sigma-c", "--kind", "F_one", "--grid", "0:1:1e-12", "--schedule", "1e3,1e4"])
+    assert e.value.code == 2
+    assert "more than 1000000" in capsys.readouterr().err
+
+
+def test_scan_limit_below_two_is_an_error(capsys):
+    code, out, err = run(capsys, "scan", "--limit", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "P is scanned from x = 2" in err
+
+
 def test_integer_flags_read_integer_literals_exactly(capsys):
     assert _num_int("9007199254740993") == 2**53 + 1
     assert _num_int("1e6") == 10**6

@@ -1,13 +1,23 @@
-"""CompensatedSum.add_array(exact=True) against math.fsum, bit for bit."""
+"""CompensatedSum.add_array(exact=True) and the exact block kernel
+against math.fsum, bit for bit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab.compensated import _BLOCK, _MAX_EXP, _MAX_SHIFT, ComplexCompensatedSum, CompensatedSum
+from zetalab.compensated import (
+    _BLOCK,
+    _MAX_EXP,
+    _MAX_SPREAD,
+    ComplexCompensatedSum,
+    CompensatedSum,
+    exact_block_sums,
+    round_exact_sums,
+)
 
 FSUM = math.fsum
 TINY = 2.0**-1074  # the smallest subnormal
@@ -42,7 +52,7 @@ def assert_fsum(values, by_fsum):
     assert fell_back == by_fsum
 
 
-def limbs_cover(values) -> bool:
+def split_covers(values) -> bool:
     """Whether no term is zero, subnormal, inf, nan or 2^960 or more."""
     mag = np.abs(values)
     return bool(np.all((mag >= 2.0**-1022) & (mag < 2.0 ** (_MAX_EXP - 1022))))
@@ -65,7 +75,7 @@ def test_random_arrays_match_fsum(seed, n, e0, spread):
     # wide spreads cut a block into many exponent windows; terms stay
     # below 2^1001, so no partial sum overflows
     values = _normal_terms(np.random.default_rng(seed), n, min(e0, 1000 - spread), spread)
-    assert_fsum(values, by_fsum=not limbs_cover(values))
+    assert_fsum(values, by_fsum=not split_covers(values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,14 +83,14 @@ def test_random_arrays_match_fsum(seed, n, e0, spread):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=2 * _BLOCK),
     st.integers(min_value=-1000, max_value=900),
-    st.integers(min_value=0, max_value=_MAX_SHIFT - 1),
+    st.integers(min_value=0, max_value=_MAX_SPREAD - 1),
 )
 def test_cancelling_arrays_match_fsum(seed, n, e0, spread):
     rng = np.random.default_rng(seed)
     x = _normal_terms(rng, n, e0, spread)
     values = np.concatenate([x, -x * (1 + 2.0**-50)])
     rng.shuffle(values)
-    assert_fsum(values, by_fsum=not limbs_cover(values))
+    assert_fsum(values, by_fsum=not split_covers(values))
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,11 +116,11 @@ def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
         [1.5, -1.5, 3.0, -3.0],
         [2.0**-1022 * (1 + 2.0**-52), -(2.0**-1022)],
         [2.0**-1022, 2.0**-1022, -(2.0**-1021) * (1 + 2.0**-52)],
-        # largest terms left to the limbs
+        # largest terms left to the split
         [2.0**959, 2.0**959, -(2.0**958)],
-        # exponents more than the shift budget apart: windows of a block
-        [1.0, 2.0 ** -(_MAX_SHIFT + 1)],
-        [1.0, 2.0 ** -(_MAX_SHIFT + 1), -1.0],
+        # exponents more than the spread budget apart: windows of a block
+        [1.0, 2.0 ** -(_MAX_SPREAD + 1)],
+        [1.0, 2.0 ** -(_MAX_SPREAD + 1), -1.0],
         (1.0 / np.arange(1, 2 * _BLOCK)).tolist(),
         # an exact sum too long for float(), within a block and across blocks
         [2.0**-1000, 2.0**900, -(2.0**-1022)],
@@ -119,6 +129,80 @@ def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
 )
 def test_edge_sums_take_the_integer_path(values):
     assert_fsum(np.array(values), by_fsum=False)
+
+
+def exact_total(values):
+    """The exact sum of a float64 array, as math.fsum's float and the
+    floats it rounds off, each the fsum of what is left."""
+    terms, total = values.tolist(), Fraction(0)
+    while rest := FSUM(terms):
+        total += Fraction(rest)
+        terms.append(-rest)
+    return total
+
+
+def assert_block_fsum(block, windows):
+    """The kernel sums one block exactly in this many windows, rounds it
+    to math.fsum's float, and so does add_array."""
+    sums = exact_block_sums(block)
+    assert len(sums) == windows
+    assert sum(Fraction(t) * Fraction(2) ** (e - 1075) for t, e in sums) == exact_total(block)
+    assert round_exact_sums(sums).hex() == FSUM(block.tolist()).hex()
+    assert_fsum(block, by_fsum=False)
+
+
+@pytest.mark.parametrize("e_max", [1, 2, 1023, 1500, _MAX_EXP])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_full_block_at_the_hi_sum_bound(e_max, sign):
+    # every term one ulp below 2^(e_max - 1022) rounds up onto it, so the
+    # hi parts sum to 2^52 grid steps, the most the split allows
+    top = math.ldexp(1.0, e_max - 1022)
+    block = np.full(_BLOCK, sign * np.nextafter(top, 0.0))
+    assert_block_fsum(block, windows=1)
+
+
+@pytest.mark.parametrize("e_max", [25, 26, 1023, _MAX_EXP])
+@pytest.mark.parametrize("spread, windows", [(23, 1), (24, 2)])
+@pytest.mark.parametrize("half_grid", [2.0**-14, 2.0**-13])
+def test_a_spread_of_23_is_one_window_and_24_two(e_max, spread, windows, half_grid):
+    # one term just below 2^(e_max - 1022) sets the grid g; every other
+    # term has exponent e_max - spread and sits a few units short of a
+    # half step of the grid at a spread of 23 (2^-14 of the term), or of
+    # a grid twice as coarse, so a kernel on g, or on 2g, sums lo parts
+    # near the lo-sum bound
+    units = np.random.default_rng(e_max).integers(1, 1 << 10, _BLOCK)
+    mant = 1 + half_grid * 2.0 ** (spread - 23) - units * 2.0**-52
+    block = np.ldexp(mant, e_max - spread - 1023)
+    block[0] = np.nextafter(math.ldexp(1.0, e_max - 1022), 0.0)
+    assert_block_fsum(block, windows)
+    assert_block_fsum(-block, windows)
+    block[1::2] *= -1
+    assert_block_fsum(block, windows)
+
+
+@pytest.mark.parametrize("spread, windows", [(0, 1), (5, 1), (23, 1), (24, 2), (60, 3)])
+def test_cancelling_blocks(spread, windows):
+    rng = np.random.default_rng(spread)
+    half = _normal_terms(rng, _BLOCK // 2, -40, spread)
+    block = np.concatenate([half, -half])
+    rng.shuffle(block)
+    assert_block_fsum(block, windows)
+    assert round_exact_sums(exact_block_sums(block)).hex() == "0x0.0p+0"
+    # a last-bit change per pair leaves only the ulps to sum
+    block = np.concatenate([half, -np.nextafter(half, np.inf)])
+    rng.shuffle(block)
+    assert_block_fsum(block, windows)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_signed_reciprocals_near_2_to_the_62(seed):
+    # the scan's lambda(n)/n at the far end of the 64-bit range: all
+    # terms in one or two binades, below 2^-61
+    lo = 2**62 - _BLOCK // 2
+    lam = np.random.default_rng(seed).choice([-1.0, 1.0], _BLOCK)
+    block = lam / np.arange(lo, lo + _BLOCK, dtype=np.int64)
+    assert_block_fsum(block, windows=1)
+    assert_block_fsum(np.abs(block), windows=1)
 
 
 @pytest.mark.parametrize("value", [1.0, -3.5, 2.0**-1022, 2.0**959, 1 / 3])
@@ -149,8 +233,8 @@ def test_lists_other_dtypes_and_strided_views():
         [1.0, TINY, -1.0],
         [2.0**-1023, 2.0**-1022],
         # such a term, or one of 2^960 or more, in a block cut into windows
-        [1.0, 2.0 ** -(_MAX_SHIFT + 1), 0.0],
-        [1.0, 2.0 ** -(_MAX_SHIFT + 1), TINY],
+        [1.0, 2.0 ** -(_MAX_SPREAD + 1), 0.0],
+        [1.0, 2.0 ** -(_MAX_SPREAD + 1), TINY],
         [2.0**-30, 2.0**960],
         # terms of 2^960 or more
         [2.0**960],
@@ -187,7 +271,7 @@ def test_fsum_errors_are_kept():
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=2 * _BLOCK),
     st.integers(min_value=-500, max_value=500),
-    st.integers(min_value=0, max_value=_MAX_SHIFT + 2),
+    st.integers(min_value=0, max_value=_MAX_SPREAD + 2),
 )
 def test_complex_sums_match_fsum_per_component(seed, n, e0, spread):
     rng = np.random.default_rng(seed)

@@ -286,7 +286,7 @@ def test_checkpoint_of_another_segment_length_is_refused(tmp_path):
 @st.composite
 def _kill_points(draw):
     """A scan limit, a segment size and how many segments finish before the crash."""
-    limit = draw(st.integers(min_value=1, max_value=20000))
+    limit = draw(st.integers(min_value=2, max_value=20000))
     seg = draw(st.integers(min_value=300, max_value=6000))
     return limit, seg, draw(st.integers(min_value=0, max_value=-(-limit // seg)))
 
@@ -329,7 +329,7 @@ def _scan_lengths(draw):
     """A segment length and a scan limit up to 3e4 that it cuts into at
     most 200 segments."""
     seg = draw(st.integers(min_value=1, max_value=(1 << 15) + 5))
-    return draw(st.integers(min_value=1, max_value=min(30000, 200 * seg))), seg
+    return draw(st.integers(min_value=2, max_value=min(30000, 200 * seg))), seg
 
 
 @settings(max_examples=30, deadline=None)
@@ -402,9 +402,9 @@ def test_checkpoint_past_three_segments_is_pinned(tmp_path):
 
 def test_scan_memory_stays_near_the_sieve(tmp_path, monkeypatch):
     """A scan from n = 1 over two 2^20-term segments and a part allocates
-    at most 24 MiB at its peak: the sieve kernel's 12.5 MiB, one segment
-    of float64 T terms and 2^15-term temporaries, but no full-length
-    running P or T. No segment's exact T total falls back to math.fsum."""
+    at most 14 MiB at its peak: the sieve kernel's 12.5 MiB and 2^15-term
+    temporaries, but no segment-length T terms and no full-length running
+    P or T. No segment's exact T total falls back to math.fsum."""
     limit = 2 * 2**20 + 12345
     run_scan(limit, checkpoint_path=str(tmp_path / "warm.ckpt"))
     fsum_calls = []
@@ -416,7 +416,7 @@ def test_scan_memory_stays_near_the_sieve(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 14 * 2**20
     assert not fsum_calls
 
 
@@ -567,6 +567,15 @@ def test_scan_rejects_checkpoint_every_below_one(tmp_path):
     for every in (0, -1):
         with pytest.raises(DomainError):
             run_scan(100, checkpoint_path=str(tmp_path / "scan.ckpt"), checkpoint_every=every)
+
+
+def test_scan_refuses_a_limit_below_two(tmp_path):
+    """P is scanned from x = 2, so a scan to 1 or less has no P to report."""
+    for limit in (1, 0, -5):
+        with pytest.raises(DomainError, match="P is scanned from x = 2"):
+            run_scan(limit, checkpoint_path=str(tmp_path / "scan.ckpt"))
+    assert not (tmp_path / "scan.ckpt").exists()
+    assert run_scan(2).polya == lv.SignScanReport(2, None, 0.0, 2, 0)  # P(2) = 0
 
 
 def test_iter_segments_argument_validation(segment_length):
