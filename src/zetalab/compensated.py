@@ -5,9 +5,9 @@ Long scans fold millions of small terms into running totals. A plain
 cross-segment carries here use Neumaier's variant of Kahan summation:
 the rounding error of every add is recovered and banked in a side term.
 
-A segment summed with exact=True is rounded once, correctly, as
-math.fsum rounds it. A float64 array is summed exactly with plain float
-adds, in blocks of at most 2^15 terms, after an error-free split on a
+A block of float64 terms can also be summed exactly and its sum rounded
+once, correctly, as math.fsum rounds it. A block of at most 2^15 terms
+is summed exactly with plain float adds after an error-free split on a
 fixed grid (Rump, Ogita and Oishi, "Accurate floating-point summation,
 part I", SIAM J. Sci. Comput. 2008). Let e_max and e_min be the largest
 and smallest biased exponents of a block's terms, and g = 2^(e_max - 1059)
@@ -21,9 +21,8 @@ e_max - e_min <= 23, so both float sums are exact, in any order. A
 block whose exponents lie further apart is cut into windows of 24
 exponents, each split on its own grid. The blocks' exact sums, Python
 ints in units of their smallest exponent, are joined and rounded once.
-math.fsum still sums an array with a zero, subnormal, inf or nan term
-or with a term of 2^960 or more, and any input that is not a 1-D
-float64 array.
+A block with a zero, subnormal, inf or nan term or with a term of 2^960
+or more is declined; its caller sums it otherwise.
 """
 
 import math
@@ -59,9 +58,10 @@ def exact_block_sums(block: np.ndarray) -> list[tuple[int, int]] | None:
     """The exact sum of a 1-D float64 block of at most _BLOCK terms, as
     (int, e) pairs that each count units of 2^(e - 1075): one pair, or
     one per window of _MAX_SPREAD + 1 exponents that holds terms when
-    the block's exponents are further apart (the first 2^15 terms of
-    1/n, for one). None when a term is zero, subnormal, inf, nan or
-    2^960 or more, which the split does not cover."""
+    the block's exponents are further apart (1 and 2^-24, for one; the
+    first 2^15 terms of 1/n span only 16 exponents). None when a term
+    is zero, subnormal, inf, nan or 2^960 or more, which the split does
+    not cover."""
     mag = np.abs(block)
     bits = mag.view(np.int64)
     e_min, e_max = int(bits.min()) >> 52, int(bits.max()) >> 52
@@ -77,6 +77,18 @@ def exact_block_sums(block: np.ndarray) -> list[tuple[int, int]] | None:
             x = block[window]
             sums.append((_split_sum(x, e, e + _MAX_SPREAD, mag[:len(x)]), e))
     return sums
+
+
+def _decreasing_block_sums(block: np.ndarray, buf: np.ndarray) -> list[tuple[int, int]] | None:
+    """exact_block_sums of a block whose magnitudes do not increase, as
+    the scan's lambda(n)/n, using buf, as long as block, for scratch.
+    Its first and last terms hold its largest and smallest exponents, so
+    the block is not scanned for them; a spread of more than _MAX_SPREAD,
+    or a term the split does not cover, goes to exact_block_sums."""
+    e_max, e_min = (int(e) for e in np.abs(block[[0, -1]]).view(np.int64) >> 52)
+    if e_min < 1 or e_max > _MAX_EXP or e_max - e_min > _MAX_SPREAD:
+        return exact_block_sums(block)
+    return [(_split_sum(block, e_min, e_max, buf), e_min)]
 
 
 def round_exact_sums(sums: list[tuple[int, int]]) -> float:
@@ -96,29 +108,12 @@ def round_exact_sums(sums: list[tuple[int, int]]) -> float:
     return math.ldexp(float(total), e_min - 1075)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum of a 1-D float64 array, bit for bit, from exact block
-    sums. math.fsum is kept for what the split does not cover: a zero or
-    subnormal term, an inf or nan term (fsum's result, or its ValueError
-    on inf + -inf), and a term of 2^960 or more (fsum's OverflowError).
-    """
-    sums = []
-    for i in range(0, len(values), _BLOCK):
-        block_sums = exact_block_sums(values[i:i + _BLOCK])
-        if block_sums is None:
-            return math.fsum(values.tolist())
-        sums += block_sums
-    return round_exact_sums(sums)
-
-
 class CompensatedSum:
     """Neumaier-compensated running sum.
 
     add() folds in one value and banks the rounding error exactly.
-    add_array() folds in a whole segment: by default the segment is
-    reduced with numpy's pairwise sum (fast, error ~ eps*log n); with
-    exact=True its exact sum is rounded once, the float math.fsum gives
-    (a 1-D float64 array through _exact_sum, anything else by fsum).
+    add_array() folds in a whole segment, reduced with numpy's pairwise
+    sum (fast, error ~ eps*log n).
     """
 
     __slots__ = ("_total", "_comp")
@@ -137,16 +132,10 @@ class CompensatedSum:
                 self._comp += (term - t) + self._total
         self._total = t
 
-    def add_array(self, values, exact: bool = False) -> None:
+    def add_array(self, values) -> None:
         if len(values) == 0:
             return
-        if exact:
-            if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
-                self.add(_exact_sum(values))
-            else:
-                self.add(math.fsum(values.tolist() if isinstance(values, np.ndarray) else values))
-        else:
-            self.add(float(np.sum(values, dtype=np.float64)))
+        self.add(float(np.sum(values, dtype=np.float64)))
 
     @property
     def value(self) -> float:
@@ -177,15 +166,15 @@ class ComplexCompensatedSum:
         self.re.add(term.real)
         self.im.add(term.imag)
 
-    def add_array(self, values, exact: bool = False) -> None:
+    def add_array(self, values) -> None:
         arr = np.asarray(values)
         if arr.size == 0:
             return
         if np.iscomplexobj(arr):
-            self.re.add_array(arr.real, exact=exact)
-            self.im.add_array(arr.imag, exact=exact)
+            self.re.add_array(arr.real)
+            self.im.add_array(arr.imag)
         else:
-            self.re.add_array(arr, exact=exact)
+            self.re.add_array(arr)
 
     @property
     def value(self) -> complex:

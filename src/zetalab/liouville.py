@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compensated import CompensatedSum, exact_block_sums, round_exact_sums
+from .compensated import CompensatedSum, _decreasing_block_sums, round_exact_sums
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -95,6 +95,9 @@ _WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
 # sits next to the segment. At most 2^15, the size of a block that
 # compensated.exact_block_sums sums exactly.
 _BLOCK = 1 << 15
+# run_scan bounds P over a block from the ends of its groups of this
+# many terms: every P(n) lies within _GROUP of one.
+_GROUP = 64
 
 
 def _wheel_pattern():
@@ -309,6 +312,16 @@ class _SeriesState:
             self.sign_changes += self.last_sign == -sign
             self.last_sign = sign
 
+    def settled(self, low: float, high: float, positive_violates: bool) -> bool:
+        """Whether folding any values in [low, high] leaves this state as
+        it is: none is below min_value (a tie keeps the first argmin),
+        none can be a first violation, and all have last_sign, strictly."""
+        return (
+            low >= self.min_value
+            and (self.first_violation is not None or (high <= 0 if positive_violates else low > 0))
+            and (low > 0 if self.last_sign > 0 else self.last_sign < 0 and high < 0)
+        )
+
     def report(self, limit: int) -> SignScanReport:
         return SignScanReport(
             limit, self.first_violation, self.min_value, self.argmin, self.sign_changes
@@ -424,6 +437,16 @@ def _open_trace(path: str, next_n: int, stride: int):
     return fh
 
 
+def _p_bounds(lam_b: np.ndarray, p_before: int) -> tuple[int, int, int]:
+    """Bounds on P over a block of lambda whose length is a multiple of
+    _GROUP, where P is p_before just before it, and P at its end. Every
+    P(n) lies within _GROUP of p_before or of a group's last P."""
+    # a group's sum is at most _GROUP < 128 in size, so int8 holds it
+    ends = np.cumsum(lam_b.reshape(-1, _GROUP).sum(axis=1, dtype=np.int8), dtype=np.int64)
+    low, high = min(0, int(ends.min())), max(0, int(ends.max()))
+    return p_before + low - _GROUP, p_before + high + _GROUP, p_before + int(ends[-1])
+
+
 def run_scan(
     limit: int,
     *,
@@ -446,6 +469,16 @@ def run_scan(
     rounded once at its end, so it does not depend on the blocks. A
     block's running T starts from the last one of the block before, so
     its values are those of one np.cumsum over the segment.
+
+    A block is folded into a report only when it could change it. P is
+    bounded from the sums of its groups of _GROUP terms, which also
+    advance it; T's running sums are always taken, since each rounds
+    the next, and bounded by their least and greatest. When the bounds
+    leave a report settled (no new minimum, no violation, no sign
+    change), P's running values are never formed, and T's are not
+    shifted by the segment's start value. Traced blocks, the block
+    from n = 1 and blocks whose length is not a multiple of _GROUP are
+    always folded. The results are those of folding every block.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -489,20 +522,34 @@ def run_scan(
                     m = len(lam_b)
                     t_vals = np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64),
                                        out=t_buf[:m])
-                    # lambda(n)/n is normal and at most 1, so never None
-                    t_sums += exact_block_sums(t_vals)
-                    p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
-                    p_vals += ck.p_sum
-                    ck.p_sum = int(p_vals[-1])
+                    # |lambda(n)/n| is normal, at most 1 and does not grow
+                    # with n, so never None; p_buf is scratch until P fills it
+                    t_sums += _decreasing_block_sums(t_vals, p_buf[:m].view(np.float64))
                     # t_run enters the first term, so the adds are those
                     # of one np.cumsum over the whole segment.
                     t_vals[0] += t_run
                     np.cumsum(t_vals, out=t_vals)
                     t_run = float(t_vals[-1])
-                    t_vals += t_base
-                    k = int(n0 == 1)  # P(x) is scanned from x = 2
-                    ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
-                    ck.turan.fold_segment(n0, t_vals, positive_violates=False)
+                    # Rounding is monotone, so t_base plus the least and
+                    # greatest running sums bound every T value.
+                    p_settled = t_settled = False
+                    if rows is None and n0 > 1 and m % _GROUP == 0:
+                        p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
+                        p_settled = ck.polya.settled(p_low, p_high, positive_violates=True)
+                        t_settled = ck.turan.settled(t_base + float(t_vals.min()),
+                                                     t_base + float(t_vals.max()),
+                                                     positive_violates=False)
+                    if p_settled:
+                        ck.p_sum = p_end
+                    else:
+                        p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
+                        p_vals += ck.p_sum
+                        ck.p_sum = int(p_vals[-1])
+                        k = int(n0 == 1)  # P(x) is scanned from x = 2
+                        ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
+                    if not t_settled:
+                        t_vals += t_base
+                        ck.turan.fold_segment(n0, t_vals, positive_violates=False)
                     if rows is not None:
                         i = -n0 % csv_stride
                         rows.writerows(zip(

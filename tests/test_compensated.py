@@ -1,5 +1,5 @@
-"""CompensatedSum.add_array(exact=True) and the exact block kernel
-against math.fsum, bit for bit."""
+"""The exact block kernel against math.fsum, bit for bit, and
+CompensatedSum's running sums."""
 
 import math
 from fractions import Fraction
@@ -15,6 +15,7 @@ from zetalab.compensated import (
     _MAX_SPREAD,
     ComplexCompensatedSum,
     CompensatedSum,
+    _decreasing_block_sums,
     exact_block_sums,
     round_exact_sums,
 )
@@ -23,33 +24,26 @@ FSUM = math.fsum
 TINY = 2.0**-1074  # the smallest subnormal
 
 
-def exact(values):
-    """The parts of a fresh sum after add_array(values, exact=True), and
-    whether math.fsum ran for it."""
-    calls = []
-
-    def counting(xs):
-        calls.append(1)
-        return FSUM(xs)
-
-    acc = CompensatedSum()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(math, "fsum", counting)
-        acc.add_array(values, exact=True)
-    return [p.hex() for p in acc.parts], bool(calls)
+def kernel_sum(values):
+    """The float the kernel rounds a 1-D float64 array's exact sum to,
+    block by block, or None when a block holds a term it declines."""
+    sums = []
+    for i in range(0, len(values), _BLOCK):
+        block_sums = exact_block_sums(values[i:i + _BLOCK])
+        if block_sums is None:
+            return None
+        sums += block_sums
+    return round_exact_sums(sums)
 
 
-def reference(values):
-    """The parts of a fresh sum after add(math.fsum(values))."""
-    acc = CompensatedSum()
-    acc.add(FSUM(values.tolist() if isinstance(values, np.ndarray) else values))
-    return [p.hex() for p in acc.parts]
-
-
-def assert_fsum(values, by_fsum):
-    parts, fell_back = exact(values)
-    assert parts == reference(values)
-    assert fell_back == by_fsum
+def assert_fsum(values, covered=True):
+    """The kernel rounds values to math.fsum's float, or, when not
+    covered, declines them."""
+    total = kernel_sum(values)
+    if covered:
+        assert total.hex() == FSUM(values.tolist()).hex()
+    else:
+        assert total is None
 
 
 def split_covers(values) -> bool:
@@ -75,7 +69,7 @@ def test_random_arrays_match_fsum(seed, n, e0, spread):
     # wide spreads cut a block into many exponent windows; terms stay
     # below 2^1001, so no partial sum overflows
     values = _normal_terms(np.random.default_rng(seed), n, min(e0, 1000 - spread), spread)
-    assert_fsum(values, by_fsum=not split_covers(values))
+    assert_fsum(values, covered=split_covers(values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +84,7 @@ def test_cancelling_arrays_match_fsum(seed, n, e0, spread):
     x = _normal_terms(rng, n, e0, spread)
     values = np.concatenate([x, -x * (1 + 2.0**-50)])
     rng.shuffle(values)
-    assert_fsum(values, by_fsum=not split_covers(values))
+    assert_fsum(values, covered=split_covers(values))
 
 
 @settings(max_examples=20, deadline=None)
@@ -103,7 +97,7 @@ def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
     # the scan's Turan terms lambda(n)/n, here with random signs; from
     # lo = 1, as in the scan's first segment, a block spans many binades
     lam = np.random.default_rng(seed).choice([-1.0, 1.0], n)
-    assert_fsum(lam / np.arange(lo, lo + n, dtype=np.int64), by_fsum=False)
+    assert_fsum(lam / np.arange(lo, lo + n, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -128,7 +122,7 @@ def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
     ],
 )
 def test_edge_sums_take_the_integer_path(values):
-    assert_fsum(np.array(values), by_fsum=False)
+    assert_fsum(np.array(values))
 
 
 def exact_total(values):
@@ -143,12 +137,11 @@ def exact_total(values):
 
 def assert_block_fsum(block, windows):
     """The kernel sums one block exactly in this many windows, rounds it
-    to math.fsum's float, and so does add_array."""
+    to math.fsum's float."""
     sums = exact_block_sums(block)
     assert len(sums) == windows
     assert sum(Fraction(t) * Fraction(2) ** (e - 1075) for t, e in sums) == exact_total(block)
     assert round_exact_sums(sums).hex() == FSUM(block.tolist()).hex()
-    assert_fsum(block, by_fsum=False)
 
 
 @pytest.mark.parametrize("e_max", [1, 2, 1023, 1500, _MAX_EXP])
@@ -207,20 +200,25 @@ def test_signed_reciprocals_near_2_to_the_62(seed):
 
 @pytest.mark.parametrize("value", [1.0, -3.5, 2.0**-1022, 2.0**959, 1 / 3])
 def test_single_elements(value):
-    assert_fsum(np.array([value]), by_fsum=False)
+    assert_fsum(np.array([value]))
 
 
 def test_empty_arrays_and_lists_leave_the_sum_alone():
     for empty in (np.array([]), []):
-        assert exact(empty) == (["0x0.0p+0", "0x0.0p+0"], False)
+        acc = CompensatedSum()
+        acc.add_array(empty)
+        assert [p.hex() for p in acc.parts] == ["0x0.0p+0", "0x0.0p+0"]
 
 
 def test_lists_other_dtypes_and_strided_views():
+    """add_array takes any sequence numpy sums in float64; the kernel
+    takes a strided view of float64 terms."""
     values = _normal_terms(np.random.default_rng(5), 5000, -3, 4)
-    assert_fsum(values.tolist(), by_fsum=True)
-    assert_fsum(values.astype(np.float32), by_fsum=True)
-    assert_fsum(np.arange(-50, 1000, dtype=np.int64), by_fsum=True)
-    assert_fsum(values[::3], by_fsum=False)
+    for seq in (values.tolist(), values.astype(np.float32), np.arange(-50, 1000)):
+        acc = CompensatedSum()
+        acc.add_array(seq)
+        assert acc.value == float(np.sum(seq, dtype=np.float64))
+    assert_fsum(values[::3])
 
 
 @pytest.mark.parametrize(
@@ -247,42 +245,57 @@ def test_lists_other_dtypes_and_strided_views():
     ],
 )
 def test_fallback_cases_match_fsum(values):
-    assert_fsum(np.array(values), by_fsum=True)
+    """The kernel declines what its split does not cover, leaving the
+    caller to sum it by math.fsum."""
+    assert exact_block_sums(np.array(values)) is None
+    assert kernel_sum(np.array(values)) is None
 
 
-def test_fallback_in_a_later_block():
-    values = _normal_terms(np.random.default_rng(3), 3 * _BLOCK, 0, 2)
-    for bad in (0.0, TINY, math.inf):
-        mixed = values.copy()
-        mixed[2 * _BLOCK + 5] = bad
-        assert_fsum(mixed, by_fsum=True)
-
-
-def test_fsum_errors_are_kept():
-    with pytest.raises(ValueError):
-        CompensatedSum().add_array(np.array([1.0, math.inf, -math.inf]), exact=True)
-    # an intermediate overflow, though the exact sum 1e308 is finite
-    with pytest.raises(OverflowError):
-        CompensatedSum().add_array(np.array([1e308, 1e308, -1e308]), exact=True)
-
-
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=2 * _BLOCK),
-    st.integers(min_value=-500, max_value=500),
-    st.integers(min_value=0, max_value=_MAX_SPREAD + 2),
+    st.one_of(st.just(1), st.integers(min_value=2, max_value=2**62 - _BLOCK)),
+    st.integers(min_value=1, max_value=_BLOCK),
 )
-def test_complex_sums_match_fsum_per_component(seed, n, e0, spread):
-    rng = np.random.default_rng(seed)
-    values = _normal_terms(rng, n, e0, spread) + 1j * _normal_terms(rng, n, e0, spread)
+def test_decreasing_blocks_sum_as_the_kernel_does(seed, lo, n):
+    """The scan's lambda(n)/n blocks, whose magnitudes do not increase,
+    take their exponent range from their ends and sum as exact_block_sums
+    sums them."""
+    lam = np.random.default_rng(seed).choice([-1.0, 1.0], n)
+    block = lam / np.arange(lo, lo + n, dtype=np.int64)
+    assert _decreasing_block_sums(block, np.empty(n)) == exact_block_sums(block)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # a spread of more than _MAX_SPREAD: windows, as exact_block_sums cuts them
+        [1.0, 0.75, 2.0 ** -(_MAX_SPREAD + 1)],
+        [-(2.0**900), 2.0**-60, -(2.0**-900)],
+        # terms the split declines
+        [1.0, 0.5, 0.0],
+        [1.0, TINY],
+        [math.inf, 1.0],
+        [2.0**960, 2.0**959],
+    ],
+)
+def test_decreasing_blocks_fall_back_to_the_kernel(values):
+    block = np.array(values)
+    assert _decreasing_block_sums(block, np.empty(len(block))) == exact_block_sums(block)
+
+
+def test_complex_add_array_adds_each_component():
+    rng = np.random.default_rng(7)
+    values = _normal_terms(rng, 5000, -3, 4) + 1j * _normal_terms(rng, 5000, -3, 4)
     acc = ComplexCompensatedSum()
-    acc.add_array(values, exact=True)
-    ref = complex(FSUM(values.real.tolist()), FSUM(values.imag.tolist()))
-    assert acc.value.real.hex() == ref.real.hex() and acc.value.imag.hex() == ref.imag.hex()
+    acc.add_array(values)
+    re, im = CompensatedSum(), CompensatedSum()
+    re.add_array(values.real)
+    im.add_array(values.imag)
+    assert acc.value == complex(re.value, im.value)
     real = ComplexCompensatedSum()
-    real.add_array(values.real, exact=True)
-    assert real.value == complex(ref.real, 0.0)
+    real.add_array(values.real)
+    assert real.value == complex(re.value, 0.0)
 
 
 def _neumaier(terms):

@@ -1,5 +1,6 @@
 """Sieve, scan, and checkpoint tests for the Liouville module."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import importlib
@@ -420,6 +421,71 @@ def test_scan_memory_stays_near_the_sieve(tmp_path, monkeypatch):
     assert not fsum_calls
 
 
+@st.composite
+def _skip_scans(draw):
+    """A scan limit up to 3e4, a segment length (often a multiple of 64),
+    a fold block length and how many segments finish before a crash."""
+    limit = draw(st.integers(min_value=2, max_value=30000))
+    seg = draw(st.one_of(st.integers(min_value=64, max_value=8192),
+                         st.integers(min_value=1, max_value=128).map(lambda k: 64 * k)))
+    block = draw(st.sampled_from([64, 97, 128]))
+    return limit, seg, block, draw(st.integers(min_value=0, max_value=-(-limit // seg)))
+
+
+@settings(max_examples=25, deadline=None)
+@example(scan=(30000, 4096, 64, 3))
+@example(scan=(30000, 1000, 128, 0))
+@example(scan=(25000, 2000, 97, 5))
+@given(_skip_scans())
+def test_unfolded_blocks_leave_the_scan_alone(scan):
+    """A scan that folds only the blocks that could change a report
+    returns and saves what folding every block does, resumed or not."""
+    limit, seg, block, done = scan
+    real_iter = lv.iter_lambda_segments
+
+    def interrupting(start, stop):
+        yield from itertools.islice(real_iter(start, stop), done)
+        raise RuntimeError("injected crash")
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "DEFAULT_SEGMENT", seg)
+        mp.setattr(lv, "_BLOCK", block)
+
+        def scan(name):
+            ckpt = os.path.join(tmp, name + ".ckpt")
+            result = run_scan(limit, checkpoint_path=ckpt)
+            with open(ckpt, "rb") as fh:
+                return result, fh.read()
+
+        skipping = scan("skipping")
+        with pytest.MonkeyPatch.context() as crash:
+            crash.setattr(lv, "iter_lambda_segments", interrupting)
+            with pytest.raises(RuntimeError):
+                scan("resumed")
+        resumed = scan("resumed")
+        mp.setattr(lv._SeriesState, "settled", lambda self, low, high, positive_violates: False)
+        folded = scan("folded")
+    assert skipping == folded
+    assert resumed == folded
+
+
+def test_most_blocks_past_a_million_are_not_folded(monkeypatch):
+    """Of the 97 fold blocks of a scan just past three 2^20-term
+    segments, few can change a report: P's fold runs on 26 and T's on 6,
+    so a scan that quietly folds every block again fails here."""
+    folds = {True: 0, False: 0}
+    real_fold = lv._SeriesState.fold_segment
+
+    def counting(self, first_n, vals, positive_violates):
+        folds[positive_violates] += 1
+        real_fold(self, first_n, vals, positive_violates)
+
+    monkeypatch.setattr(lv._SeriesState, "fold_segment", counting)
+    run_scan(3 * 2**20 + 17)
+    assert 1 <= folds[True] <= 40
+    assert 1 <= folds[False] <= 20
+
+
 @pytest.mark.parametrize(
     "damage, key",
     [
@@ -546,6 +612,45 @@ def test_series_fold_matches_a_direct_count(runs, cuts, first_n, dtype, positive
     assert state.argmin == first_n + values.index(min(values))
     violating = [i for i, v in enumerate(values) if (v > 0 if positive_violates else v <= 0)]
     assert state.first_violation == (first_n + violating[0] if violating else None)
+
+
+@settings(max_examples=150, deadline=None)
+@example(below=0, first_violation=None, last_sign=-1, edge=1, width=2,
+         positive_violates=True, floats=False, fracs=[0.0, 1.0])  # a tie with the minimum
+@example(below=3, first_violation=None, last_sign=1, edge=1, width=0,
+         positive_violates=True, floats=False, fracs=[0.5])  # P = 1 violates
+@example(below=3, first_violation=None, last_sign=1, edge=0, width=2,
+         positive_violates=False, floats=True, fracs=[0.0])  # T = 0 violates
+@example(below=3, first_violation=7, last_sign=0, edge=2, width=2,
+         positive_violates=True, floats=False, fracs=[0.3])  # a first sign
+@given(
+    st.integers(min_value=-2, max_value=4),
+    st.sampled_from([None, 7]),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=-1, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+)
+def test_a_settled_state_is_left_alone(below, first_violation, last_sign, edge, width,
+                                       positive_violates, floats, fracs):
+    """Whenever settled() holds for [low, high], folding any values in
+    that range, in P's direction or T's, leaves the state as it is. The
+    range starts edge from zero on last_sign's side, where settled() can
+    hold (edge -1 and 0 reach across zero); the minimum so far lies
+    below, at or above low, and each value sits at its drawn fraction of
+    the range. A state without a sign yet (last_sign 0) is an example."""
+    low = edge if last_sign > 0 else -edge - width
+    high = low + width
+    state = lv._SeriesState(float(low - below), 3, first_violation, 2, last_sign)
+    assume(state.settled(low, high, positive_violates))
+    values = low + np.array(fracs) * width
+    if not floats:
+        values = np.rint(values).astype(np.int64)
+    before = dataclasses.replace(state)
+    state.fold_segment(50, values, positive_violates)
+    assert state == before
 
 
 def test_scan_csv_rows(tmp_path):
