@@ -7,22 +7,21 @@ the rounding error of every add is recovered and banked in a side term.
 
 A block of float64 terms can also be summed exactly and its sum rounded
 once, correctly, as math.fsum rounds it. A block of at most 2^15 terms
-is summed exactly with plain float adds after an error-free split on a
+whose magnitudes do not increase, as lambda(n)/n in the sign scan, is
+summed exactly with plain float adds after an error-free split on a
 fixed grid (Rump, Ogita and Oishi, "Accurate floating-point summation,
-part I", SIAM J. Sci. Comput. 2008). Let e_max and e_min be the largest
-and smallest biased exponents of a block's terms, and g = 2^(e_max - 1059)
-the grid. With sigma = 1.5 * 2^(e_max - 1007), whose ulp is g, each
-term x splits exactly into hi = (x + sigma) - sigma, a multiple of g of
-at most 2^(e_max - 1022), and lo = x - hi, a multiple of 2^(e_min - 1075)
-of at most g/2. Every partial sum of the hi parts is a multiple of g
-of at most 2^52 * g, and every partial sum of the lo parts one of
-2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
-e_max - e_min <= 23, so both float sums are exact, in any order. A
-block whose exponents lie further apart is cut into windows of 24
-exponents, each split on its own grid. The blocks' exact sums, Python
-ints in units of their smallest exponent, are joined and rounded once.
-A block with a zero, subnormal, inf or nan term or with a term of 2^960
-or more is declined; its caller sums it otherwise.
+part I", SIAM J. Sci. Comput. 2008). Let e_max and e_min be the biased
+exponents of its first and last terms, its largest and smallest, and
+g = 2^(e_max - 1059) the grid. With sigma = 1.5 * 2^(e_max - 1007),
+whose ulp is g, each term x splits exactly into hi = (x + sigma) - sigma,
+a multiple of g of at most 2^(e_max - 1022), and lo = x - hi, a multiple
+of 2^(e_min - 1075) of at most g/2. Every partial sum of the hi parts is
+a multiple of g of at most 2^52 * g, and every partial sum of the lo
+parts one of 2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
+e_max - e_min <= 23, so both float sums are exact, in any order. The
+blocks' exact sums, Python ints in units of their smallest exponent, are
+joined and rounded once. A block whose ends lie further apart, or are
+zero, subnormal, inf, nan or 2^960 or more, is refused.
 """
 
 import math
@@ -40,55 +39,25 @@ _MAX_SPREAD = 23
 _MAX_EXP = 2046 - 64
 
 
-def _split_sum(x: np.ndarray, e_min: int, e_max: int, buf: np.ndarray) -> int:
-    """The exact sum of float64 terms, in units of 2^(e_min - 1075),
-    using buf, as long as x, for scratch. Every biased exponent lies in
-    [e_min, e_max], and e_max - e_min <= _MAX_SPREAD."""
+def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> tuple[int, int]:
+    """The exact sum of a 1-D float64 block of at most _BLOCK terms whose
+    magnitudes do not increase, as an (int, e) pair counting units of
+    2^(e - 1075), using buf, as long as block, for scratch. Its first and
+    last terms hold its largest and smallest exponents, so the block is
+    not scanned for them. ValueError when they lie more than _MAX_SPREAD
+    apart or either is a term the split does not cover."""
+    e_max, e_min = (int(e) for e in np.abs(block[[0, -1]]).view(np.int64) >> 52)
+    if not 1 <= e_min <= e_max <= min(e_min + _MAX_SPREAD, _MAX_EXP):
+        raise ValueError(f"a block from {float(block[0])!r} to {float(block[-1])!r} "
+                         "is outside the exact split")
     sigma = math.ldexp(1.5, e_max - 1007)
-    hi = np.add(x, sigma, out=buf)
+    hi = np.add(block, sigma, out=buf)
     hi -= sigma
     hi_sum = float(hi.sum())
-    lo = np.subtract(x, hi, out=buf)
+    lo = np.subtract(block, hi, out=buf)
     # Both sums are whole in the unit, the hi one at most 2^91 of them.
     scale = 1075 - e_min
-    return int(math.ldexp(hi_sum, scale)) + int(math.ldexp(float(lo.sum()), scale))
-
-
-def exact_block_sums(block: np.ndarray) -> list[tuple[int, int]] | None:
-    """The exact sum of a 1-D float64 block of at most _BLOCK terms, as
-    (int, e) pairs that each count units of 2^(e - 1075): one pair, or
-    one per window of _MAX_SPREAD + 1 exponents that holds terms when
-    the block's exponents are further apart (1 and 2^-24, for one; the
-    first 2^15 terms of 1/n span only 16 exponents). None when a term
-    is zero, subnormal, inf, nan or 2^960 or more, which the split does
-    not cover."""
-    mag = np.abs(block)
-    bits = mag.view(np.int64)
-    e_min, e_max = int(bits.min()) >> 52, int(bits.max()) >> 52
-    if e_min < 1 or e_max > _MAX_EXP:
-        return None
-    if e_max - e_min <= _MAX_SPREAD:
-        return [(_split_sum(block, e_min, e_max, mag), e_min)]
-    exps = bits >> 52
-    sums = []
-    for e in range(e_min, e_max + 1, _MAX_SPREAD + 1):
-        window = (exps >= e) & (exps <= e + _MAX_SPREAD)
-        if window.any():
-            x = block[window]
-            sums.append((_split_sum(x, e, e + _MAX_SPREAD, mag[:len(x)]), e))
-    return sums
-
-
-def _decreasing_block_sums(block: np.ndarray, buf: np.ndarray) -> list[tuple[int, int]] | None:
-    """exact_block_sums of a block whose magnitudes do not increase, as
-    the scan's lambda(n)/n, using buf, as long as block, for scratch.
-    Its first and last terms hold its largest and smallest exponents, so
-    the block is not scanned for them; a spread of more than _MAX_SPREAD,
-    or a term the split does not cover, goes to exact_block_sums."""
-    e_max, e_min = (int(e) for e in np.abs(block[[0, -1]]).view(np.int64) >> 52)
-    if e_min < 1 or e_max > _MAX_EXP or e_max - e_min > _MAX_SPREAD:
-        return exact_block_sums(block)
-    return [(_split_sum(block, e_min, e_max, buf), e_min)]
+    return int(math.ldexp(hi_sum, scale)) + int(math.ldexp(float(lo.sum()), scale)), e_min
 
 
 def round_exact_sums(sums: list[tuple[int, int]]) -> float:

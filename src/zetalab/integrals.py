@@ -279,10 +279,9 @@ def _evaluate(requests) -> dict:
     delta = log n - log N, |delta| <= h, a kind's moments
     m_k = sum a(n) delta^k come from one running power array, row k the
     same whatever the other kinds and orders. A polynomial adds
-    N^q (m_0 + q T) (m_0 alone at q = 0, where no T is read) and an
-    integral N^q (m_0 expm1(q D)/q - T), with T to the order its own
-    |q| h needs (_taylor_quotient, _taylor_order) and
-    D = log x - log N. Where |q| h > 1 the block sums
+    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
+    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
+    and D = log x - log N. Where |q| h > 1 the block sums
     S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
     So a request's bits depend on its kind, q and stop and on the
     sub-block cuts: requests that add no cut leave them unchanged, other
@@ -345,9 +344,8 @@ def _evaluate(requests) -> dict:
                 if q_plans:
                     order = _taylor_order(abs(q) * h)
                     due.append((q, order, q_plans))
-                    for k, plan in q_plans:
-                        m0_only = not q and all(log_x is None for *_, log_x in plan)
-                        rows[k] = max(rows.get(k, 0), 0 if m0_only else order or 0)
+                    for k, _ in q_plans:
+                        rows[k] = max(rows.get(k, 0), order or 0)
             moments = _moments(a, rows, logn() - log_mid if any(rows.values()) else None)
             for k in g.keys() & moments.keys():
                 g[k].add(moments[k][0])
@@ -361,7 +359,7 @@ def _evaluate(requests) -> dict:
                     if order is None:
                         total = (a[k] * power).sum()
                     else:
-                        t = _taylor_quotient(q, m, order) if len(m) > order else 0.0
+                        t = _taylor_quotient(q, m, order)
                     for stop, acc, log_x in plan:
                         if stop <= b:
                             break

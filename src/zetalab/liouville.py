@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compensated import CompensatedSum, _decreasing_block_sums, round_exact_sums
+from .compensated import CompensatedSum, decreasing_block_sum, round_exact_sums
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -93,7 +93,7 @@ _WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
 # n is compared with its product, and run_scan folds P and T, in blocks
 # of this many terms, so that no full-length int64 or float64 temporary
 # sits next to the segment. At most 2^15, the size of a block that
-# compensated.exact_block_sums sums exactly.
+# compensated.decreasing_block_sum sums exactly.
 _BLOCK = 1 << 15
 # run_scan bounds P over a block from the ends of its groups of this
 # many terms: every P(n) lies within _GROUP of one.
@@ -438,11 +438,12 @@ def _open_trace(path: str, next_n: int, stride: int):
 
 
 def _p_bounds(lam_b: np.ndarray, p_before: int) -> tuple[int, int, int]:
-    """Bounds on P over a block of lambda whose length is a multiple of
-    _GROUP, where P is p_before just before it, and P at its end. Every
-    P(n) lies within _GROUP of p_before or of a group's last P."""
+    """Bounds on P over a block of lambda, where P is p_before just before
+    it, and P at its end. Every P(n) lies within _GROUP of p_before or of
+    a group's last P; the last group may be shorter."""
     # a group's sum is at most _GROUP < 128 in size, so int8 holds it
-    ends = np.cumsum(lam_b.reshape(-1, _GROUP).sum(axis=1, dtype=np.int8), dtype=np.int64)
+    group_sums = np.add.reduceat(lam_b, np.arange(0, len(lam_b), _GROUP), dtype=np.int8)
+    ends = np.cumsum(group_sums, dtype=np.int64)
     low, high = min(0, int(ends.min())), max(0, int(ends.max()))
     return p_before + low - _GROUP, p_before + high + _GROUP, p_before + int(ends[-1])
 
@@ -476,9 +477,8 @@ def run_scan(
     the next, and bounded by their least and greatest. When the bounds
     leave a report settled (no new minimum, no violation, no sign
     change), P's running values are never formed, and T's are not
-    shifted by the segment's start value. Traced blocks, the block
-    from n = 1 and blocks whose length is not a multiple of _GROUP are
-    always folded. The results are those of folding every block.
+    shifted by the segment's start value. Traced blocks are always
+    folded. The results are those of folding every block.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -509,6 +509,7 @@ def run_scan(
     with trace as csv_fh:
         if ck.next_n <= limit:
             rows = None if csv_fh is None else csv.writer(csv_fh)
+            traced = rows is not None
             # The running P and T of one fold block.
             p_buf = np.empty(_BLOCK, dtype=np.int64)
             t_buf = np.empty(_BLOCK)
@@ -523,34 +524,27 @@ def run_scan(
                     t_vals = np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64),
                                        out=t_buf[:m])
                     # |lambda(n)/n| is normal, at most 1 and does not grow
-                    # with n, so never None; p_buf is scratch until P fills it
-                    t_sums += _decreasing_block_sums(t_vals, p_buf[:m].view(np.float64))
+                    # with n; p_buf is scratch until P fills it
+                    t_sums.append(decreasing_block_sum(t_vals, p_buf[:m].view(np.float64)))
                     # t_run enters the first term, so the adds are those
                     # of one np.cumsum over the whole segment.
                     t_vals[0] += t_run
                     np.cumsum(t_vals, out=t_vals)
                     t_run = float(t_vals[-1])
-                    # Rounding is monotone, so t_base plus the least and
-                    # greatest running sums bound every T value.
-                    p_settled = t_settled = False
-                    if rows is None and n0 > 1 and m % _GROUP == 0:
-                        p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
-                        p_settled = ck.polya.settled(p_low, p_high, positive_violates=True)
-                        t_settled = ck.turan.settled(t_base + float(t_vals.min()),
-                                                     t_base + float(t_vals.max()),
-                                                     positive_violates=False)
-                    if p_settled:
-                        ck.p_sum = p_end
-                    else:
+                    p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
+                    if traced or not ck.polya.settled(p_low, p_high, positive_violates=True):
                         p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
                         p_vals += ck.p_sum
-                        ck.p_sum = int(p_vals[-1])
                         k = int(n0 == 1)  # P(x) is scanned from x = 2
                         ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
-                    if not t_settled:
+                    ck.p_sum = p_end
+                    # Rounding is monotone, so t_base plus the least and
+                    # greatest running sums bound every T value.
+                    t_low, t_high = t_base + float(t_vals.min()), t_base + float(t_vals.max())
+                    if traced or not ck.turan.settled(t_low, t_high, positive_violates=False):
                         t_vals += t_base
                         ck.turan.fold_segment(n0, t_vals, positive_violates=False)
-                    if rows is not None:
+                    if traced:
                         i = -n0 % csv_stride
                         rows.writerows(zip(
                             range(n0 + i, n0 + m, csv_stride), lam_b[i::csv_stride].tolist(),

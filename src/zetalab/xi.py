@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DomainError
 
 ALPHA, BETA = 0.5, 1.0
+# Largest write_xi_csv grid, refused before the grid is built.
+_MAX_POINTS = 10**6
 
 
 def _as_n_array(n) -> np.ndarray:
@@ -99,6 +101,8 @@ def write_xi_csv(path: str, n_max: int, points: int = 200) -> int:
         raise DomainError("n_max must be >= 2")
     if points < 1:
         raise DomainError("points must be >= 1")
+    if points > _MAX_POINTS:
+        raise DomainError(f"points must be at most {_MAX_POINTS}")
     grid = np.unique(
         np.round(np.logspace(np.log10(2), np.log10(n_max), points)).astype(np.int64)
     )

@@ -26,6 +26,8 @@ _T_CEILING = 100.0
 _ZERO_GUARD = 1e-14
 # A value whose estimated error exceeds this raises PrecisionError.
 _TARGET_ABS_ERROR = 1e-12
+# Largest explicit cutoff: the head sum allocates one term per n < cutoff.
+_MAX_CUTOFF = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class ZetaParams:
             raise DomainError("bernoulli_terms must be in [2, 15]")
         if self.cutoff is not None and self.cutoff < 2:
             raise DomainError("cutoff must be >= 2")
+        if self.cutoff is not None and self.cutoff > _MAX_CUTOFF:
+            raise DomainError(f"cutoff must be at most {_MAX_CUTOFF}")
 
 
 DEFAULT_PARAMS = ZetaParams()
@@ -148,10 +152,8 @@ def shifted_ratio(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
     s = complex(s)
     if s.real <= 0.5:
         raise DomainError("shifted_ratio needs sigma > 1/2")
-    den = zeta(s + 0.5, params)
-    if abs(den) < _ZERO_GUARD:
-        raise DivisionInstabilityError(f"|zeta({s + 0.5})| < {_ZERO_GUARD}")
-    return zeta(2 * s + 1, params) / den
+    # 2(s + 1/2) rounds as 2s + 1 does: doubling is exact
+    return zeta_ratio(s + 0.5, params)
 
 
 def lambda_series(s: complex, n_terms: int) -> complex:

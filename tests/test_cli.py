@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zetalab.cli import _float_list, _num_int, main
@@ -260,6 +261,25 @@ def test_xi_table_needs_a_point(tmp_path, capsys, points):
     code, out, err = run(capsys, "xi", "--table", "100", "--points", points, "--out", str(out_path))
     assert code == 1 and out == ""
     assert err == "error: points must be >= 1\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, allocator, message", [
+    (("xi", "--table", "100", "--points", "1e9", "--out", "{out}"), "logspace", "points"),
+    (("zeta", "--s", "2", "--N", "1e12"), "arange", "cutoff"),
+], ids=["xi-points", "zeta-N"])
+def test_counts_above_a_million_are_refused_before_allocating(
+        argv, allocator, message, tmp_path, capsys, monkeypatch):
+    """--points and --N size an array; above 10^6 they are refused, as a
+    sigma-c grid is, before numpy is asked for it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.{allocator} called")
+
+    monkeypatch.setattr(np, allocator, refuse)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *(tok.format(out=out_path) for tok in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: {message} must be at most 1000000\n"
     assert not out_path.exists()
 
 

@@ -1,5 +1,5 @@
-"""The exact block kernel against math.fsum, bit for bit, and
-CompensatedSum's running sums."""
+"""The exact block kernel against math.fsum, bit for bit, on blocks whose
+magnitudes do not increase, and CompensatedSum's running sums."""
 
 import math
 from fractions import Fraction
@@ -15,8 +15,7 @@ from zetalab.compensated import (
     _MAX_SPREAD,
     ComplexCompensatedSum,
     CompensatedSum,
-    _decreasing_block_sums,
-    exact_block_sums,
+    decreasing_block_sum,
     round_exact_sums,
 )
 
@@ -24,26 +23,31 @@ FSUM = math.fsum
 TINY = 2.0**-1074  # the smallest subnormal
 
 
+def block_sum(block):
+    """The kernel's exact sum of one block, which must not grow in magnitude."""
+    assert np.all(np.diff(np.abs(block)) <= 0), "a block's magnitudes must not increase"
+    return decreasing_block_sum(block, np.empty(len(block)))
+
+
 def kernel_sum(values):
     """The float the kernel rounds a 1-D float64 array's exact sum to,
-    block by block, or None when a block holds a term it declines."""
-    sums = []
-    for i in range(0, len(values), _BLOCK):
-        block_sums = exact_block_sums(values[i:i + _BLOCK])
-        if block_sums is None:
-            return None
-        sums += block_sums
-    return round_exact_sums(sums)
+    block by block."""
+    return round_exact_sums([block_sum(values[i:i + _BLOCK]) for i in range(0, len(values), _BLOCK)])
 
 
 def assert_fsum(values, covered=True):
     """The kernel rounds values to math.fsum's float, or, when not
-    covered, declines them."""
-    total = kernel_sum(values)
+    covered, refuses them."""
     if covered:
-        assert total.hex() == FSUM(values.tolist()).hex()
+        assert kernel_sum(values).hex() == FSUM(values.tolist()).hex()
     else:
-        assert total is None
+        with pytest.raises(ValueError, match="outside the exact split"):
+            kernel_sum(values)
+
+
+def decreasing(values):
+    """values ordered by decreasing magnitude, as the kernel takes them."""
+    return values[np.argsort(-np.abs(values), kind="stable")]
 
 
 def split_covers(values) -> bool:
@@ -63,12 +67,11 @@ def _normal_terms(rng, n, e0, spread):
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=3 * _BLOCK + 7),
     st.integers(min_value=-1020, max_value=940),
-    st.integers(min_value=0, max_value=120),
+    st.integers(min_value=0, max_value=_MAX_SPREAD),
 )
 def test_random_arrays_match_fsum(seed, n, e0, spread):
-    # wide spreads cut a block into many exponent windows; terms stay
-    # below 2^1001, so no partial sum overflows
-    values = _normal_terms(np.random.default_rng(seed), n, min(e0, 1000 - spread), spread)
+    # every spread the split takes; terms of 2^960 or more are refused
+    values = decreasing(_normal_terms(np.random.default_rng(seed), n, e0, spread))
     assert_fsum(values, covered=split_covers(values))
 
 
@@ -82,8 +85,7 @@ def test_random_arrays_match_fsum(seed, n, e0, spread):
 def test_cancelling_arrays_match_fsum(seed, n, e0, spread):
     rng = np.random.default_rng(seed)
     x = _normal_terms(rng, n, e0, spread)
-    values = np.concatenate([x, -x * (1 + 2.0**-50)])
-    rng.shuffle(values)
+    values = decreasing(np.concatenate([x, -x * (1 + 2.0**-50)]))
     assert_fsum(values, covered=split_covers(values))
 
 
@@ -95,7 +97,7 @@ def test_cancelling_arrays_match_fsum(seed, n, e0, spread):
 )
 def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
     # the scan's Turan terms lambda(n)/n, here with random signs; from
-    # lo = 1, as in the scan's first segment, a block spans many binades
+    # lo = 1, as in the scan's first segment, a block spans 16 binades
     lam = np.random.default_rng(seed).choice([-1.0, 1.0], n)
     assert_fsum(lam / np.arange(lo, lo + n, dtype=np.int64))
 
@@ -107,17 +109,19 @@ def test_signed_reciprocal_segments_match_fsum(seed, lo, n):
         [256.0] + [1 + 2.0**-52] * 256,
         [256.0 + 2.0**-43] + [1 + 2.0**-52] * 256,
         # exact cancellation gives +0.0; normal terms may sum to a subnormal
-        [1.5, -1.5, 3.0, -3.0],
+        [3.0, -3.0, 1.5, -1.5],
         [2.0**-1022 * (1 + 2.0**-52), -(2.0**-1022)],
-        [2.0**-1022, 2.0**-1022, -(2.0**-1021) * (1 + 2.0**-52)],
+        [-(2.0**-1021) * (1 + 2.0**-52), 2.0**-1022, 2.0**-1022],
         # largest terms left to the split
         [2.0**959, 2.0**959, -(2.0**958)],
-        # exponents more than the spread budget apart: windows of a block
-        [1.0, 2.0 ** -(_MAX_SPREAD + 1)],
-        [1.0, 2.0 ** -(_MAX_SPREAD + 1), -1.0],
+        # exponents the whole spread budget apart: one grid
+        [1.0, 2.0**-_MAX_SPREAD],
+        [1.0, -1.0, 2.0**-_MAX_SPREAD],
         (1.0 / np.arange(1, 2 * _BLOCK)).tolist(),
-        # an exact sum too long for float(), within a block and across blocks
-        [2.0**-1000, 2.0**900, -(2.0**-1022)],
+        # an exact sum too long for float(): within a block, where the
+        # sticky bit breaks a tie (1 + 2^-23 + 2^-53 + 2^-75 rounds up),
+        # and across blocks
+        [1.0, 2.0**-23 * (1 + 2.0**-30 + 2.0**-52)],
         [2.0**-1000] * _BLOCK + [-(2.0**900)],
     ],
 )
@@ -135,13 +139,16 @@ def exact_total(values):
     return total
 
 
-def assert_block_fsum(block, windows):
-    """The kernel sums one block exactly in this many windows, rounds it
-    to math.fsum's float."""
-    sums = exact_block_sums(block)
-    assert len(sums) == windows
-    assert sum(Fraction(t) * Fraction(2) ** (e - 1075) for t, e in sums) == exact_total(block)
-    assert round_exact_sums(sums).hex() == FSUM(block.tolist()).hex()
+def assert_block_fsum(block):
+    """The kernel sums one block exactly and rounds it to math.fsum's float."""
+    t, e = block_sum(block)
+    assert Fraction(t) * Fraction(2) ** (e - 1075) == exact_total(block)
+    assert round_exact_sums([(t, e)]).hex() == FSUM(block.tolist()).hex()
+
+
+def assert_refused(block):
+    with pytest.raises(ValueError, match="outside the exact split"):
+        decreasing_block_sum(block, np.empty(len(block)))
 
 
 @pytest.mark.parametrize("e_max", [1, 2, 1023, 1500, _MAX_EXP])
@@ -151,7 +158,7 @@ def test_a_full_block_at_the_hi_sum_bound(e_max, sign):
     # hi parts sum to 2^52 grid steps, the most the split allows
     top = math.ldexp(1.0, e_max - 1022)
     block = np.full(_BLOCK, sign * np.nextafter(top, 0.0))
-    assert_block_fsum(block, windows=1)
+    assert_block_fsum(block)
 
 
 @pytest.mark.parametrize("e_max", [25, 26, 1023, _MAX_EXP])
@@ -161,30 +168,35 @@ def test_a_spread_of_23_is_one_window_and_24_two(e_max, spread, windows, half_gr
     # one term just below 2^(e_max - 1022) sets the grid g; every other
     # term has exponent e_max - spread and sits a few units short of a
     # half step of the grid at a spread of 23 (2^-14 of the term), or of
-    # a grid twice as coarse, so a kernel on g, or on 2g, sums lo parts
-    # near the lo-sum bound
+    # a grid twice as coarse, so the kernel on g sums lo parts near the
+    # lo-sum bound; a spread of 24 would take a second window of
+    # exponents, and the kernel refuses it
     units = np.random.default_rng(e_max).integers(1, 1 << 10, _BLOCK)
     mant = 1 + half_grid * 2.0 ** (spread - 23) - units * 2.0**-52
     block = np.ldexp(mant, e_max - spread - 1023)
     block[0] = np.nextafter(math.ldexp(1.0, e_max - 1022), 0.0)
-    assert_block_fsum(block, windows)
-    assert_block_fsum(-block, windows)
+    block = decreasing(block)
+    check = assert_block_fsum if windows == 1 else assert_refused
+    check(block)
+    check(-block)
     block[1::2] *= -1
-    assert_block_fsum(block, windows)
+    check(block)
 
 
 @pytest.mark.parametrize("spread, windows", [(0, 1), (5, 1), (23, 1), (24, 2), (60, 3)])
 def test_cancelling_blocks(spread, windows):
+    """Blocks of spread 23 or less sum exactly; wider ones, which would
+    take more than one window of exponents, are refused."""
     rng = np.random.default_rng(spread)
     half = _normal_terms(rng, _BLOCK // 2, -40, spread)
-    block = np.concatenate([half, -half])
-    rng.shuffle(block)
-    assert_block_fsum(block, windows)
-    assert round_exact_sums(exact_block_sums(block)).hex() == "0x0.0p+0"
+    block = decreasing(np.concatenate([half, -half]))
+    if windows > 1:
+        assert_refused(block)
+        return
+    assert_block_fsum(block)
+    assert round_exact_sums([block_sum(block)]).hex() == "0x0.0p+0"
     # a last-bit change per pair leaves only the ulps to sum
-    block = np.concatenate([half, -np.nextafter(half, np.inf)])
-    rng.shuffle(block)
-    assert_block_fsum(block, windows)
+    assert_block_fsum(decreasing(np.concatenate([half, -np.nextafter(half, np.inf)])))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -194,8 +206,8 @@ def test_signed_reciprocals_near_2_to_the_62(seed):
     lo = 2**62 - _BLOCK // 2
     lam = np.random.default_rng(seed).choice([-1.0, 1.0], _BLOCK)
     block = lam / np.arange(lo, lo + _BLOCK, dtype=np.int64)
-    assert_block_fsum(block, windows=1)
-    assert_block_fsum(np.abs(block), windows=1)
+    assert_block_fsum(block)
+    assert_block_fsum(np.abs(block))
 
 
 @pytest.mark.parametrize("value", [1.0, -3.5, 2.0**-1022, 2.0**959, 1 / 3])
@@ -218,37 +230,38 @@ def test_lists_other_dtypes_and_strided_views():
         acc = CompensatedSum()
         acc.add_array(seq)
         assert acc.value == float(np.sum(seq, dtype=np.float64))
-    assert_fsum(values[::3])
+    assert_fsum(decreasing(values)[::3])
 
 
 @pytest.mark.parametrize(
     "values",
     [
         # zero or subnormal terms
-        [1.0, 0.0, -2.5],
+        [-2.5, 1.0, 0.0],
         [1.0, -0.0],
         [0.0, -0.0],
-        [1.0, TINY, -1.0],
-        [2.0**-1023, 2.0**-1022],
-        # such a term, or one of 2^960 or more, in a block cut into windows
-        [1.0, 2.0 ** -(_MAX_SPREAD + 1), 0.0],
-        [1.0, 2.0 ** -(_MAX_SPREAD + 1), TINY],
-        [2.0**-30, 2.0**960],
+        [1.0, -1.0, TINY],
+        [2.0**-1022, 2.0**-1023],
+        # exponents more than the spread budget apart
+        [1.0, 2.0 ** -(_MAX_SPREAD + 1)],
+        [1.0, 0.75, 2.0 ** -(_MAX_SPREAD + 1)],
+        [2.0**960, 2.0**-30],
         # terms of 2^960 or more
         [2.0**960],
         [1e308, -1e308],
         # inf and nan
-        [1.0, math.inf],
-        [-math.inf, 2.0, -math.inf],
+        [math.inf, 1.0],
+        [-math.inf, -math.inf, 2.0],
         [1.0, math.nan],
         [math.inf, math.nan],
+        [-(2.0**900), 2.0**-60, -(2.0**-900)],
     ],
 )
 def test_fallback_cases_match_fsum(values):
-    """The kernel declines what its split does not cover, leaving the
-    caller to sum it by math.fsum."""
-    assert exact_block_sums(np.array(values)) is None
-    assert kernel_sum(np.array(values)) is None
+    """The kernel refuses a block whose ends lie outside its split, one a
+    caller must sum otherwise, as math.fsum does; it never returns a
+    wrong sum for one."""
+    assert_refused(np.array(values))
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,29 +272,9 @@ def test_fallback_cases_match_fsum(values):
 )
 def test_decreasing_blocks_sum_as_the_kernel_does(seed, lo, n):
     """The scan's lambda(n)/n blocks, whose magnitudes do not increase,
-    take their exponent range from their ends and sum as exact_block_sums
-    sums them."""
+    take their exponent range from their ends and sum exactly."""
     lam = np.random.default_rng(seed).choice([-1.0, 1.0], n)
-    block = lam / np.arange(lo, lo + n, dtype=np.int64)
-    assert _decreasing_block_sums(block, np.empty(n)) == exact_block_sums(block)
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        # a spread of more than _MAX_SPREAD: windows, as exact_block_sums cuts them
-        [1.0, 0.75, 2.0 ** -(_MAX_SPREAD + 1)],
-        [-(2.0**900), 2.0**-60, -(2.0**-900)],
-        # terms the split declines
-        [1.0, 0.5, 0.0],
-        [1.0, TINY],
-        [math.inf, 1.0],
-        [2.0**960, 2.0**959],
-    ],
-)
-def test_decreasing_blocks_fall_back_to_the_kernel(values):
-    block = np.array(values)
-    assert _decreasing_block_sums(block, np.empty(len(block))) == exact_block_sums(block)
+    assert_block_fsum(lam / np.arange(lo, lo + n, dtype=np.int64))
 
 
 def test_complex_add_array_adds_each_component():

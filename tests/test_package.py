@@ -1,7 +1,9 @@
 """The root package's namespace."""
 
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
 import types
 
@@ -20,7 +22,7 @@ def test_submodule_names_resolve_to_modules():
 
 RETIRED_NAMES = (
     "StepFunction", "XiSequence", "DEFAULT_XI", "mvt_weight", "write_sums_csv",
-    "scan_polya", "scan_turan",
+    "scan_polya", "scan_turan", "exact_block_sums", "_decreasing_block_sums",
 )
 
 
@@ -42,3 +44,21 @@ def test_no_public_function_takes_a_segment_size_or_threads():
     for module in modules:
         for name in RETIRED_NAMES:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_names_the_benchmark_traces_still_resolve():
+    """perfbench/spans.py wraps the functions in its FUNCTIONS and the
+    methods in its METHODS by name; each must still be found in zetalab,
+    or a traced benchmark run fails before it starts."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, names in spans.FUNCTIONS.items():
+        module = importlib.import_module(f"zetalab.{mod_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), (mod_name, name)
+    for mod_name, pairs in spans.METHODS.items():
+        module = importlib.import_module(f"zetalab.{mod_name}")
+        for cls_name, meth in pairs:
+            assert meth in vars(getattr(module, cls_name)), (mod_name, cls_name, meth)
