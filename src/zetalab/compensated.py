@@ -1,9 +1,9 @@
 """Compensated floating-point accumulation.
 
-Long scans fold millions of small terms into running totals. A plain
+Long folds add millions of small terms into running totals. A plain
 `+=` loses low-order bits once the running value dwarfs the terms, so
-cross-segment carries here use Neumaier's variant of Kahan summation:
-the rounding error of every add is recovered and banked in a side term.
+the Abel core's totals use Neumaier's variant of Kahan summation: the
+rounding error of every add is recovered and banked in a side term.
 
 A block of float64 terms can also be summed exactly and its sum rounded
 once, correctly, as math.fsum rounds it. A block of at most 2^15 terms
@@ -110,8 +110,8 @@ class CompensatedSum:
     def value(self) -> float:
         return self._total + self._comp
 
-    # Raw parts, used by checkpoint files so a resumed scan reproduces
-    # the uninterrupted run bit for bit.
+    # Raw parts: the value is their sum, and both restore the running sum
+    # bit for bit.
     @property
     def parts(self) -> tuple[float, float]:
         return self._total, self._comp

@@ -24,10 +24,11 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .compensated import CompensatedSum, decreasing_block_sum, round_exact_sums
+from .compensated import decreasing_block_sum, round_exact_sums
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -328,15 +329,25 @@ class _SeriesState:
         )
 
 
-_CHECKPOINT_HEADER = "zetalab-scan-checkpoint v1"
+def _fraction_from_hex(text: str) -> Fraction:
+    mant, _, exp = text.partition("p-")
+    if not 0 <= int(exp) <= 1074:
+        raise ValueError(f"{text} is not a float's rounding error")
+    return Fraction(int(mant, 16), 1 << int(exp))
+
+
+_CHECKPOINT_HEADER = "zetalab-scan-checkpoint v2"
 _INT = (str, int)
 _HEX = (float.hex, float.fromhex)
+_EXACT = (lambda q: f"{q.numerator:#x}p-{q.denominator.bit_length() - 1}", _fraction_from_hex)
 _INT_OR_NONE = (lambda v: "none" if v is None else str(v), lambda t: None if t == "none" else int(t))
-# The v1 format after its header: key=value lines in this order, each
+# The v2 format after its header: key=value lines in this order, each
 # value read and written by its codec; "polya_X"/"turan_X" is a series' X.
+# T is t_total + t_comp exactly: its correctly rounded value and the rest,
+# [-]0x<hex>p-<k> at any length, which float.fromhex reads rounded.
 _CHECKPOINT_KEYS = (
     ("limit", _INT), ("segment_size", _INT), ("segments_done", _INT), ("next_n", _INT),
-    ("p_sum", _INT), ("t_total", _HEX), ("t_comp", _HEX),
+    ("p_sum", _INT), ("t_total", _HEX), ("t_comp", _EXACT),
     *((f"{tag}_{name}", codec) for tag in ("polya", "turan") for name, codec in (
         ("min", _HEX), ("argmin", _INT), ("first_violation", _INT_OR_NONE),
         ("sign_changes", _INT), ("last_sign", _INT))),
@@ -348,8 +359,8 @@ class ScanCheckpoint:
     """State of a summatory scan, resumable from its flat text form.
 
     A fresh record is the state before n = 1. Floats are serialized with
-    float.hex() so a resumed scan continues from the exact binary values
-    of the interrupted one.
+    float.hex(), and T exactly, so a resumed scan continues from the
+    exact values of the interrupted one.
     """
 
     limit: int
@@ -358,7 +369,7 @@ class ScanCheckpoint:
     next_n: int = 1
     p_sum: int = 0
     t_total: float = 0.0
-    t_comp: float = 0.0
+    t_comp: Fraction = Fraction(0)
     polya: _SeriesState = field(default_factory=_SeriesState)
     turan: _SeriesState = field(default_factory=_SeriesState)
 
@@ -379,7 +390,7 @@ class ScanCheckpoint:
     def from_text(cls, text: str) -> "ScanCheckpoint":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CHECKPOINT_HEADER:
-            raise DomainError("not a zetalab scan checkpoint")
+            raise DomainError(f"not a {_CHECKPOINT_HEADER} file; a v1 file does not hold T exactly")
         kv = dict(ln.partition("=")[::2] for ln in lines[1:])
         ck = cls(0, 0)
         for key, (_, dec), obj, name in ck._slots():
@@ -461,24 +472,20 @@ def run_scan(
     Violations are P(x) > 0 on x in [2, limit] and T(n) <= 0 on
     [1, limit]; min/argmin are tracked over those same ranges and sign
     changes are counted on the integer lattice (zeros skipped); limit
-    must be at least 2. The Turan sum is carried across segments with
-    compensated summation. Each segment is folded in blocks of _BLOCK
-    terms through two block-length buffers allocated once per scan, one
-    each for the running P and T. A block's terms lambda(n)/n are
-    written into the T buffer and summed exactly there, while in cache,
-    before its running sum overwrites them; the segment's exact sum is
-    rounded once at its end, so it does not depend on the blocks. A
-    block's running T starts from the last one of the block before, so
-    its values are those of one np.cumsum over the segment.
+    must be at least 2. Each segment is folded in blocks of _BLOCK terms
+    through two block-length buffers allocated once per scan, one each
+    for the running P and T. A block's terms lambda(n)/n are written
+    into the T buffer and summed exactly there, while in cache, into
+    T's exact running sum; its running T values are then one np.cumsum
+    of its terms from the correctly rounded T before it. turan_final is
+    the correctly rounded T(limit), the float math.fsum gives.
 
     A block is folded into a report only when it could change it. P is
     bounded from the sums of its groups of _GROUP terms, which also
-    advance it; T's running sums are always taken, since each rounds
-    the next, and bounded by their least and greatest. When the bounds
-    leave a report settled (no new minimum, no violation, no sign
-    change), P's running values are never formed, and T's are not
-    shifted by the segment's start value. Traced blocks are always
-    folded. The results are those of folding every block.
+    advance it, and T by its least and greatest running values. When
+    the bounds leave a report settled (no new minimum, no violation, no
+    sign change), P's running values are never formed. Traced blocks
+    are always folded. The results are those of folding every block.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -513,11 +520,9 @@ def run_scan(
             # The running P and T of one fold block.
             p_buf = np.empty(_BLOCK, dtype=np.int64)
             t_buf = np.empty(_BLOCK)
+            # T, exactly, in units of 2^-1074: every sum of floats is whole in them
+            t_sum = int((Fraction(ck.t_total) + ck.t_comp) * 2**1074)
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
-                t_acc = CompensatedSum(ck.t_total, ck.t_comp)
-                t_base = t_acc.value
-                t_run = 0.0  # the segment's running T before t_base is added
-                t_sums = []  # the segment's exact sum of T terms, block by block
                 for a in range(0, len(lam), _BLOCK):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
                     m = len(lam_b)
@@ -525,12 +530,11 @@ def run_scan(
                                        out=t_buf[:m])
                     # |lambda(n)/n| is normal, at most 1 and does not grow
                     # with n; p_buf is scratch until P fills it
-                    t_sums.append(decreasing_block_sum(t_vals, p_buf[:m].view(np.float64)))
-                    # t_run enters the first term, so the adds are those
-                    # of one np.cumsum over the whole segment.
-                    t_vals[0] += t_run
+                    block_sum, e = decreasing_block_sum(t_vals, p_buf[:m].view(np.float64))
+                    t_sum += block_sum << (e - 1)
+                    t_vals[0] += ck.t_total  # T before the block, correctly rounded
                     np.cumsum(t_vals, out=t_vals)
-                    t_run = float(t_vals[-1])
+                    ck.t_total = round_exact_sums([(t_sum, 1)])
                     p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
                     if traced or not ck.polya.settled(p_low, p_high, positive_violates=True):
                         p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
@@ -538,11 +542,7 @@ def run_scan(
                         k = int(n0 == 1)  # P(x) is scanned from x = 2
                         ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
                     ck.p_sum = p_end
-                    # Rounding is monotone, so t_base plus the least and
-                    # greatest running sums bound every T value.
-                    t_low, t_high = t_base + float(t_vals.min()), t_base + float(t_vals.max())
-                    if traced or not ck.turan.settled(t_low, t_high, positive_violates=False):
-                        t_vals += t_base
+                    if traced or not ck.turan.settled(t_vals.min(), t_vals.max(), positive_violates=False):
                         ck.turan.fold_segment(n0, t_vals, positive_violates=False)
                     if traced:
                         i = -n0 % csv_stride
@@ -551,8 +551,7 @@ def run_scan(
                             p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
                         ))
 
-                t_acc.add(round_exact_sums(t_sums))
-                ck.t_total, ck.t_comp = t_acc.parts
+                ck.t_comp = Fraction(t_sum, 2**1074) - Fraction(ck.t_total)
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1
 
@@ -562,5 +561,4 @@ def run_scan(
                         csv_fh.flush()  # first the trace rows this checkpoint covers
                     ck.save(checkpoint_path)
 
-    t_final = CompensatedSum(ck.t_total, ck.t_comp).value
-    return ScanResult(ck.polya.report(limit), ck.turan.report(limit), ck.p_sum, t_final)
+    return ScanResult(ck.polya.report(limit), ck.turan.report(limit), ck.p_sum, ck.t_total)

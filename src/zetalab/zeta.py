@@ -3,9 +3,9 @@
 Double precision only, with an explicit error estimate (magnitude of
 the first omitted Bernoulli correction). The Bernoulli numbers are
 exact rationals, each rounded once to the nearest double. The strip
-sigma > -1 with |t| <= 100 covers every identity the workbench checks;
-there is no functional-equation reflection and no Riemann-Siegel
-regime.
+sigma > -1 with |t| <= 100 covers every identity the workbench checks
+(the ratios, which take zeta at 2s, reach |t| <= 50); there is no
+functional-equation reflection and no Riemann-Siegel regime.
 """
 
 import math
@@ -125,26 +125,27 @@ def zeta(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
     return zeta_with_error(s, params)[0]
 
 
-def zeta_ratio(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
-    """zeta(2s)/zeta(s) for sigma > 1/2.
+def zeta_ratio(s: complex) -> complex:
+    """zeta(2s)/zeta(s) for sigma > 1/2 and |t| <= 50 (zeta is taken at 2s).
 
     s = 1 is rejected outright: the denominator pole would make the
     ratio 0 only in a limit sense, and uniform domain handling is worth
     more here than that single point.
     """
     s = complex(s)
-    if s.real <= 0.5:
-        raise DomainError("zeta_ratio needs sigma > 1/2")
+    if s.real <= 0.5 or math.inf > abs(s.imag) > _T_CEILING / 2:  # zeta refuses inf, nan
+        raise DomainError(f"zeta_ratio needs sigma > 1/2 and |t| <= {_T_CEILING / 2:g}, "
+                          "as it takes zeta at 2s")
     if s == 1 or 2 * s == 1:
         raise DomainError("zeta_ratio is not evaluated at zeta poles")
-    den = zeta(s, params)
+    den = zeta(s)
     if abs(den) < _ZERO_GUARD:
         raise DivisionInstabilityError(f"|zeta({s})| < {_ZERO_GUARD}")
-    return zeta(2 * s, params) / den
+    return zeta(2 * s) / den
 
 
-def shifted_ratio(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
-    """zeta(2s+1)/zeta(s+1/2) for sigma > 1/2.
+def shifted_ratio(s: complex) -> complex:
+    """zeta(2s+1)/zeta(s+1/2) for sigma > 1/2 and |t| <= 50.
 
     Note shifted_ratio(s) = zeta_ratio(s + 1/2), so e.g. s = 1.5 gives
     zeta(4)/zeta(2).
@@ -153,7 +154,7 @@ def shifted_ratio(s: complex, params: ZetaParams = DEFAULT_PARAMS) -> complex:
     if s.real <= 0.5:
         raise DomainError("shifted_ratio needs sigma > 1/2")
     # 2(s + 1/2) rounds as 2s + 1 does: doubling is exact
-    return zeta_ratio(s + 0.5, params)
+    return zeta_ratio(s + 0.5)
 
 
 def lambda_series(s: complex, n_terms: int) -> complex:
@@ -181,14 +182,14 @@ class RealBounds:
     passed: bool
 
 
-def real_bounds_check(sigma: float, params: ZetaParams = DEFAULT_PARAMS) -> RealBounds:
+def real_bounds_check(sigma: float) -> RealBounds:
     """Check the real-axis sandwich at one sigma > 0, sigma != 1."""
     sigma = float(sigma)
     if sigma == 1:
         raise PoleError("bounds undefined at sigma = 1")
     if sigma <= 0:
         raise DomainError("real_bounds_check needs sigma > 0")
-    val = zeta(complex(sigma), params).real
+    val = zeta(complex(sigma)).real
     lower = 1.0 / (sigma - 1.0)
     upper = sigma / (sigma - 1.0)
     return RealBounds(sigma, lower, val, upper, lower < val < upper)

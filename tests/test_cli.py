@@ -203,7 +203,7 @@ def test_scan_turan_only(capsys):
 
 def test_scan_damaged_checkpoint_is_an_error(tmp_path, capsys):
     ckpt = tmp_path / "scan.ckpt"
-    ckpt.write_text("zetalab-scan-checkpoint v1\nlimit=1000\n")
+    ckpt.write_text("zetalab-scan-checkpoint v2\nlimit=1000\n")
     code, out, err = run(capsys, "scan", "--limit", "1000", "--checkpoint", str(ckpt))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "segment_size" in err
@@ -378,6 +378,13 @@ def test_verify_all_at_the_pole_reports_the_other_cases(capsys):
         )),
         "[PASS] finite_linearity s=1.0000",
     }
+
+
+def test_verify_refuses_a_height_the_ratios_cannot_reach(capsys):
+    """The ratios take zeta at 2s, so t = 60 is past their |t| <= 50."""
+    code, out, err = run(capsys, "verify", "--all", "--X", "1e4", "--s", "1,60")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "|t| <= 50" in err and "2s" in err
 
 
 def test_verify_custom_s_points(capsys):

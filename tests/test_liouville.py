@@ -361,31 +361,64 @@ def _scan_outputs(tmp_path, name, limit, **kwargs):
     return result, ckpt.read_bytes(), trace.read_bytes()
 
 
+def _block_anchored_t(limit, seg, block):
+    """T(n) for n = 1..limit as the scan forms it: math.fsum of the terms
+    before each fold block, then np.cumsum within it. Blocks of `block`
+    terms start afresh at every segment of `seg`."""
+    terms = lv.lambda_segment(1, limit + 1) / np.arange(1, limit + 1)
+    t = np.empty(limit)
+    for lo in range(0, limit, seg):
+        for a in range(lo, min(lo + seg, limit), block):
+            b = min(a + block, lo + seg, limit)
+            vals = terms[a:b].copy()
+            vals[0] += math.fsum(terms[:a])
+            t[a:b] = np.cumsum(vals)
+    return t
+
+
 @pytest.mark.parametrize("block", [64, 97])
 def test_fold_blocks_leave_the_scan_alone(tmp_path, segment_length, block):
-    """Folding each segment in blocks of 64 or 97 terms returns, saves
-    and traces what folding it whole (one block of _BLOCK) does."""
+    """Folding each segment in blocks of 64 or 97 terms returns, saves and
+    traces the integers, T's exact sum and turan_final that folding it
+    whole (one block of _BLOCK) does. A block is the unit of T's rounding:
+    each T value of the trace, and T's minimum, is math.fsum of the terms
+    before its block plus np.cumsum within it."""
+    limit = 20000
     segment_length(5000)
-    whole = _scan_outputs(tmp_path, "whole", 20000)
+    whole = _scan_outputs(tmp_path, "whole", limit)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lv, "_BLOCK", block)
-        assert _scan_outputs(tmp_path, "blocks", 20000) == whole
+        blocks = _scan_outputs(tmp_path, "blocks", limit)
+
+    def rows(trace):
+        return [line.split(",") for line in trace.decode().splitlines()[1:]]
+
+    for (result, ckpt, trace), size in ((whole, 5000), (blocks, block)):
+        t = _block_anchored_t(limit, 5000, size)
+        # of T's report, only the minimum's bits can depend on the blocks
+        assert result.turan == lv.SignScanReport(limit, None, t.min(), np.argmin(t) + 1, 0)
+        assert ckpt.decode() == re.sub(r"turan_min=\S+", f"turan_min={t.min().hex()}",
+                                       whole[1].decode())
+        assert (result.polya, result.polya_final) == (whole[0].polya, whole[0].polya_final)
+        assert result.turan_final.hex() == whole[0].turan_final.hex()
+        assert [row[:3] for row in rows(trace)] == [row[:3] for row in rows(whole[2])]
+        assert [row[3] for row in rows(trace)] == [repr(v) for v in t.tolist()]
 
 
-_CHECKPOINT_3_SEGMENTS = """zetalab-scan-checkpoint v1
+_CHECKPOINT_3_SEGMENTS = """zetalab-scan-checkpoint v2
 limit=3145745
 segment_size=1048576
 segments_done=4
 next_n=3145746
 p_sum=-1375
-t_total=0x1.6d426904c0864p-12
-t_comp=0x1.3000000000000p-67
+t_total=0x1.6d426904c0862p-12
+t_comp=0x125p-74
 polya_min=-0x1.c2c0000000000p+10
 polya_argmin=2110931
 polya_first_violation=none
 polya_sign_changes=0
 polya_last_sign=-1
-turan_min=0x1.ca72987653eb3p-15
+turan_min=0x1.ca72987659ac3p-15
 turan_argmin=925985
 turan_first_violation=none
 turan_sign_changes=0
@@ -399,6 +432,26 @@ def test_checkpoint_past_three_segments_is_pinned(tmp_path):
     path = tmp_path / "scan.ckpt"
     run_scan(3 * 2**20 + 17, checkpoint_path=str(path))
     assert path.read_text() == _CHECKPOINT_3_SEGMENTS
+
+
+@pytest.mark.parametrize("limit", [2, 20000, 3 * 2**20 + 17])
+def test_turan_final_is_the_fsum_of_the_terms(limit):
+    """turan_final is T(limit) correctly rounded: math.fsum of the float
+    terms lambda(n)/n, however many segments and blocks they span."""
+    terms = lv.lambda_segment(1, limit + 1) / np.arange(1, limit + 1)
+    assert run_scan(limit).turan_final.hex() == math.fsum(terms).hex()
+
+
+def test_a_v1_checkpoint_is_refused(tmp_path):
+    """A v1 checkpoint holds T only to a float's rounding, so no scan
+    resumes from it, and the file is left as it was."""
+    path = tmp_path / "scan.ckpt"
+    run_scan(5000, checkpoint_path=str(path))
+    v1 = path.read_text().replace("zetalab-scan-checkpoint v2", "zetalab-scan-checkpoint v1")
+    path.write_text(v1)
+    with pytest.raises(DomainError, match="v1"):
+        run_scan(5000, checkpoint_path=str(path))
+    assert path.read_text() == v1
 
 
 def test_scan_memory_stays_near_the_sieve(tmp_path, monkeypatch):

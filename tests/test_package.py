@@ -8,6 +8,7 @@ import pkgutil
 import types
 
 import zetalab
+from zetalab import cli
 
 
 def test_submodule_names_resolve_to_modules():
@@ -44,6 +45,21 @@ def test_no_public_function_takes_a_segment_size_or_threads():
     for module in modules:
         for name in RETIRED_NAMES:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_a_smoke_scan_passes_the_benchmark_checks(tmp_path, capsys):
+    """The benchmark reads scan_1e8's report from its stdout and its
+    checkpoint file (perfbench/workloads.py); a smoke-size scan run
+    in-process must pass every check of perfbench/reference.json, so a
+    change to either format fails here first."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    code = cli.main(workloads.command("scan_1e8", True, str(tmp_path)))
+    got = workloads.extract("scan_1e8", str(tmp_path), capsys.readouterr().out)
+    got["exit_code"] = code
+    assert workloads.compare(workloads.load_reference("scan_1e8", True), got) == []
 
 
 def test_names_the_benchmark_traces_still_resolve():

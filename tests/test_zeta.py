@@ -1,6 +1,7 @@
 """Euler-Maclaurin zeta engine tests against a high-precision oracle."""
 
 import importlib
+import inspect
 import math
 
 import mpmath
@@ -128,6 +129,17 @@ def test_ratio_domain_guards():
         zeta_ratio(0.5)
     with pytest.raises(DomainError):
         shifted_ratio(0.5)
+
+
+def test_ratios_reach_half_of_zetas_height():
+    """zeta_ratio and shifted_ratio take zeta at 2s and 2s + 1, so they
+    refuse |t| > 50 themselves, saying why, and take no ZetaParams."""
+    assert zeta_ratio(1 + 50j) == zeta(2 + 100j) / zeta(1 + 50j)
+    for f in (zeta_ratio, shifted_ratio):
+        with pytest.raises(DomainError, match=r"\|t\| <= 50, as it takes zeta at 2s"):
+            f(1 + 60j)
+    for f in (zeta_ratio, shifted_ratio, real_bounds_check):
+        assert list(inspect.signature(f).parameters) in (["s"], ["sigma"]), f
 
 
 def test_lambda_series_examples():
