@@ -451,12 +451,33 @@ def _open_trace(path: str, next_n: int, stride: int):
 def _p_bounds(lam_b: np.ndarray, p_before: int) -> tuple[int, int, int]:
     """Bounds on P over a block of lambda, where P is p_before just before
     it, and P at its end. Every P(n) lies within _GROUP of p_before or of
-    a group's last P; the last group may be shorter."""
+    a group's last P; the last group may be shorter. _t_bounds bounds T
+    over the block from the same bounds."""
     # a group's sum is at most _GROUP < 128 in size, so int8 holds it
     group_sums = np.add.reduceat(lam_b, np.arange(0, len(lam_b), _GROUP), dtype=np.int8)
     ends = np.cumsum(group_sums, dtype=np.int64)
     low, high = min(0, int(ends.min())), max(0, int(ends.max()))
     return p_before + low - _GROUP, p_before + high + _GROUP, p_before + int(ends[-1])
+
+
+def _t_bounds(t_star: float, p_before: int, p_low: int, p_high: int,
+              n0: int, m: int) -> tuple[float, float]:
+    """Bounds on the running T that np.cumsum forms over a block of m
+    terms fl(lambda(n)/n) from n0, starting from the float t_star, where
+    P is p_before just before the block and lies in [p_low, p_high] on it.
+
+    By Abel summation each T(n) - T(n0 - 1) is at most D/n0 in size,
+    with D the largest |P(k) - p_before|. Rounding the terms adds at
+    most m*u/n0, and the cumsum at most m*u*(|t_star| + (D + m)/n0)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2), with u = 2^-53. Both rounding terms take 2u: the
+    margin covers evaluating the bound in floats, and n past 2^53,
+    which itself rounds.
+    """
+    d = max(p_high - p_before, p_before - p_low)
+    u = 2.0**-53
+    w = d / n0 + 2 * m * u / n0 + 2 * m * u * (abs(t_star) + (d + m) / n0)
+    return t_star - w, t_star + w
 
 
 def run_scan(
@@ -476,16 +497,19 @@ def run_scan(
     through two block-length buffers allocated once per scan, one each
     for the running P and T. A block's terms lambda(n)/n are written
     into the T buffer and summed exactly there, while in cache, into
-    T's exact running sum; its running T values are then one np.cumsum
-    of its terms from the correctly rounded T before it. turan_final is
-    the correctly rounded T(limit), the float math.fsum gives.
+    T's exact running sum; where its running T values are needed, they
+    are one np.cumsum of its terms from the correctly rounded T before
+    it. turan_final is the correctly rounded T(limit), the float
+    math.fsum gives.
 
     A block is folded into a report only when it could change it. P is
     bounded from the sums of its groups of _GROUP terms, which also
-    advance it, and T by its least and greatest running values. When
-    the bounds leave a report settled (no new minimum, no violation, no
-    sign change), P's running values are never formed. Traced blocks
-    are always folded. The results are those of folding every block.
+    advance it, and T from P's bounds by Abel summation, widened by the
+    rounding of its terms and of their cumsum (_t_bounds). When the
+    bounds leave a report settled (no new minimum, no violation, no sign
+    change), that series' running values are never formed: T's are
+    formed only on the blocks T folds. Traced blocks are always folded.
+    The results are those of folding every block.
 
     When checkpoint_path is given, progress is saved there every
     checkpoint_every segments of DEFAULT_SEGMENT and an existing file
@@ -532,18 +556,19 @@ def run_scan(
                     # with n; p_buf is scratch until P fills it
                     block_sum, e = decreasing_block_sum(t_vals, p_buf[:m].view(np.float64))
                     t_sum += block_sum << (e - 1)
-                    t_vals[0] += ck.t_total  # T before the block, correctly rounded
-                    np.cumsum(t_vals, out=t_vals)
-                    ck.t_total = round_exact_sums([(t_sum, 1)])
                     p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
+                    t_low, t_high = _t_bounds(ck.t_total, ck.p_sum, p_low, p_high, n0, m)
                     if traced or not ck.polya.settled(p_low, p_high, positive_violates=True):
                         p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
                         p_vals += ck.p_sum
                         k = int(n0 == 1)  # P(x) is scanned from x = 2
                         ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
                     ck.p_sum = p_end
-                    if traced or not ck.turan.settled(t_vals.min(), t_vals.max(), positive_violates=False):
+                    if traced or not ck.turan.settled(t_low, t_high, positive_violates=False):
+                        t_vals[0] += ck.t_total  # T before the block, correctly rounded
+                        np.cumsum(t_vals, out=t_vals)
                         ck.turan.fold_segment(n0, t_vals, positive_violates=False)
+                    ck.t_total = round_exact_sums([(t_sum, 1)])
                     if traced:
                         i = -n0 % csv_stride
                         rows.writerows(zip(

@@ -85,7 +85,9 @@ def _run(plans) -> list[VerificationCase]:
     """Build each (requests, build) plan's case from one shared evaluation.
 
     The evaluation makes one sieve pass for all plans together, so a
-    suite costs what its largest single check costs.
+    suite costs what its largest single check costs. A plan takes its
+    zeta values when it is made, so a point past their range is refused
+    before the pass.
     """
     results = _evaluate([r for requests, _ in plans for r in requests])
     return [build(results) for _, build in plans]
@@ -121,9 +123,10 @@ def _reciprocal_integral(s, X):
     if s.real <= 1:
         raise DomainError("verify_reciprocal_integral needs sigma > 1")
     mu = _integral(StepKind.MU_ONE, s, X)
+    zeta_s = zeta(s)
 
     def build(r):
-        lhs = (-1.0 + 1.0 / zeta(s)) / (s - 1.0)
+        lhs = (-1.0 + 1.0 / zeta_s) / (s - 1.0)
         tol = max(_FLOOR, 2.0 * r[mu].tail_estimate)
         return _case("zeta_reciprocal_integral", s, X, lhs, r[mu].value, tol)
 
@@ -144,9 +147,10 @@ def _ratio_integral(s, X):
     if s.real <= 1:
         raise DomainError("verify_ratio_integral needs sigma > 1")
     half = _integral(StepKind.F_HALF, s, X)
+    ratio = zeta_ratio(s)
 
     def build(r):
-        lhs = (zeta_ratio(s) - 1.0) / (s - 0.5)
+        lhs = (ratio - 1.0) / (s - 0.5)
         tol = max(_FLOOR, 2.0 * r[half].tail_estimate)
         return _case("ratio_integral", s, X, lhs, r[half].value, tol)
 
@@ -165,9 +169,10 @@ def _ratio_decomposition(s, X):
     if s == 1:
         raise DomainError("s = 1 sits on the zeta pole")
     j, one = _j_xi(s, X), _integral(StepKind.F_ONE, s, X)
+    ratio = zeta_ratio(s)
 
     def build(r):
-        lhs = (zeta_ratio(s) - 1.0) / (s - 0.5) - r[j].value
+        lhs = (ratio - 1.0) / (s - 0.5) - r[j].value
         if s.real > 1:
             tol = max(_FLOOR, 2.0 * (r[j].tail_estimate + r[one].tail_estimate))
             flags = ()
@@ -198,10 +203,10 @@ def _shifted_identity(s, X):
     j = _j_xi(s, X)
     # lambda_series(s + 1/2, X): lambda(n) n^(-s-1/2) over n <= X, its own accumulator
     series = _Polynomial(StepKind.P_OVER_U, -(s + 0.5), int(X) + 1)
+    ratio, rhs = zeta_ratio(s), shifted_ratio(s)
 
     def build(r):
-        lhs = zeta_ratio(s) - (s - 0.5) * r[j].value
-        rhs = shifted_ratio(s)
+        lhs = ratio - (s - 0.5) * r[j].value
         flags = [f"series_xcheck_gap={abs(rhs - r[series]):.3e}"]
         if s.real > 1:
             tol = max(_FLOOR, 2.0 * abs(s - 0.5) * r[j].tail_estimate)

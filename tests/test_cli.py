@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from zetalab import integrals, liouville
 from zetalab.cli import _float_list, _num_int, main
 
 
@@ -385,6 +386,19 @@ def test_verify_refuses_a_height_the_ratios_cannot_reach(capsys):
     code, out, err = run(capsys, "verify", "--all", "--X", "1e4", "--s", "1,60")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "|t| <= 50" in err and "2s" in err
+
+
+def test_verify_refuses_an_unreachable_height_before_sieving(capsys, monkeypatch):
+    """The refusal of t = 60 comes before the sieve-and-fold pass, not
+    after the work of every other case."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    for module in (liouville, integrals):  # integrals imports it by name
+        monkeypatch.setattr(module, "_factor_segment", refuse)
+    code, out, err = run(capsys, "verify", "--all", "--X", "1e6", "--s", "2", "--s", "1,60")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "|t| <= 50" in err
 
 
 def test_verify_custom_s_points(capsys):

@@ -524,19 +524,64 @@ def test_unfolded_blocks_leave_the_scan_alone(scan):
 
 def test_most_blocks_past_a_million_are_not_folded(monkeypatch):
     """Of the 97 fold blocks of a scan just past three 2^20-term
-    segments, few can change a report: P's fold runs on 26 and T's on 6,
-    so a scan that quietly folds every block again fails here."""
+    segments, few can change a report: P's fold runs on 25 and T's on 15,
+    so a scan that quietly folds every block again fails here. T's
+    running values are formed (one float cumsum) only on the blocks T
+    folds, so a scan that forms them on every block fails too."""
     folds = {True: 0, False: 0}
+    float_cumsums = 0
     real_fold = lv._SeriesState.fold_segment
+    real_cumsum = np.cumsum
 
     def counting(self, first_n, vals, positive_violates):
         folds[positive_violates] += 1
         real_fold(self, first_n, vals, positive_violates)
 
+    def counting_cumsum(a, *args, **kwargs):
+        nonlocal float_cumsums
+        float_cumsums += np.asarray(a).dtype.kind == "f"
+        return real_cumsum(a, *args, **kwargs)
+
     monkeypatch.setattr(lv._SeriesState, "fold_segment", counting)
+    monkeypatch.setattr(np, "cumsum", counting_cumsum)
     run_scan(3 * 2**20 + 17)
     assert 1 <= folds[True] <= 40
     assert 1 <= folds[False] <= 20
+    assert float_cumsums == folds[False]
+
+
+_NEAR_ZERO = st.floats(min_value=-1e-12, max_value=1e-12)
+_NEAR_A_MILLIONTH = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1e-6 * (1 - 1e-3), max_value=1e-6 * (1 + 1e-3)))
+_NEAR_ONE = st.floats(min_value=1 - 1e-6, max_value=1 + 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@example(m=1, n0=1, t_star=0.0, plus=1.0, seed=0, p_before=0)
+@example(m=2**15, n0=2**53 - 2**15, t_star=0.0, plus=0.5, seed=1, p_before=-7)
+@given(
+    m=st.integers(min_value=1, max_value=2**15),
+    n0=st.integers(min_value=1, max_value=2**53 - 2**15),
+    t_star=st.one_of(_NEAR_ZERO, _NEAR_A_MILLIONTH, _NEAR_ONE),
+    plus=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p_before=st.integers(min_value=-10**6, max_value=10**6),
+)
+def test_the_t_bounds_hold_every_running_t_of_a_block(m, n0, t_star, plus, seed, p_before):
+    """Every float the scan folds for a block, np.cumsum of [t_star +
+    lambda(n0)/n0, lambda(n0+1)/(n0+1), ...], lies within the bounds
+    that _t_bounds takes from P's least and greatest values on the block,
+    checked in exact arithmetic. Each lambda is +1 with chance plus."""
+    lam = np.where(np.random.default_rng(seed).random(m) < plus, 1, -1).astype(np.int8)
+    terms = np.divide(lam, np.arange(n0, n0 + m, dtype=np.int64))
+    terms[0] += t_star
+    values = np.cumsum(terms)
+    steps = np.cumsum(lam, dtype=np.int64)
+    low, high = lv._t_bounds(t_star, p_before, p_before + min(0, int(steps.min())),
+                             p_before + max(0, int(steps.max())), n0, m)
+    assert Fraction(low) <= Fraction(float(values.min()))
+    assert Fraction(float(values.max())) <= Fraction(high)
 
 
 @pytest.mark.parametrize(
