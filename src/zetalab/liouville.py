@@ -8,15 +8,17 @@ are
     P(x) = sum_{n<=x} lambda(n)        (Polya sum)
     T(x) = sum_{n<=x} lambda(n)/n      (Turan sum)
 
-Bulk values come from a segmented sieve over [lo, hi) that multiplies
-up each n's base-prime part (base primes run up to sqrt of the segment
-end). The powers of 2, 3, 5 and 7 come from one precomputed period of
-5040, the wheel; a strided pass multiplies in every higher power and
-every other base prime, each factor as -p, so the product's sign
-carries the parity of the count. What is left of n, n / |product|, is
-either 1 or a single prime above the base limit. The per-n results are
-exact integers. The stream runs in segments of DEFAULT_SEGMENT, so a
-float fold over it, such as the Turan sum, has one summation order.
+Bulk values come from a segmented sieve over [lo, hi) that adds up a
+rounded base-2 logarithm of each n's base-prime part in a uint16 array
+(base primes run up to sqrt of the segment end). The powers of 2, 3, 5
+and 7 come from one precomputed period of 5040, the wheel; a strided
+pass adds every higher power and every other base prime. Each prime's
+weight is odd, so the sum's parity is the parity of the count; and the
+sum is close enough to the logarithm that comparing it with one integer
+per binade of n tells whether n has one more prime factor, above the
+base limit. The per-n results are exact integers. The stream runs in
+segments of DEFAULT_SEGMENT, so a float fold over it, such as the Turan
+sum, has one summation order.
 """
 
 import contextlib
@@ -87,36 +89,48 @@ def _base_primes(limit: int) -> np.ndarray:
 
 # The wheel: 5040 = 2^4 * 3^2 * 5 * 7. Whether 2^a, 3^b, 5 or 7 divides
 # n (a <= 4, b <= 2) depends only on n mod 5040, so one period of
-# products and squares seeds each segment; the strided sieve starts each
+# weights and squares seeds each segment; the strided sieve starts each
 # wheel prime at its first power outside the wheel.
 _WHEEL = 5040
 _WHEEL_NEXT = {2: 2**5, 3: 3**3, 5: 5**2, 7: 7**2}
-# n is compared with its product, and run_scan folds P and T, in blocks
-# of this many terms, so that no full-length int64 or float64 temporary
-# sits next to the segment. At most 2^15, the size of a block that
-# compensated.decreasing_block_sum sums exactly.
+# n's log weight is compared with its binade's threshold, and run_scan
+# folds P and T, in blocks of this many terms, so that no full-length
+# temporary sits next to the segment. At most 2^15, the size of a block
+# that compensated.decreasing_block_sum sums exactly.
 _BLOCK = 1 << 15
 # run_scan bounds P over a block from the ends of its groups of this
 # many terms: every P(n) lies within _GROUP of one.
 _GROUP = 64
+# The sieve's log scale S: a prime p weighs the odd integer nearest
+# S*log2(p). _factor_segment states the bounds it must meet.
+_LOG_SCALE = 64
+
+
+def _log_weights(primes: np.ndarray) -> np.ndarray:
+    """The odd integer nearest _LOG_SCALE*log2(p), 2*floor(S*log2(p)/2) + 1,
+    for each prime p."""
+    half = np.floor(np.log2(primes) * (_LOG_SCALE / 2))
+    return (2 * half + 1).astype(np.int64)
 
 
 def _wheel_pattern():
-    """Per residue mod 5040, read-only: the product of the wheel's prime
-    powers dividing it, each factor as -p, and whether 4 or 9 divides it."""
+    """Per residue mod 5040, read-only: the sum of the log weights of the
+    wheel's prime powers dividing it, as uint16, and whether 4 or 9
+    divides it."""
     r = np.arange(_WHEEL, dtype=np.int64)
-    prod = np.ones(_WHEEL, dtype=np.int64)
+    weights = np.zeros(_WHEEL, dtype=np.uint16)
     for p, first_outside in _WHEEL_NEXT.items():
+        w = int(_log_weights(np.array([p]))[0])
         pk = p
         while pk < first_outside:
-            prod[r % pk == 0] *= -p
+            weights[r % pk == 0] += w
             pk *= p
     squareful = (r % 4 == 0) | (r % 9 == 0)
-    prod.flags.writeable = squareful.flags.writeable = False
-    return prod, squareful
+    weights.flags.writeable = squareful.flags.writeable = False
+    return weights, squareful
 
 
-_WHEEL_PROD, _WHEEL_SQUAREFUL = _wheel_pattern()
+_WHEEL_WEIGHTS, _WHEEL_SQUAREFUL = _wheel_pattern()
 
 
 def _from_wheel(pattern: np.ndarray, lo: int, span: int) -> np.ndarray:
@@ -125,20 +139,36 @@ def _from_wheel(pattern: np.ndarray, lo: int, span: int) -> np.ndarray:
 
 
 def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
-    """Multiply up the base-prime part of every n in [lo, hi) in one pass.
+    """Sieve the base-prime part s of every n in [lo, hi) in one pass.
 
     Returns (lambda, squareful): lambda(n) as int8, and a mask of the n
-    divisible by the square of a base prime. Each n's running product
-    starts from the wheel pattern, and the strided sieve multiplies in
-    every other base-prime power; each prime factor enters as -p, so
-    the product's sign is lambda of the base-prime part. n has one more
-    prime factor, above the base limit, exactly when |product| < n; that
-    cofactor is never a square, so the mask is exact.
+    divisible by the square of a base prime. base_primes holds all
+    primes up to isqrt(hi - 1), or all primes up to a smaller bound; a
+    cofactor c = n/s above that bound counts as one prime. When omitted
+    they are sieved on the spot.
+
+    Each prime p weighs w_p, the odd integer nearest S*log2(p), with
+    S = _LOG_SCALE. Each n's uint16 accumulator starts from the wheel
+    pattern, and the strided sieve adds w_p for every other base-prime
+    power p^k dividing n. As every weight is odd, the accumulator's
+    parity is that of Omega(s), and as each weight is within 1 of
+    S*log2(p), it lies within Omega(s) of S*log2(s). On the n of one
+    binade, 2^L <= n < 2^(L+1), c > 1 exactly when the accumulator is
+    below (S - 1)*L. If c = 1 it is at least S*L - Omega(n), and
+    Omega(n) <= L. If c > 1 then c >= 11, as the wheel primes are always
+    sieved, so it is below S*(L + 1 - log2(11)) + L; that is at most
+    (S - 1)*L while S*(log2(11) - 1) > 2*L, which for every L <= 62
+    needs S >= 51. The accumulator is at most (S + 1)*log2(n) <
+    (S + 1)*63, which stays below 2^16 while S <= 1039. So S = 64 serves
+    every n < 2^63, with no per-segment scale. With the full base list
+    the cofactor is one prime above sqrt(hi - 1), never a square, so the
+    mask is exact.
     """
     if lo < 1 or hi <= lo:
         raise DomainError("need 1 <= lo < hi")
     if hi > MAX_N:
         raise DomainError("hi beyond supported 64-bit range")
+    lo, hi = int(lo), int(hi)
     span = hi - lo
     need = math.isqrt(hi - 1)
     if base_primes is None:
@@ -148,26 +178,28 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
         cut = int(np.searchsorted(base_primes, need, side="right"))
         base_primes = base_primes[:cut]
 
-    prod = _from_wheel(_WHEEL_PROD, lo, span)
+    acc = _from_wheel(_WHEEL_WEIGHTS, lo, span)
     squareful = _from_wheel(_WHEEL_SQUAREFUL, lo, span)
-    for p in base_primes.tolist():
+    for p, w in zip(base_primes.tolist(), _log_weights(base_primes).tolist()):
         pk = _WHEEL_NEXT.get(p, p)
         while True:
             start = ((lo + pk - 1) // pk) * pk
             if start >= hi:
                 break
-            sl = slice(start - lo, span, pk)
-            prod[sl] *= -p
+            v = acc[start - lo :: pk]
+            v += w
             if pk == p * p:  # multiples of p^3, p^4, ... are already marked
-                squareful[sl] = True
+                squareful[start - lo :: pk] = True
             if pk > (hi - 1) // p:
                 break
             pk *= p
     lam = np.empty(span, dtype=np.int8)
-    for a in range(0, span, _BLOCK):
-        b = min(a + _BLOCK, span)
-        part = prod[a:b]
-        odd = (part < 0) ^ (np.abs(part) < np.arange(lo + a, lo + b, dtype=np.int64))
+    # pieces of at most _BLOCK terms, each within one binade
+    binades = (2**k - lo for k in range(lo.bit_length(), (hi - 1).bit_length()))
+    edges = sorted({*range(0, span, _BLOCK), *binades, span})
+    for a, b in zip(edges, edges[1:]):
+        part = acc[a:b]
+        odd = (part & 1) != (part < (_LOG_SCALE - 1) * ((lo + a).bit_length() - 1))
         np.subtract(1, 2 * odd.view(np.int8), out=lam[a:b])
     return lam, squareful
 
@@ -175,8 +207,9 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
 def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
     """lambda(n) for n in [lo, hi) as an int8 array.
 
-    base_primes must cover every prime <= sqrt(hi-1); when omitted they
-    are sieved on the spot.
+    base_primes: all primes up to isqrt(hi - 1), or all primes up to a
+    smaller bound, above which a cofactor counts as one prime (see
+    _factor_segment); when omitted they are sieved on the spot.
     """
     return _factor_segment(lo, hi, base_primes)[0]
 

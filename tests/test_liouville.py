@@ -101,7 +101,7 @@ def _trial_division(n: int, bound: int):
 
 # Near 2^62 the primes up to sqrt(n) (about 2^31) are out of reach, so
 # the kernel gets the primes up to this bound and the oracle divides by
-# the same range: that checks its int64 products and compares there.
+# the same range: that checks its log weights and thresholds there.
 _FAR_BOUND = 1 << 12
 
 
@@ -123,6 +123,9 @@ def _kernel_windows(draw):
 @example(window=(1, 2, None))
 @example(window=(5039, 5042, None))
 @example(window=(2**62 // 5040 * 5040 - 1, 2**62 // 5040 * 5040 + 8, _FAR_BOUND))
+# c = 4099 beside s = 2^50, in the binade L = 62: the weights' error of
+# Omega(s) = 50 hides c from a log scale of 8, not from 64
+@example(window=(2**50 * 4099, 2**50 * 4099 + 1, _FAR_BOUND))
 @given(_kernel_windows())
 def test_segments_match_trial_division(window):
     """lambda_segment and mobius_segment agree with trial division at
@@ -137,15 +140,47 @@ def test_segments_match_trial_division(window):
         assert mu[n - lo] == (lam[n - lo] if squarefree else 0), n
 
 
+def test_small_windows_match_liouville():
+    """Windows [lo, hi) with hi <= 2000, each with its own base primes
+    and binade pieces, against trial division: every window of up to 4
+    terms, so each n meets the fewest base primes its window allows,
+    and every window from 1 or to 2000, which cross every binade."""
+    ref = [0] + [liouville(n) for n in range(1, 2000)]
+    windows = {(lo, hi) for hi in range(2, 2001) for lo in range(max(1, hi - 4), hi)}
+    windows |= {(1, n) for n in range(2, 2001)} | {(n, 2000) for n in range(1, 2000)}
+    for lo, hi in sorted(windows):
+        assert lv.lambda_segment(lo, hi).tolist() == ref[lo:hi], (lo, hi)
+
+
+@pytest.mark.parametrize("k", range(5, 45))
+def test_windows_straddling_a_power_of_two_match_factorint(k):
+    """Around 2^k the binade threshold changes within one window."""
+    lo, hi = max(1, 2**k - 40), 2**k + 40
+    lam = lv.lambda_segment(lo, hi, lv._base_primes(math.isqrt(hi - 1)))
+    for n in range(lo, hi):
+        assert lam[n - lo] == (-1) ** _omega_oracle(n), n
+
+
+def test_log_weights_meet_the_kernel_bounds():
+    """Each weight is odd and within 1 of S*log2(p); S clears the gap
+    that a cofactor c >= 11 leaves up to L = 62; no sum overflows uint16."""
+    primes = lv._base_primes(2**16)
+    weights = lv._log_weights(primes)
+    assert np.all(weights % 2 == 1)
+    assert np.all(np.abs(weights - lv._LOG_SCALE * np.log2(primes)) <= 1)
+    assert lv._LOG_SCALE * (math.log2(11) - 1) > 2 * 62
+    assert (lv._LOG_SCALE + 1) * 63 < 2**16
+
+
 def test_wheel_pattern_is_read_only():
-    for pattern in (lv._WHEEL_PROD, lv._WHEEL_SQUAREFUL):
+    for pattern in (lv._WHEEL_WEIGHTS, lv._WHEEL_SQUAREFUL):
         assert len(pattern) == lv._WHEEL and not pattern.flags.writeable
 
 
 def test_kernel_memory_stays_near_its_outputs():
-    """One 2^20-term segment allocates at most 12.5 MiB at its peak: the
-    int64 product, the int8 and bool outputs and 2^15-term temporaries,
-    but no second full-length int64 array."""
+    """One 2^20-term segment allocates at most 6 MiB at its peak: the
+    uint16 log weights, the int8 and bool outputs and 2^15-term
+    temporaries, but no full-length int64 array."""
     lo = 50 * 2**20 + 1
     base = lv._base_primes(math.isqrt(lo + 2**20))
     lv._factor_segment(lo, lo + 2**20, base)
@@ -155,7 +190,7 @@ def test_kernel_memory_stays_near_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.5 * 2**20
+    assert peak <= 6 * 2**20
 
 
 def test_mobius_segment_matches_sympy():
