@@ -161,7 +161,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--polya", action="store_true", help="report only the P(x) series")
     p.add_argument("--turan", action="store_true", help="report only the T(x) series")
     p.add_argument("--checkpoint", help="checkpoint path (resumes if present)")
-    p.add_argument("--checkpoint-every", type=_num_int, default=16, help="segments between saves")
     p.add_argument("--csv", help="trace CSV path")
     p.add_argument("--csv-stride", type=_num_int, default=1)
 
@@ -272,7 +271,6 @@ def _cmd_scan(args, say) -> int:
     result = run_scan(
         args.limit,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         csv_path=args.csv,
         csv_stride=args.csv_stride,
     )

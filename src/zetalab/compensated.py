@@ -19,9 +19,9 @@ of 2^(e_min - 1075) of at most g/2. Every partial sum of the hi parts is
 a multiple of g of at most 2^52 * g, and every partial sum of the lo
 parts one of 2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
 e_max - e_min <= 23, so both float sums are exact, in any order. The
-blocks' exact sums, Python ints in units of their smallest exponent, are
-joined and rounded once. A block whose ends lie further apart, or are
-zero, subnormal, inf, nan or 2^960 or more, is refused.
+blocks' exact sums, Python ints counting units of 2^-1074, the smallest
+subnormal, are added and rounded once. A block whose ends lie further
+apart, or are zero, subnormal, inf, nan or 2^960 or more, is refused.
 """
 
 import math
@@ -39,12 +39,12 @@ _MAX_SPREAD = 23
 _MAX_EXP = 2046 - 64
 
 
-def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> tuple[int, int]:
+def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> int:
     """The exact sum of a 1-D float64 block of at most _BLOCK terms whose
-    magnitudes do not increase, as an (int, e) pair counting units of
-    2^(e - 1075), using buf, as long as block, for scratch. Its first and
-    last terms hold its largest and smallest exponents, so the block is
-    not scanned for them. ValueError when they lie more than _MAX_SPREAD
+    magnitudes do not increase, as an int counting units of 2^-1074,
+    using buf, as long as block, for scratch. Its first and last terms
+    hold its largest and smallest exponents, so the block is not
+    scanned for them. ValueError when they lie more than _MAX_SPREAD
     apart or either is a term the split does not cover."""
     e_max, e_min = (int(e) for e in np.abs(block[[0, -1]]).view(np.int64) >> 52)
     if not 1 <= e_min <= e_max <= min(e_min + _MAX_SPREAD, _MAX_EXP):
@@ -55,26 +55,26 @@ def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> tuple[int, int]:
     hi -= sigma
     hi_sum = float(hi.sum())
     lo = np.subtract(block, hi, out=buf)
-    # Both sums are whole in the unit, the hi one at most 2^91 of them.
+    # Both sums are whole in units of 2^(e_min - 1075), the hi one at
+    # most 2^91 of them.
     scale = 1075 - e_min
-    return int(math.ldexp(hi_sum, scale)) + int(math.ldexp(float(lo.sum()), scale)), e_min
+    units = int(math.ldexp(hi_sum, scale)) + int(math.ldexp(float(lo.sum()), scale))
+    return units << (e_min - 1)
 
 
-def round_exact_sums(sums: list[tuple[int, int]]) -> float:
-    """The float nearest the exact sum of (int, e) pairs, each counting
-    units of 2^(e - 1075), ties to even: math.fsum of the terms."""
-    e_min = min(e for _, e in sums)
-    total = sum(t << (e - e_min) for t, e in sums)
+def round_units(total: int) -> float:
+    """The float nearest total * 2^-1074, ties to even: math.fsum of the
+    terms whose decreasing_block_sum values add up to total."""
     # float() rounds to nearest even and ldexp only rescales: a result
-    # below 2^-1022 has |total| < 2^52, so it is exact there too. Terms
-    # far apart in size make total too long for float(); it keeps 64
-    # bits and a sticky bit for what it drops, which round alike.
+    # below 2^-1022 has |total| < 2^52, so it is exact there too. A total
+    # too long for float(), any from 2^-1010 on, keeps 64 bits and a
+    # sticky bit for what it drops, which round alike.
     size = abs(total)
     drop = size.bit_length() - 64
     if drop > 0:
         kept = (size >> drop) | bool(size & ((1 << drop) - 1))
-        total, e_min = (kept if total > 0 else -kept), e_min + drop
-    return math.ldexp(float(total), e_min - 1075)
+        total = kept if total > 0 else -kept
+    return math.ldexp(float(total), max(drop, 0) - 1074)
 
 
 class CompensatedSum:

@@ -83,9 +83,10 @@ _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
 class IntegralResult:
     """Truncated integral with an explicit tail model.
 
-    converged means tail_estimate < the tolerance the caller passed,
-    never that the infinite integral was proven to exist; for exponents
-    the model cannot reach, tail_estimate is inf and tail_model says so.
+    converged means tail_estimate < the tolerance (integrate_step's, or
+    1e-6 for j_xi), never that the infinite integral was proven to
+    exist; for exponents the model cannot reach, tail_estimate is inf
+    and tail_model says so.
     """
 
     value: complex
@@ -181,11 +182,11 @@ def _integral(kind, s, X, kernel="auto", tolerance=1e-6, window_divisor=10) -> _
     )
 
 
-def _j_xi(s, X, tolerance=1e-6) -> _Integral:
+def _j_xi(s, X) -> _Integral:
     s = complex(s)
     if s.real <= 0.5:
         raise DomainError("j_xi needs sigma > 1/2")
-    return _integral(StepKind.L_XI, s, X, "half_shifted", tolerance, 2)
+    return _integral(StepKind.L_XI, s, X, "half_shifted", window_divisor=2)
 
 
 def _unsieved(lo, hi, base_primes):
@@ -194,21 +195,9 @@ def _unsieved(lo, hi, base_primes):
     return blank, blank
 
 
-class _Memo(dict):
-    """f(key), built on first use and kept as long as the memo."""
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, key):
-        self[key] = value = self.f(key)
-        return value
-
-
 def _coefficients(kind, ns, powers, lam, squareful):
     """a(n) on ns for kind, from one factor-kernel segment's lambda and
-    squareful mask; powers[e] is ns**e."""
+    squareful mask; powers(e) is ns**e."""
     if kind is StepKind.ONE:
         return (ns == 1.0).astype(np.float64)  # G(u) = 1
     if kind is StepKind.P_OVER_U:
@@ -216,9 +205,9 @@ def _coefficients(kind, ns, powers, lam, squareful):
     if kind is StepKind.MU_ONE:
         lam = np.where(squareful, 0.0, lam)  # mu = lambda on squarefree n, else 0
     if kind is StepKind.F_HALF:
-        a = lam * powers[-0.5]
+        a = lam * powers(-0.5)
     elif kind is StepKind.L_XI:
-        a = lam * (powers[-0.5] - 1.0 / ns)
+        a = lam * (powers(-0.5) - 1.0 / ns)
     else:  # F_ONE, T_SUM, MU_ONE
         a = lam / ns
     if ns[0] == 1 and kind is not StepKind.T_SUM:
@@ -323,30 +312,31 @@ def _evaluate(requests) -> dict:
             log_mid, h = (log_lo + log_hi) / 2, (log_hi - log_lo) / 2
             logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
             # built on first use, shared by every sum that needs them, dropped with the sub-block
-            powers = _Memo(lambda ex: ns**ex)
-            a = _Memo(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
-            live = _Memo(lambda k: a[k].any())
-            g_abs = _Memo(lambda k: np.abs(g[k].value + np.cumsum(a[k])))
-            peaks = _Memo(lambda k_ex: float((g_abs[k_ex[0]] / powers[k_ex[1]]).max()))
+            powers = functools.cache(lambda ex: ns**ex)
+            a = functools.cache(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
+            live = functools.cache(lambda k: a(k).any())
+            g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
+            peaks = functools.cache(lambda k, ex: float((g_abs(k) / powers(ex)).max()))
 
             for key in envs:
                 k, ex, w_lo, x = key
                 if w_lo <= b and e <= x:
-                    envs[key] = max(envs[key], peaks[k, ex])
+                    envs[key] = max(envs[key], peaks(k, ex))
             visited = [r for r in prefixes if b < r.stop]
             for r in visited:
-                r.visit(ns, g[r.kind].value + np.cumsum(a[r.kind]))  # G(n) on ns
+                r.visit(ns, g[r.kind].value + np.cumsum(a(r.kind)))  # G(n) on ns
             due = []  # (q, its order K or None, [(kind, plan)]) for the sums this block adds to
             # kind -> highest moment row any of its exponents needs; m_0 advances a visited G
             rows = {r.kind: 0 for r in visited}
             for q, by_kind in plans.items():
-                q_plans = [(k, plan) for k, plan in by_kind.items() if b < plan[0][0] and live[k]]
+                q_plans = [(k, plan) for k, plan in by_kind.items() if b < plan[0][0] and live(k)]
                 if q_plans:
                     order = _taylor_order(abs(q) * h)
                     due.append((q, order, q_plans))
                     for k, _ in q_plans:
                         rows[k] = max(rows.get(k, 0), order or 0)
-            moments = _moments(a, rows, logn() - log_mid if any(rows.values()) else None)
+            delta = logn() - log_mid if any(rows.values()) else None
+            moments = _moments({k: a(k) for k in rows}, rows, delta)
             for k in g.keys() & moments.keys():
                 g[k].add(moments[k][0])
             for q, order, q_plans in due:
@@ -357,7 +347,7 @@ def _evaluate(requests) -> dict:
                 for k, plan in q_plans:
                     m = moments[k]
                     if order is None:
-                        total = (a[k] * power).sum()
+                        total = (a(k) * power).sum()
                     else:
                         t = _taylor_quotient(q, m, order)
                     for stop, acc, log_x in plan:
@@ -419,7 +409,7 @@ def integrate_step(
     return _evaluate([r])[r]
 
 
-def j_xi(s: complex, X: int, *, tolerance: float = 1e-6) -> IntegralResult:
+def j_xi(s: complex, X: int) -> IntegralResult:
     """Truncation of J(s) = integral of L_u against u^(-s-1/2).
 
     Unconditional convergence holds only for sigma > 1; for
@@ -427,7 +417,7 @@ def j_xi(s: complex, X: int, *, tolerance: float = 1e-6) -> IntegralResult:
     the tail is reported as unmodeled. The envelope window here is the
     last octave [X/2, X], where |L_u| grows too slowly to need a decade.
     """
-    r = _j_xi(s, X, tolerance)
+    r = _j_xi(s, X)
     return _evaluate([r])[r]
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compensated import decreasing_block_sum, round_exact_sums
+from .compensated import decreasing_block_sum, round_units
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -104,6 +104,9 @@ _GROUP = 64
 # The sieve's log scale S: a prime p weighs the odd integer nearest
 # S*log2(p). _factor_segment states the bounds it must meet.
 _LOG_SCALE = 64
+# run_scan saves its checkpoint after every this many segments and after
+# the last. A save after every segment would add about 4 % to a long scan.
+_SAVE_EVERY = 16
 
 
 def _log_weights(primes: np.ndarray) -> np.ndarray:
@@ -369,9 +372,17 @@ def _fraction_from_hex(text: str) -> Fraction:
     return Fraction(int(mant, 16), 1 << int(exp))
 
 
+def _min_from_hex(text: str) -> float:
+    value = float.fromhex(text)
+    if not value > -math.inf:  # +inf is a series' minimum before its first value
+        raise ValueError(f"{text} is not a minimum")
+    return value
+
+
 _CHECKPOINT_HEADER = "zetalab-scan-checkpoint v2"
 _INT = (str, int)
 _HEX = (float.hex, float.fromhex)
+_MIN = (float.hex, _min_from_hex)
 _EXACT = (lambda q: f"{q.numerator:#x}p-{q.denominator.bit_length() - 1}", _fraction_from_hex)
 _INT_OR_NONE = (lambda v: "none" if v is None else str(v), lambda t: None if t == "none" else int(t))
 # The v2 format after its header: key=value lines in this order, each
@@ -382,7 +393,7 @@ _CHECKPOINT_KEYS = (
     ("limit", _INT), ("segment_size", _INT), ("segments_done", _INT), ("next_n", _INT),
     ("p_sum", _INT), ("t_total", _HEX), ("t_comp", _EXACT),
     *((f"{tag}_{name}", codec) for tag in ("polya", "turan") for name, codec in (
-        ("min", _HEX), ("argmin", _INT), ("first_violation", _INT_OR_NONE),
+        ("min", _MIN), ("argmin", _INT), ("first_violation", _INT_OR_NONE),
         ("sign_changes", _INT), ("last_sign", _INT))),
 )
 
@@ -431,6 +442,12 @@ class ScanCheckpoint:
                 setattr(obj, name, dec(kv[key]))
             except (KeyError, ValueError):
                 raise DomainError(f"damaged scan checkpoint: no valid {key}") from None
+        try:  # t_total is T = t_total + t_comp correctly rounded
+            t_rounds = float(Fraction(ck.t_total) + ck.t_comp) == ck.t_total
+        except (ValueError, OverflowError):  # t_total nan or inf, or T past every float
+            t_rounds = False
+        if not t_rounds:
+            raise DomainError("damaged scan checkpoint: no valid t_total")
         if ck.next_n != min(ck.limit, ck.segments_done * ck.segment_size) + 1:
             raise DomainError(
                 f"damaged scan checkpoint: next_n={ck.next_n} does not follow "
@@ -517,7 +534,6 @@ def run_scan(
     limit: int,
     *,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 1,
     csv_path: str | None = None,
     csv_stride: int = 1,
 ) -> ScanResult:
@@ -544,9 +560,10 @@ def run_scan(
     formed only on the blocks T folds. Traced blocks are always folded.
     The results are those of folding every block.
 
-    When checkpoint_path is given, progress is saved there every
-    checkpoint_every segments of DEFAULT_SEGMENT and an existing file
-    resumes the scan; its limit and segment length must match.
+    When checkpoint_path is given, progress is saved there after every
+    _SAVE_EVERY segments of DEFAULT_SEGMENT and after the last, and an
+    existing file resumes the scan; its limit and segment length must
+    match.
     When csv_path is given, rows (n, lambda, P, T) are written for
     every n divisible by csv_stride. A resumed scan returns, saves and
     traces exactly what the uninterrupted scan does.
@@ -558,8 +575,6 @@ def run_scan(
         raise DomainError("limit beyond supported 64-bit range")
     if csv_stride < 1:
         raise DomainError("csv stride must be >= 1")
-    if checkpoint_every < 1:
-        raise DomainError("checkpoint_every must be >= 1")
 
     ck = ScanCheckpoint(limit, DEFAULT_SEGMENT)
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -587,8 +602,7 @@ def run_scan(
                                        out=t_buf[:m])
                     # |lambda(n)/n| is normal, at most 1 and does not grow
                     # with n; p_buf is scratch until P fills it
-                    block_sum, e = decreasing_block_sum(t_vals, p_buf[:m].view(np.float64))
-                    t_sum += block_sum << (e - 1)
+                    t_sum += decreasing_block_sum(t_vals, p_buf[:m].view(np.float64))
                     p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
                     t_low, t_high = _t_bounds(ck.t_total, ck.p_sum, p_low, p_high, n0, m)
                     if traced or not ck.polya.settled(p_low, p_high, positive_violates=True):
@@ -601,7 +615,7 @@ def run_scan(
                         t_vals[0] += ck.t_total  # T before the block, correctly rounded
                         np.cumsum(t_vals, out=t_vals)
                         ck.turan.fold_segment(n0, t_vals, positive_violates=False)
-                    ck.t_total = round_exact_sums([(t_sum, 1)])
+                    ck.t_total = round_units(t_sum)
                     if traced:
                         i = -n0 % csv_stride
                         rows.writerows(zip(
@@ -614,7 +628,7 @@ def run_scan(
                 ck.segments_done += 1
 
                 done = ck.next_n > limit
-                if checkpoint_path and (done or ck.segments_done % checkpoint_every == 0):
+                if checkpoint_path and (done or ck.segments_done % _SAVE_EVERY == 0):
                     if csv_fh is not None:
                         csv_fh.flush()  # first the trace rows this checkpoint covers
                     ck.save(checkpoint_path)

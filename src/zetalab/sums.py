@@ -46,40 +46,20 @@ class PrefixEvaluator:
             raise DomainError(
                 f"segments must be contiguous: expected lo={self.limit + 1}, got {lo}"
             )
-        self.limit = lo + len(lam) - 1
-        visit = None if self.history is None else self._record
-        _fold_segment([self._acc], [lambda ns: ns ** -self.alpha], lo, lam, visit)
-
-    def _record(self, ns, prefix) -> None:
-        powers = [1 << k for k in range(int(ns[-1]).bit_length())]
-        self.history.extend(_rows_at(powers, ns, prefix))
+        self.limit = int(lo) + len(lam) - 1
+        ns = np.arange(lo, lo + len(lam), dtype=np.float64)
+        terms = lam.astype(np.float64) * ns ** -self.alpha
+        if lo == 1:
+            terms[0] = 0.0  # a(1) = 0
+        if self.history is not None:
+            prefix = self._acc.value + np.cumsum(terms)
+            marks = (1 << k for k in range(self.limit.bit_length()))
+            self.history.extend((m, float(prefix[m - lo])) for m in marks if m >= lo)
+        self._acc.add_array(terms)
 
     @property
     def value(self) -> float:
         return self._acc.value
-
-
-def _fold_segment(accs, weights, lo: int, coeffs: np.ndarray, visit=None) -> None:
-    """Fold a(n) w(n), n = lo, lo + 1, ..., into accs, one compensated
-    sum per weight (float64 n -> w(n)), where a(n) = coeffs[n - lo]
-    except a(1) = 0. visit(ns, prefix), when given, sees the segment's
-    n values and, per weight, the running sums at each of them."""
-    ns = np.arange(lo, lo + len(coeffs), dtype=np.float64)
-    cf = coeffs.astype(np.float64)
-    terms = [cf * w(ns) for w in weights]
-    if lo == 1:
-        for t in terms:
-            t[0] = 0.0  # a(1) = 0
-    if visit is not None:
-        visit(ns, [acc.value + np.cumsum(t) for acc, t in zip(accs, terms)])
-    for acc, t in zip(accs, terms):
-        acc.add_array(t)
-
-
-def _rows_at(marks, ns, prefix) -> list[tuple]:
-    """(m, prefix values at m) for each mark m inside the segment ns."""
-    lo, hi = int(ns[0]), int(ns[-1])
-    return [(m, *(float(p[m - lo]) for p in prefix)) for m in marks if lo <= m <= hi]
 
 
 def _f_request(alpha: float, x: int) -> _Polynomial:

@@ -174,6 +174,7 @@ def test_flags_a_subcommand_does_not_read_exit_2():
         ["xi", "--n", "2", "--segment-size", "64"],
         ["scan", "--limit", "100", "--segment-size", "64"],
         ["verify", "--all", "--segment-size", "64"],
+        ["scan", "--limit", "100", "--checkpoint-every", "4"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -285,13 +286,11 @@ def test_counts_above_a_million_are_refused_before_allocating(
 
 
 @pytest.mark.parametrize("argv", [
-    ("scan", "--limit", "3000", "--checkpoint", "{out}", "--checkpoint-every", "{n}"),
     ("xi", "--table", "1000", "--points", "{n}", "--out", "{out}"),
     ("zeta", "--s", "2", "--bern", "{n}"),
-], ids=["checkpoint-every", "points", "bern"])
-def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys, segment_length):
+], ids=["points", "bern"])
+def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys):
     """As --limit and --X do, these flags read 1e1 as 10."""
-    segment_length(100)  # the scan's 30 segments give --checkpoint-every a count
     results = []
     for n in ("10", "1e1"):
         out = tmp_path / n / "file"
@@ -425,7 +424,7 @@ def test_config_presets_and_flag_precedence(tmp_path, capsys):
 
 def test_config_presets_a_subcommand_does_not_read_are_ignored(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("checkpoint-every = 4\ncsv-stride = 4\ntolerance = 1e-4\n")
+    cfg.write_text("csv-stride = 4\ntolerance = 1e-4\n")
     code, out, _ = run(capsys, "zeta", "--s", "2", "--config", str(cfg))
     assert code == 0 and "zeta(2.000000)" in out
     code, out, _ = run(capsys, "integrate", "--kind", "F_one", "--s", "2", "--X", "1000",
@@ -437,6 +436,7 @@ def test_config_key_no_subcommand_reads_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     for text, key in (("threads = 2\n", "threads"),
                       ("segment_size = 128\n", "segment_size"),
+                      ("checkpoint_every = 4\n", "checkpoint_every"),
                       ("X = 500\nsegment_sise = 128\n", "segment_sise")):
         cfg.write_text(text)
         code, out, err = run(capsys, "verify", "--all", "--case", "finite", "--config", str(cfg))

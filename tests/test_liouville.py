@@ -343,11 +343,11 @@ def test_scan_resume_equivalence(kill, every, stride):
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(lv, "DEFAULT_SEGMENT", seg)
+        mp.setattr(lv, "_SAVE_EVERY", every)
 
         def scan(name):
             ckpt, trace = (os.path.join(tmp, name + ext) for ext in (".ckpt", ".csv"))
-            result = run_scan(limit, checkpoint_path=ckpt, checkpoint_every=every,
-                              csv_path=trace, csv_stride=stride)
+            result = run_scan(limit, checkpoint_path=ckpt, csv_path=trace, csv_stride=stride)
             with open(ckpt, "rb") as ck_fh, open(trace, "rb") as csv_fh:
                 return result, ck_fh.read(), csv_fh.read()
 
@@ -538,6 +538,7 @@ def test_unfolded_blocks_leave_the_scan_alone(scan):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(lv, "DEFAULT_SEGMENT", seg)
         mp.setattr(lv, "_BLOCK", block)
+        mp.setattr(lv, "_SAVE_EVERY", 1)
 
         def scan(name):
             ckpt = os.path.join(tmp, name + ".ckpt")
@@ -619,13 +620,26 @@ def test_the_t_bounds_hold_every_running_t_of_a_block(m, n0, t_star, plus, seed,
     assert Fraction(float(values.max())) <= Fraction(high)
 
 
+def _set_line(key, value):
+    """A damage that gives key the value in a checkpoint's text."""
+    return lambda text: re.sub(f"(?m)^{key}=.*$", f"{key}={value}", text)
+
+
 @pytest.mark.parametrize(
     "damage, key",
     [
         (lambda text: text[: text.index("next_n=")], "next_n"),
         (lambda text: text.replace("limit=5000", "limit=abc"), "limit"),
+        (_set_line("t_total", "inf"), "t_total"),
+        (_set_line("t_total", "nan"), "t_total"),
+        (_set_line("turan_min", "nan"), "turan_min"),
+        (_set_line("polya_min", "-inf"), "polya_min"),
+        # T is no longer near t_total, or past every float
+        (_set_line("t_comp", "0x1p-1"), "t_total"),
+        (_set_line("t_comp", f"{1 << 1100:#x}p-0"), "t_total"),
     ],
-    ids=["truncated", "garbled"],
+    ids=["truncated", "garbled", "t_total=inf", "t_total=nan", "turan_min=nan",
+         "polya_min=-inf", "t_comp=0x1p-1", "t_comp=2^1100"],
 )
 def test_damaged_checkpoint_names_the_key(tmp_path, segment_length, damage, key):
     path = tmp_path / "scan.ckpt"
@@ -648,8 +662,8 @@ def test_resume_refuses_a_next_n_that_does_not_follow(tmp_path, segment_length, 
 
 def _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch, segment_length):
     """Paths of the checkpoint and trace of a stride-500 scan to 10000 in
-    1000-term segments that crashed after its third save; the segment
-    length stays 1000."""
+    1000-term segments, saved after each, that crashed after its third
+    save; the segment length stays 1000."""
     ckpt, trace = tmp_path / "scan.ckpt", tmp_path / "trace.csv"
     real_iter = lv.iter_lambda_segments
 
@@ -658,6 +672,7 @@ def _stride_500_scan_crashed_after_3_saves(tmp_path, monkeypatch, segment_length
         raise RuntimeError("injected crash")
 
     segment_length(1000)
+    monkeypatch.setattr(lv, "_SAVE_EVERY", 1)
     monkeypatch.setattr(lv, "iter_lambda_segments", interrupting)
     with pytest.raises(RuntimeError):
         run_scan(10000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=500)
@@ -696,6 +711,7 @@ def test_trace_rows_reach_the_file_before_each_checkpoint(tmp_path, monkeypatch,
         real_save(self, path)
 
     monkeypatch.setattr(ScanCheckpoint, "save", checking_save)
+    monkeypatch.setattr(lv, "_SAVE_EVERY", 1)
     segment_length(512)
     run_scan(5000, checkpoint_path=str(ckpt), csv_path=str(trace), csv_stride=7)
     assert len(saved) == 10
@@ -799,12 +815,6 @@ def test_scan_csv_rows(tmp_path):
     assert int(p) == int(np.sum(table.values))
     t_exact = sum(Fraction((-1) ** _omega_oracle(k), k) for k in range(1, 101))
     assert float(t) == pytest.approx(float(t_exact), abs=1e-14)
-
-
-def test_scan_rejects_checkpoint_every_below_one(tmp_path):
-    for every in (0, -1):
-        with pytest.raises(DomainError):
-            run_scan(100, checkpoint_path=str(tmp_path / "scan.ckpt"), checkpoint_every=every)
 
 
 def test_scan_refuses_a_limit_below_two(tmp_path):

@@ -23,20 +23,21 @@ def test_submodule_names_resolve_to_modules():
 
 RETIRED_NAMES = (
     "StepFunction", "XiSequence", "DEFAULT_XI", "mvt_weight", "write_sums_csv",
-    "scan_polya", "scan_turan", "exact_block_sums", "_decreasing_block_sums",
+    "scan_polya", "scan_turan", "exact_block_sums", "_decreasing_block_sums", "round_exact_sums",
 )
 
 
 def test_no_public_function_takes_a_segment_size_or_threads():
-    """The sieve has one segment length and one thread: no public
-    function offers either as a parameter. (The ScanCheckpoint record
+    """The sieve has one segment length and one thread, and the scan one
+    save cadence: no public function offers any of them as a parameter. (The ScanCheckpoint record
     keeps its segment_size field: the checkpoint format stores it.)
     Nor does any module keep a name that only repeated another path:
     each of RETIRED_NAMES has a replacement in CHANGES.md."""
     for name in dir(zetalab):
         obj = getattr(zetalab, name)
         if inspect.isfunction(obj):
-            assert not {"segment_size", "threads"} & set(inspect.signature(obj).parameters), name
+            params = set(inspect.signature(obj).parameters)
+            assert not {"segment_size", "threads", "checkpoint_every"} & params, name
     modules = [zetalab] + [
         importlib.import_module(f"zetalab.{m.name}")
         for m in pkgutil.iter_modules(zetalab.__path__)
