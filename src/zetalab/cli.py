@@ -395,20 +395,14 @@ def main(argv=None) -> int:
     argv = _attach_signed_values(list(sys.argv[1:] if argv is None else argv))
     try:
         config_path = _extract_config_path(argv)
-        config = load_config(config_path) if config_path else {}
-        parser = _build_parser(config)
-    except (ZetalabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    args = parser.parse_args(argv)
+        args = _build_parser(load_config(config_path) if config_path else {}).parse_args(argv)
 
-    def say(text: str) -> None:
-        if not args.quiet:
-            print(text)
+        def say(text: str) -> None:
+            if not args.quiet:
+                print(text)
 
-    try:
         return _DISPATCH[args.command](args, say)
-    except ZetalabError as exc:
+    except (ZetalabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,9 +19,10 @@ of 2^(e_min - 1075) of at most g/2. Every partial sum of the hi parts is
 a multiple of g of at most 2^52 * g, and every partial sum of the lo
 parts one of 2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
 e_max - e_min <= 23, so both float sums are exact, in any order. The
-blocks' exact sums, Python ints counting units of 2^-1074, the smallest
-subnormal, are added and rounded once. A block whose ends lie further
-apart, or are zero, subnormal, inf, nan or 2^960 or more, is refused.
+blocks' exact sums, Python ints counting units of 2^-1074 (1/UNITS, the
+smallest subnormal), are added and rounded once by CPython's correctly
+rounded int / int. A block whose ends lie further apart, or are zero,
+subnormal, inf, nan or 2^960 or more, is refused.
 """
 
 import math
@@ -37,6 +38,9 @@ _MAX_SPREAD = 23
 # Below 2^960 no partial sum of an array that fits in memory comes near
 # overflow, where math.fsum raises "intermediate overflow".
 _MAX_EXP = 2046 - 64
+# Exact sums are ints counting units of 2^-1074, the smallest subnormal:
+# every sum of floats is whole in them, and UNITS of them make 1.
+UNITS = 1 << 1074
 
 
 def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> int:
@@ -63,18 +67,11 @@ def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> int:
 
 
 def round_units(total: int) -> float:
-    """The float nearest total * 2^-1074, ties to even: math.fsum of the
-    terms whose decreasing_block_sum values add up to total."""
-    # float() rounds to nearest even and ldexp only rescales: a result
-    # below 2^-1022 has |total| < 2^52, so it is exact there too. A total
-    # too long for float(), any from 2^-1010 on, keeps 64 bits and a
-    # sticky bit for what it drops, which round alike.
-    size = abs(total)
-    drop = size.bit_length() - 64
-    if drop > 0:
-        kept = (size >> drop) | bool(size & ((1 << drop) - 1))
-        total = kept if total > 0 else -kept
-    return math.ldexp(float(total), max(drop, 0) - 1074)
+    """The float nearest total / UNITS, ties to even: math.fsum of the
+    terms whose decreasing_block_sum values add up to total. CPython's
+    int / int is correctly rounded, and raises OverflowError past the
+    largest float, as math.fsum does."""
+    return total / UNITS
 
 
 class CompensatedSum:
@@ -87,9 +84,9 @@ class CompensatedSum:
 
     __slots__ = ("_total", "_comp")
 
-    def __init__(self, value: float = 0.0, comp: float = 0.0):
-        self._total = float(value)
-        self._comp = float(comp)
+    def __init__(self):
+        self._total = 0.0
+        self._comp = 0.0
 
     def add(self, term: float) -> None:
         term = float(term)
@@ -110,8 +107,7 @@ class CompensatedSum:
     def value(self) -> float:
         return self._total + self._comp
 
-    # Raw parts: the value is their sum, and both restore the running sum
-    # bit for bit.
+    # Raw parts: the value is their sum.
     @property
     def parts(self) -> tuple[float, float]:
         return self._total, self._comp
@@ -125,10 +121,9 @@ class ComplexCompensatedSum:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, value: complex = 0.0):
-        value = complex(value)
-        self.re = CompensatedSum(value.real)
-        self.im = CompensatedSum(value.imag)
+    def __init__(self):
+        self.re = CompensatedSum()
+        self.im = CompensatedSum()
 
     def add(self, term: complex) -> None:
         term = complex(term)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .liouville import _factor_segment, _iter_segments
 
 _SINGULAR_WINDOW = 1e-9
@@ -255,6 +255,7 @@ def _expm1_over(q, d):
     return np.expm1(q * d) / q if q else d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused after the pass
 def _evaluate(requests) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
@@ -277,7 +278,9 @@ def _evaluate(requests) -> dict:
     cuts move them by rounding only. One running G per kind, the
     compensated sum of its blocks' m_0 plus a cumsum within the block,
     feeds the tail envelopes of the integrals whose tail is modeled and
-    the visits of _Prefix requests, which have no value.
+    the visits of _Prefix requests, which have no value. A value with a
+    part that is not finite, a sum past double precision, raises
+    PrecisionError.
     """
     requests = set(requests)
     integrals = [r for r in requests if isinstance(r, _Integral)]
@@ -362,6 +365,11 @@ def _evaluate(requests) -> dict:
             b = e
 
     out = {r: acc.value for r, acc in sums.items()}
+    for r, value in out.items():
+        if not np.isfinite(value):
+            stop = r.x if isinstance(r, _Integral) else r.stop
+            raise PrecisionError(f"the {r.kind.value} sum at q={r.q} below {stop} "
+                                 "is not finite in double precision")
     for r in integrals:
         out[r] = _result(r, complex(out[r]), envs.get((r.kind, r.envelope, r.window_lo, r.x)))
     return out

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compensated import decreasing_block_sum, round_units
+from .compensated import UNITS, decreasing_block_sum, round_units
 from .errors import CapacityError, DomainError
 
 # The length of every sieve segment; read when a stream starts.
@@ -367,7 +367,7 @@ class _SeriesState:
 
 def _fraction_from_hex(text: str) -> Fraction:
     mant, _, exp = text.partition("p-")
-    if not 0 <= int(exp) <= 1074:
+    if not 0 <= int(exp) < UNITS.bit_length():  # a multiple of 1/UNITS
         raise ValueError(f"{text} is not a float's rounding error")
     return Fraction(int(mant, 16), 1 << int(exp))
 
@@ -592,8 +592,8 @@ def run_scan(
             # The running P and T of one fold block.
             p_buf = np.empty(_BLOCK, dtype=np.int64)
             t_buf = np.empty(_BLOCK)
-            # T, exactly, in units of 2^-1074: every sum of floats is whole in them
-            t_sum = int((Fraction(ck.t_total) + ck.t_comp) * 2**1074)
+            # T, exactly, in the units of decreasing_block_sum
+            t_sum = int((Fraction(ck.t_total) + ck.t_comp) * UNITS)
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
                 for a in range(0, len(lam), _BLOCK):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
@@ -623,7 +623,7 @@ def run_scan(
                             p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
                         ))
 
-                ck.t_comp = Fraction(t_sum, 2**1074) - Fraction(ck.t_total)
+                ck.t_comp = Fraction(t_sum, UNITS) - Fraction(ck.t_total)
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1
 

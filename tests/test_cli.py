@@ -241,6 +241,23 @@ def test_sums_default_block(capsys):
     assert resid < 1e-10
 
 
+def test_sums_past_double_precision_is_an_error(capsys):
+    """F_10(-400) overflows every float: the direct route's inf - inf is
+    refused, not printed as nan, and numpy warns nothing on the way."""
+    code, out, err = run(capsys, "sums", "--x", "10", "--alpha", "-400")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = run(capsys, "sums", "--x", "1e5", "--alpha", "-60")
+    assert code == 0 and err == ""
+    assert out == "F_100000(-60) = 4.61091829011429e+301\n"
+
+
+def test_integral_past_double_precision_is_an_error(capsys):
+    code, out, err = run(capsys, "integrate", "--kind", "F_half", "--s", "-400", "--X", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_xi_point_and_monotone(capsys):
     code, out, _ = run(capsys, "xi", "--n", "2", "--check-monotone", "1000")
     assert code == 0
@@ -472,6 +489,25 @@ def test_config_bad_line(tmp_path, capsys):
 def test_config_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--all", "--config", str(tmp_path / "absent.cfg"))
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--limit", "100", "--checkpoint", "{}"],
+    ["scan", "--limit", "100", "--csv", "{}"],
+    ["verify", "--all", "--X", "500", "--out", "{}"],
+    ["sums", "--x", "100", "--out", "{}"],
+    ["sieve", "--hi", "100", "--out", "{}"],
+    ["xi", "--table", "100", "--points", "10", "--out", "{}"],
+    ["sigma-c", "--kind", "One", "--grid", "0.8,1.2", "--schedule", "10,100,1000", "--trace", "{}"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_an_unwritable_output_path_is_an_error(argv, tmp_path, capsys):
+    """An output path under a missing directory ends in one error: line
+    and exit 1, whichever command writes it."""
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *(path if tok == "{}" else tok for tok in argv))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_quiet_suppresses_stdout_not_files(tmp_path, capsys):

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from per_cell import prefix
 from zetalab import (
     DomainError,
+    PrecisionError,
     StepKind,
     estimate_sigma_c,
     integrate_step,
@@ -195,6 +196,14 @@ def test_non_finite_s_is_a_domain_error(s):
         j_xi(s, 100)
     with pytest.raises(DomainError):
         run_default_suite((s,), 100)
+
+
+@pytest.mark.parametrize("kind", list(StepKind), ids=lambda k: k.value)
+def test_a_sum_past_double_precision_is_refused(kind):
+    """At s = -400 every kind's sum overflows: the refusal names the
+    request's kind, exponent and stop instead of returning inf or nan."""
+    with pytest.raises(PrecisionError, match=rf"{kind.value} sum at q=\S+ below 100 "):
+        integrate_step(kind, complex(-400, 3), 100)
 
 
 @pytest.mark.parametrize("sigma", (math.nan, math.inf))

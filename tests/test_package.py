@@ -48,6 +48,15 @@ def test_no_public_function_takes_a_segment_size_or_threads():
             assert not hasattr(module, name), (module.__name__, name)
 
 
+def test_the_exact_sums_unit_has_one_home():
+    """2^-1074, the unit of the scan's exact T, is compensated.UNITS: no
+    other module spells it, as RETIRED_NAMES keeps a retired name out."""
+    src = pathlib.Path(zetalab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "compensated.py":
+            assert "1074" not in path.read_text(), path.name
+
+
 def test_a_smoke_scan_passes_the_benchmark_checks(tmp_path, capsys):
     """The benchmark reads scan_1e8's report from its stdout and its
     checkpoint file (perfbench/workloads.py); a smoke-size scan run
