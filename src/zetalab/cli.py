@@ -10,6 +10,7 @@ file, and a key that no subcommand reads is an error.
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -396,6 +397,10 @@ def main(argv=None) -> int:
     try:
         config_path = _extract_config_path(argv)
         args = _build_parser(load_config(config_path) if config_path else {}).parse_args(argv)
+        for flag in ("out", "csv", "checkpoint", "trace"):  # refused before any work
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise DomainError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
 
         def say(text: str) -> None:
             if not args.quiet:

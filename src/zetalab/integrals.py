@@ -18,21 +18,22 @@ pass of the sieve's factor kernel, whatever the number of requests
 (_Polynomial, _Integral, _Prefix): each segment's lambda and squareful
 mask give lambda, mu and the constant ONE alike, and a pass that serves
 ONE alone does not sieve. Within a pass the terms go in sub-blocks of
-at most 2^15. Around a sub-block's centre N, n^q = N^q exp(q log(n/N)), so
+2^15 on one grid from n = 1, and a request sums only the range of each
+below its stop. Around a range's centre N, n^q = N^q exp(q log(n/N)), so
 
     sum a(n) n^q           = N^q (m_0 + q T),
     sum a(n) (X^q - n^q)/q = N^q (m_0 expm1(q D)/q - T),
 
 with m_k = sum a(n) log(n/N)^k, T = sum_{k>=1} q^(k-1) m_k / k! and
-D = log(X/N): one formula per block for each request, without
+D = log(X/N): one formula per range for each request, without
 cancellation at any q (at q = 0 the second is m_0 D - m_1). The moments
 m_k of a kind are shared by all its exponents, so an exponent costs
-O(K) scalar operations per sub-block instead of one power per term: the
+O(K) scalar operations per range instead of one power per term: the
 block-Taylor step of Odlyzko and Schoenhage's multi-evaluation of zeta
 ("Fast algorithms for multiple evaluations of the Riemann zeta
 function", Trans. AMS 1988). K follows from the exponent's own |q| and
-the block's half-width h; where |q| h > 1, which in full sub-blocks
-means n below about |q| 2^14, the block sums n^q term by term.
+the range's half-width h; where |q| h > 1, which in full sub-blocks
+means n below about |q| 2^14, the range sums n^q term by term.
 """
 
 import bisect
@@ -50,6 +51,7 @@ from .liouville import _factor_segment, _iter_segments
 
 _SINGULAR_WINDOW = 1e-9
 # Terms folded per numpy call; bounds the temporaries for any segment size.
+# DEFAULT_SEGMENT is a multiple of it, so the sub-blocks lie on one grid.
 _SUB_BLOCK = 1 << 15
 # A sub-block's Taylor series in q log(n/N) stops where the first omitted
 # term of T is below 2^-60 of h times the block's sum of |a(n) N^q|.
@@ -151,7 +153,7 @@ class _Integral:
 @dataclass(frozen=True)
 class _Prefix:
     """Request that visit(ns, G) see kind's running sum G(n) = sum_{m<=n} a(m)
-    at the n of every sub-block below stop, in ascending order."""
+    at every n below stop, a sub-block at a time, in ascending order."""
 
     kind: StepKind
     stop: int
@@ -260,109 +262,110 @@ def _evaluate(requests) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
     One ordered pass of the factor kernel serves every request: each
-    segment's lambda and squareful mask give every kind's a(n). Each
-    request keeps its own compensated sum, one term per sub-block below
-    its stop (x, for an integral). Sub-blocks are cut at every stop and
-    window start, so each block lies wholly inside or outside every range.
+    segment's lambda and squareful mask give every kind's a(n). Segments
+    start at n = 1 and are walked in sub-blocks [b, e) of _SUB_BLOCK, on
+    one grid when DEFAULT_SEGMENT is a multiple of it. Each request keeps
+    its own compensated sum of one term per sub-block below its stop
+    (x, for an integral), that of the range [b, min(stop, e)), whose
+    moments all sums ending there share.
 
-    On a sub-block [b, e) with centre log N = (log b + log(e-1))/2 and
+    On a range [b, c) with centre log N = (log b + log(c-1))/2 and
     delta = log n - log N, |delta| <= h, a kind's moments
     m_k = sum a(n) delta^k come from one running power array, row k the
     same whatever the other kinds and orders. A polynomial adds
     N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
     to the order its own |q| h needs (_taylor_quotient, _taylor_order)
-    and D = log x - log N. Where |q| h > 1 the block sums
+    and D = log x - log N. Where |q| h > 1 the range sums
     S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
-    So a request's bits depend on its kind, q and stop and on the
-    sub-block cuts: requests that add no cut leave them unchanged, other
-    cuts move them by rounding only. One running G per kind, the
-    compensated sum of its blocks' m_0 plus a cumsum within the block,
-    feeds the tail envelopes of the integrals whose tail is modeled and
-    the visits of _Prefix requests, which have no value. A value with a
-    part that is not finite, a sum past double precision, raises
-    PrecisionError.
+    So a request's bits depend only on its kind, q, stop and the grid,
+    never on the other requests of its pass. One running G per kind, the
+    compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
+    sub-block, feeds the tail envelopes of the integrals whose tail is
+    modeled (a max over [window_lo, x)) and the visits of _Prefix
+    requests (below their stop), which have no value. A value with a part
+    that is not finite, a sum past double precision, raises PrecisionError.
     """
     requests = set(requests)
     integrals = [r for r in requests if isinstance(r, _Integral)]
     prefixes = [r for r in requests if isinstance(r, _Prefix)]
     sums = {r: CompensatedSum() if isinstance(r.q, float) else ComplexCompensatedSum()
             for r in requests if not isinstance(r, _Prefix)}
-    # q -> {kind: [(stop, sum, log x or None for a polynomial)]}, latest
-    # stop first: resolved once, so that the pass hashes no request
+    # stop -> [(q, kind, sum, log x or None)], resolved once so that the pass hashes no request
     plans: dict = {}
-    cuts = {r.window_lo for r in integrals} | {r.stop for r in prefixes}
     for r, acc in sums.items():
-        entry = (r.x, acc, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, acc, None)
-        plans.setdefault(r.q, {}).setdefault(r.kind, []).append(entry)
-        cuts.add(entry[0])
-    cuts = sorted(cuts)
-    for by_kind in plans.values():
-        for plan in by_kind.values():
-            plan.sort(key=lambda entry: -entry[0])
+        stop, log_x = (r.x, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, None)
+        plans.setdefault(stop, []).append((r.q, r.kind, acc, log_x))
+    stops = sorted(plans)
     envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals if r.decay > 1.0}
     g = {k: CompensatedSum() for k in [k for k, *_ in envs] + [r.kind for r in prefixes]}  # G(b - 1)
     kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
 
-    for lo, (lam, squareful) in _iter_segments(kernel, 1, cuts[-1]):
+    for lo, (lam, squareful) in _iter_segments(kernel, 1, max(stops + [r.stop for r in prefixes])):
         hi = lo + len(lam)
-        b = lo
-        while b < hi:
-            e = min(b + _SUB_BLOCK, hi, cuts[bisect.bisect_right(cuts, b)])
+        for b in range(lo, hi, _SUB_BLOCK):
+            e = min(b + _SUB_BLOCK, hi)
             ns = np.arange(b, e, dtype=np.float64)
             lam_b = lam[b - lo : e - lo].astype(np.float64)
             sq_b = squareful[b - lo : e - lo]
-            log_lo, log_hi = np.log(ns[[0, -1]])  # the bits of np.log(ns) at its ends
-            log_mid, h = (log_lo + log_hi) / 2, (log_hi - log_lo) / 2
             logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             powers = functools.cache(lambda ex: ns**ex)
             a = functools.cache(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
-            live = functools.cache(lambda k: a(k).any())
+            live = functools.cache(lambda k, j: a(k)[:j].any())
             g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
-            peaks = functools.cache(lambda k, ex: float((g_abs(k) / powers(ex)).max()))
+            peaks = functools.cache(lambda k, ex, i, j: float((g_abs(k)[i:j] / powers(ex)[i:j]).max()))
 
             for key in envs:
                 k, ex, w_lo, x = key
-                if w_lo <= b and e <= x:
-                    envs[key] = max(envs[key], peaks(k, ex))
-            visited = [r for r in prefixes if b < r.stop]
-            for r in visited:
-                r.visit(ns, g[r.kind].value + np.cumsum(a(r.kind)))  # G(n) on ns
-            due = []  # (q, its order K or None, [(kind, plan)]) for the sums this block adds to
-            # kind -> highest moment row any of its exponents needs; m_0 advances a visited G
-            rows = {r.kind: 0 for r in visited}
-            for q, by_kind in plans.items():
-                q_plans = [(k, plan) for k, plan in by_kind.items() if b < plan[0][0] and live(k)]
-                if q_plans:
-                    order = _taylor_order(abs(q) * h)
-                    due.append((q, order, q_plans))
-                    for k, _ in q_plans:
-                        rows[k] = max(rows.get(k, 0), order or 0)
-            delta = logn() - log_mid if any(rows.values()) else None
-            moments = _moments({k: a(k) for k in rows}, rows, delta)
-            for k in g.keys() & moments.keys():
-                g[k].add(moments[k][0])
-            for q, order, q_plans in due:
-                if order is None:
-                    power = np.exp(q * logn())  # one array at a time, shared by q's kinds
-                else:
-                    scale = np.exp(q * log_mid)
-                for k, plan in q_plans:
-                    m = moments[k]
+                i, j = max(w_lo, b) - b, min(x, e) - b
+                if i < j:
+                    envs[key] = max(envs[key], peaks(k, ex, i, j))
+            for r in prefixes:
+                if b < r.stop:
+                    j = min(r.stop, e) - b
+                    r.visit(ns[:j], g[r.kind].value + np.cumsum(a(r.kind)[:j]))  # G(n) on ns[:j]
+            # range end c -> q -> kind -> [(sum, log x)]; G advances on whole sub-blocks only
+            ranges: dict = {e: {}} if g else {}
+            for stop in stops[bisect.bisect_right(stops, b):]:
+                by_q = ranges.setdefault(min(stop, e), {})
+                for q, k, acc, log_x in plans[stop]:
+                    by_q.setdefault(q, {}).setdefault(k, []).append((acc, log_x))
+            for c, by_q in ranges.items():
+                j = c - b
+                log_lo, log_hi = np.log(ns[[0, j - 1]])  # the bits of np.log(ns) there
+                log_mid, h = (log_lo + log_hi) / 2, (log_hi - log_lo) / 2
+                due = []  # (q, its order K or None, [(kind, plan)]) for the sums this range adds to
+                # kind -> highest moment row any of its exponents needs; m_0 advances G
+                rows = dict.fromkeys(g if c == e else (), 0)
+                for q, by_kind in by_q.items():
+                    q_plans = [(k, plan) for k, plan in by_kind.items() if live(k, j)]
+                    if q_plans:
+                        order = _taylor_order(abs(q) * h)
+                        due.append((q, order, q_plans))
+                        for k, _ in q_plans:
+                            rows[k] = max(rows.get(k, 0), order or 0)
+                delta = logn()[:j] - log_mid if any(rows.values()) else None
+                moments = _moments({k: a(k)[:j] for k in rows}, rows, delta)
+                for k in g if c == e else ():
+                    g[k].add(moments[k][0])
+                for q, order, q_plans in due:
                     if order is None:
-                        total = (a(k) * power).sum()
+                        power = np.exp(q * logn()[:j])  # one array at a time, shared by q's kinds
                     else:
-                        t = _taylor_quotient(q, m, order)
-                    for stop, acc, log_x in plan:
-                        if stop <= b:
-                            break
+                        scale = np.exp(q * log_mid)
+                    for k, plan in q_plans:
+                        m = moments[k]
                         if order is None:
-                            acc.add(total if log_x is None else (np.exp(q * log_x) * m[0] - total) / q)
-                        elif log_x is None:
-                            acc.add(scale * (m[0] + q * t))
+                            total = (a(k)[:j] * power).sum()
                         else:
-                            acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
-            b = e
+                            t = _taylor_quotient(q, m, order)
+                        for acc, log_x in plan:
+                            if order is None:
+                                acc.add(total if log_x is None else (np.exp(q * log_x) * m[0] - total) / q)
+                            elif log_x is None:
+                                acc.add(scale * (m[0] + q * t))
+                            else:
+                                acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
 
     out = {r: acc.value for r, acc in sums.items()}
     for r, value in out.items():

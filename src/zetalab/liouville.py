@@ -73,6 +73,12 @@ def liouville(n: int) -> int:
     return 1 if omega % 2 == 0 else -1
 
 
+def _check_range(lo: int, hi: int) -> None:
+    """Refuse a range [lo, hi) of n outside 1 <= lo < hi <= 2^63."""
+    if not 1 <= lo < hi <= MAX_N:
+        raise DomainError(f"need 1 <= lo < hi <= 2^63, got [{lo}, {hi})")
+
+
 def _base_primes(limit: int) -> np.ndarray:
     """All primes <= limit, as int64, by a plain boolean sieve."""
     if limit > DEFAULT_MAX_SPAN:
@@ -167,10 +173,7 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
     the cofactor is one prime above sqrt(hi - 1), never a square, so the
     mask is exact.
     """
-    if lo < 1 or hi <= lo:
-        raise DomainError("need 1 <= lo < hi")
-    if hi > MAX_N:
-        raise DomainError("hi beyond supported 64-bit range")
+    _check_range(lo, hi)
     lo, hi = int(lo), int(hi)
     span = hi - lo
     need = math.isqrt(hi - 1)
@@ -246,18 +249,9 @@ class LiouvilleTable:
 
 
 def sieve_range(lo: int, hi: int) -> LiouvilleTable:
-    """Sieve lambda over [lo, hi) into one dense table.
-
-    Args:
-        lo, hi: range bounds, 1 <= lo < hi <= 2**63.
-
-    Returns:
-        LiouvilleTable with exact int8 values.
-    """
-    if lo < 1 or hi <= lo:
-        raise DomainError("need 1 <= lo < hi")
-    if hi > MAX_N:
-        raise DomainError("hi beyond supported 64-bit range")
+    """Sieve lambda over [lo, hi), 1 <= lo < hi <= 2^63, into one dense
+    LiouvilleTable of exact int8 values."""
+    _check_range(lo, hi)
     if hi - lo > DEFAULT_MAX_SPAN:
         raise CapacityError(
             f"span {hi - lo} exceeds {DEFAULT_MAX_SPAN}; sieve in segments instead"
@@ -270,10 +264,7 @@ def sieve_range(lo: int, hi: int) -> LiouvilleTable:
 
 
 def _iter_segments(segment_fn, start, stop):
-    if start < 1 or stop <= start:
-        raise DomainError("need 1 <= start < stop")
-    if stop > MAX_N:
-        raise DomainError("stop beyond supported 64-bit range")
+    _check_range(start, stop)
     seg = DEFAULT_SEGMENT
     base = _base_primes(math.isqrt(stop - 1))
     for lo in range(start, stop, seg):

@@ -498,11 +498,16 @@ def test_config_missing_file(tmp_path, capsys):
     ["sums", "--x", "100", "--out", "{}"],
     ["sieve", "--hi", "100", "--out", "{}"],
     ["xi", "--table", "100", "--points", "10", "--out", "{}"],
-    ["sigma-c", "--kind", "One", "--grid", "0.8,1.2", "--schedule", "10,100,1000", "--trace", "{}"],
+    ["sigma-c", "--kind", "F_one", "--grid", "0.8,1.2", "--schedule", "10,100,1000", "--trace", "{}"],
 ], ids=lambda argv: argv[0] + argv[-2])
-def test_an_unwritable_output_path_is_an_error(argv, tmp_path, capsys):
+def test_an_unwritable_output_path_is_an_error(argv, tmp_path, capsys, monkeypatch):
     """An output path under a missing directory ends in one error: line
-    and exit 1, whichever command writes it."""
+    and exit 1, whichever command writes it, and before the sieve runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve ran")
+
+    for module in (liouville, integrals):  # integrals imports it by name
+        monkeypatch.setattr(module, "_factor_segment", refuse)
     path = str(tmp_path / "missing" / "out")
     code, _, err = run(capsys, *(path if tok == "{}" else tok for tok in argv))
     assert code == 1

@@ -8,7 +8,7 @@ import pkgutil
 import types
 
 import zetalab
-from zetalab import cli
+from zetalab import cli, integrals, liouville
 
 
 def test_submodule_names_resolve_to_modules():
@@ -46,6 +46,14 @@ def test_no_public_function_takes_a_segment_size_or_threads():
     for module in modules:
         for name in RETIRED_NAMES:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_segments_lie_on_the_sub_block_grid():
+    """The Abel core walks each segment in sub-blocks of _SUB_BLOCK from
+    its start. Only a segment length that is a multiple of _SUB_BLOCK
+    keeps every sub-block on the grid 1 + k _SUB_BLOCK, on which no float
+    depends on the segment length."""
+    assert liouville.DEFAULT_SEGMENT % integrals._SUB_BLOCK == 0
 
 
 def test_the_exact_sums_unit_has_one_home():
