@@ -399,8 +399,8 @@ def main(argv=None) -> int:
         args = _build_parser(load_config(config_path) if config_path else {}).parse_args(argv)
         for flag in ("out", "csv", "checkpoint", "trace"):  # refused before any work
             path = getattr(args, flag, None)
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
-                raise DomainError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise DomainError(f"--{flag} {path}: not a file in an existing directory")
 
         def say(text: str) -> None:
             if not args.quiet:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
 from .errors import DomainError, PrecisionError
-from .liouville import _factor_segment, _iter_segments
+from .liouville import _factor_segment, _iter_segments, _p_bounds
 
 _SINGULAR_WINDOW = 1e-9
 # Terms folded per numpy call; bounds the temporaries for any segment size.
@@ -217,6 +217,49 @@ def _coefficients(kind, ns, powers, lam, squareful):
     return a
 
 
+def _abel_spread(c: np.ndarray) -> int:
+    """D >= every |c(b) + ... + c(n)| over a block of c in {0, +-1}:
+    the bound on P that liouville._p_bounds takes from 64-term groups."""
+    low, high, _ = _p_bounds(c, 0)
+    return max(high, -low)
+
+
+def _envelope_peak(g_abs: np.ndarray, powers: np.ndarray) -> float:
+    """max |G(n)| / n^e over a slice of a sub-block: an envelope's fold."""
+    return float((g_abs / powers).max())
+
+
+def _envelope_bound(kind, ex: float, b: float, first: float, m: int, g0: float, d: int) -> float:
+    """A bound on every float |g0 + np.cumsum(a)| / ns**ex that a tail
+    envelope forms at n >= first on a sub-block of m terms a(n) of kind
+    from n = b, where d bounds every sum of c over the block (_abel_spread);
+    inf where no bound is derived (ONE, and L_XI below n = 4).
+
+    Each a(n) is c(n) w(n) with c in {lambda, mu} and w positive and
+    non-increasing on the float n from b, so by Abel summation every sum
+    of a from b is at most d w(b) in size. Each float term is within
+    2^-48 w(b) of its a(n) (a few ulp: the power, and the difference for
+    L_XI), and np.cumsum adds at most 2 m u (d + m) w(b) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+    4.2), u = 2^-53. g0 is the float the fold adds, so it needs no
+    margin. The factor 1 + 2^-40 covers the rounding of that add, of
+    n**ex and the divide, and of evaluating this bound; first**ex is at
+    most every n**ex the fold divides by, as ex >= 0.
+    """
+    if kind is StepKind.P_OVER_U:
+        w_b = 1.0
+    elif kind in (StepKind.F_ONE, StepKind.T_SUM, StepKind.MU_ONE):
+        w_b = 1.0 / b
+    elif kind is StepKind.F_HALF:
+        w_b = b**-0.5
+    elif kind is StepKind.L_XI and b >= 4:
+        w_b = b**-0.5 - 1.0 / b
+    else:
+        return math.inf
+    spread = w_b * (d + m * (2.0**-48 + 2 * 2.0**-53 * (d + m)))
+    return (abs(g0) + spread) * (1 + 2.0**-40) / first**ex
+
+
 def _taylor_order(x: float):
     """Smallest K >= 1 with x^K/(K+1)! <= 2^-60, or None when x = |q| h > 1
     and the sub-block takes the direct route. T's first omitted term is then
@@ -282,8 +325,13 @@ def _evaluate(requests) -> dict:
     compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
     sub-block, feeds the tail envelopes of the integrals whose tail is
     modeled (a max over [window_lo, x)) and the visits of _Prefix
-    requests (below their stop), which have no value. A value with a part
-    that is not finite, a sum past double precision, raises PrecisionError.
+    requests (below their stop), which have no value. An envelope skips
+    the cumsum, abs, divide and max of a sub-block whose Abel bound
+    (_envelope_bound, from the 64-term group sums of its lambda or mu) is
+    at most the envelope so far; a tie leaves the max as it is, so the
+    envelope is the float that folding every sub-block gives. A value with
+    a part that is not finite, a sum past double precision, raises
+    PrecisionError.
     """
     requests = set(requests)
     integrals = [r for r in requests if isinstance(r, _Integral)]
@@ -305,20 +353,25 @@ def _evaluate(requests) -> dict:
         for b in range(lo, hi, _SUB_BLOCK):
             e = min(b + _SUB_BLOCK, hi)
             ns = np.arange(b, e, dtype=np.float64)
-            lam_b = lam[b - lo : e - lo].astype(np.float64)
-            sq_b = squareful[b - lo : e - lo]
+            lam_i8, sq_b = lam[b - lo : e - lo], squareful[b - lo : e - lo]
+            lam_b = lam_i8.astype(np.float64)
             logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             powers = functools.cache(lambda ex: ns**ex)
             a = functools.cache(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
             live = functools.cache(lambda k, j: a(k)[:j].any())
             g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
-            peaks = functools.cache(lambda k, ex, i, j: float((g_abs(k)[i:j] / powers(ex)[i:j]).max()))
+            peaks = functools.cache(lambda k, ex, i, j: _envelope_peak(g_abs(k)[i:j], powers(ex)[i:j]))
+            # d of mu's coefficient stream or lambda's, for the envelope bounds
+            spread = functools.cache(lambda mu: _abel_spread(lam_i8 * ~sq_b if mu else lam_i8))
+            bound = lambda k, ex, i: _envelope_bound(k, ex, float(ns[0]), float(ns[i]), e - b,
+                                                     g[k].value, spread(k is StepKind.MU_ONE))
 
             for key in envs:
                 k, ex, w_lo, x = key
                 i, j = max(w_lo, b) - b, min(x, e) - b
-                if i < j:
+                # a sub-block bounded by the envelope so far cannot raise it (a tie leaves it)
+                if i < j and not 0 < envs[key] >= bound(k, ex, i):
                     envs[key] = max(envs[key], peaks(k, ex, i, j))
             for r in prefixes:
                 if b < r.stop:

@@ -1,12 +1,14 @@
 """The Abel-summation integral core against the per-cell route, and its sieve passes."""
 
+import functools
 import importlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from per_cell import per_cell_integral
@@ -32,6 +34,9 @@ from zetalab.sums import partial_sums
 from zetalab.integrals import (
     _SUB_BLOCK,
     _TAYLOR_TOL,
+    _abel_spread,
+    _coefficients,
+    _envelope_bound,
     _evaluate,
     _expm1_over,
     _integral,
@@ -43,6 +48,7 @@ from zetalab.integrals import (
 )
 from zetalab.verify import DEFAULT_S_POINTS, report_json_text, sort_cases
 
+integrals_module = importlib.import_module("zetalab.integrals")
 KERNELS = ("plain", "half_shifted")
 # Effective kernel exponents p: exactly 1 (log limit), 1 +- 1e-6 (just
 # outside the 1e-9 guard), 1.005 and 1.02 (small q, where a difference
@@ -115,7 +121,7 @@ def test_abel_matches_per_cell_across_the_route_switch(kind, kernel, monkeypatch
         routes.setdefault(order is None, set()).add(x)
         return order
 
-    monkeypatch.setattr(importlib.import_module("zetalab.integrals"), "_taylor_order", recording)
+    monkeypatch.setattr(integrals_module, "_taylor_order", recording)
     X = 10**6
     for p in (5.0, 1.5 + 30j):
         routes.clear()
@@ -268,6 +274,102 @@ def test_a_request_gets_the_same_bits_alone_and_in_any_pass():
     together = _evaluate([*requests, *others])
     for r in requests:
         assert repr(together[r]) == repr(_evaluate([r])[r]), r
+
+
+# The kinds whose a(n) is c(n) w(n) with w positive and non-increasing
+# from n = 4, c lambda or mu: those an envelope fold may skip.
+_BOUNDED = (StepKind.F_HALF, StepKind.F_ONE, StepKind.T_SUM, StepKind.L_XI,
+            StepKind.MU_ONE, StepKind.P_OVER_U)
+
+
+@settings(max_examples=100, deadline=None)
+@example(b=4, m=1, plus=1.0, squareful=0.0, g0=0.0, cut=(0.0, 1.0), seed=0)
+@example(b=2**53 - _SUB_BLOCK, m=_SUB_BLOCK, plus=1.0, squareful=0.0, g0=-1e-12,
+         cut=(0.5, 1.0), seed=1)
+@example(b=2**62, m=_SUB_BLOCK, plus=0.5, squareful=0.4, g0=3.0, cut=(0.0, 1.0), seed=2)
+@given(
+    b=st.integers(min_value=4, max_value=2**62),
+    m=st.integers(min_value=1, max_value=_SUB_BLOCK),
+    plus=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    squareful=st.sampled_from([0.0, 0.4]) | st.floats(min_value=0.0, max_value=1.0),
+    g0=st.sampled_from([0.0]) | st.floats(min_value=-1e-12, max_value=1e-12)
+    | st.floats(min_value=-1e3, max_value=1e3),
+    cut=st.tuples(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_envelope_bound_holds_every_value_of_a_sub_block(b, m, plus, squareful, g0, cut, seed):
+    """Every float |g0 + np.cumsum(a)| / ns**ex that an envelope fold
+    forms on the slice [i, j) of a sub-block of m terms from b, G being g0
+    just before it, lies within the bound _envelope_bound takes from the
+    slice's first n and the 64-term group bound of the block's lambda or
+    mu, for every kind an envelope may skip and every envelope exponent,
+    checked in exact arithmetic. Each lambda is +1 with chance plus, and
+    a share squareful of the n is squareful (mu = 0 there)."""
+    rng = np.random.default_rng(seed)
+    lam = np.where(rng.random(m) < plus, 1, -1).astype(np.int8)
+    sq = rng.random(m) < squareful
+    ns = np.arange(b, b + m, dtype=np.float64)
+    powers = functools.cache(lambda ex: ns**ex)
+    i = min(int(cut[0] * m), m - 1)
+    j = max(i + 1, int(cut[1] * m))
+    for kind in _BOUNDED:
+        c = lam * ~sq if kind is StepKind.MU_ONE else lam
+        # the pass's d, and the least d, which leaves the rounding margins less room
+        ds = (_abel_spread(c), int(np.abs(np.cumsum(c, dtype=np.int64)).max()))
+        assert ds[0] >= ds[1]
+        g_abs = np.abs(g0 + np.cumsum(_coefficients(kind, ns, powers, lam.astype(np.float64), sq)))
+        for ex in (0.0, 0.5, 1.0):
+            peak = float((g_abs[i:j] / powers(ex)[i:j]).max())
+            for d in ds:
+                bound = _envelope_bound(kind, ex, float(ns[0]), float(ns[i]), m, g0, d)
+                assert Fraction(peak) <= Fraction(bound), (kind, ex, d)
+
+
+def _count_envelope_folds(monkeypatch):
+    """A dict whose "folds" counts the envelope folds from now on."""
+    counts = {"folds": 0}
+    real = integrals_module._envelope_peak
+
+    def counting(g_abs, powers):
+        counts["folds"] += 1
+        return real(g_abs, powers)
+
+    monkeypatch.setattr(integrals_module, "_envelope_peak", counting)
+    return counts
+
+
+def test_skipped_envelope_folds_change_no_bit(monkeypatch, tmp_path):
+    """Folding every sub-block into every envelope, as a pass without
+    the Abel bound would, leaves the suite's report, integrate_step of
+    every kind and kernel at sigma > 1 and a Mu_one sigma-c trace bit for
+    bit as they are."""
+    X = 3 * 10**5
+    counts = _count_envelope_folds(monkeypatch)
+
+    def run(name):
+        trace = tmp_path / name
+        estimate_sigma_c(StepKind.MU_ONE, [1.1, 1.2, 1.3, 1.4], [10**4, 10**5, X],
+                         trace_path=str(trace))
+        steps = [integrate_step(kind, s, X, kernel=kernel)
+                 for kind in StepKind for kernel in KERNELS for s in (1.5, 2.25 + 1j)]
+        return report_json_text(run_default_suite(X=X)), trace.read_text(), repr(steps)
+
+    skipping = run("skipping.csv")
+    skipped_folds = counts["folds"]
+    monkeypatch.setattr(integrals_module, "_envelope_bound", lambda *args: math.inf)
+    counts["folds"] = 0
+    assert run("folding.csv") == skipping
+    assert skipped_folds < counts["folds"]  # the bound did skip some
+
+
+def test_most_envelope_folds_past_a_million_are_skipped(monkeypatch):
+    """Of the 128 (kind, window, sub-block) envelope folds of the suite
+    at X = 1e6, few can raise an envelope: the first sub-block of each
+    of its 5 windows must fold, and 15 do in all. A pass that quietly
+    folds every sub-block again fails here."""
+    counts = _count_envelope_folds(monkeypatch)
+    run_default_suite(X=10**6)
+    assert 5 <= counts["folds"] <= 30
 
 
 def test_no_float_depends_on_a_grid_multiple_segment_length(segment_length):

@@ -491,7 +491,7 @@ def test_config_missing_file(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [
+_WRITERS = [
     ["scan", "--limit", "100", "--checkpoint", "{}"],
     ["scan", "--limit", "100", "--csv", "{}"],
     ["verify", "--all", "--X", "500", "--out", "{}"],
@@ -499,16 +499,24 @@ def test_config_missing_file(tmp_path, capsys):
     ["sieve", "--hi", "100", "--out", "{}"],
     ["xi", "--table", "100", "--points", "10", "--out", "{}"],
     ["sigma-c", "--kind", "F_one", "--grid", "0.8,1.2", "--schedule", "10,100,1000", "--trace", "{}"],
-], ids=lambda argv: argv[0] + argv[-2])
-def test_an_unwritable_output_path_is_an_error(argv, tmp_path, capsys, monkeypatch):
-    """An output path under a missing directory ends in one error: line
-    and exit 1, whichever command writes it, and before the sieve runs."""
+]
+
+
+@pytest.mark.parametrize(
+    "argv, is_dir", [(argv, False) for argv in _WRITERS] + [(argv, True) for argv in _WRITERS],
+    ids=[argv[0] + argv[-2] for argv in _WRITERS]
+    + [argv[0] + argv[-2] + "-existing_directory" for argv in _WRITERS],
+)
+def test_an_unwritable_output_path_is_an_error(argv, is_dir, tmp_path, capsys, monkeypatch):
+    """An output path under a missing directory, or naming an existing
+    directory, ends in one error: line and exit 1, whichever command
+    writes it, and before the sieve runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("the sieve ran")
 
     for module in (liouville, integrals):  # integrals imports it by name
         monkeypatch.setattr(module, "_factor_segment", refuse)
-    path = str(tmp_path / "missing" / "out")
+    path = str(tmp_path if is_dir else tmp_path / "missing" / "out")
     code, _, err = run(capsys, *(path if tok == "{}" else tok for tok in argv))
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
