@@ -320,8 +320,6 @@ def _cmd_xi(args, say) -> int:
         )
         did = True
     if args.table is not None:
-        if not args.out:
-            raise DomainError("--table needs --out for the CSV destination")
         rows = write_xi_csv(args.out, args.table, points=args.points)
         say(f"wrote {rows} rows to {args.out}")
         did = True
@@ -401,6 +399,8 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
                 raise DomainError(f"--{flag} {path}: not a file in an existing directory")
+        if args.command == "xi" and args.table is not None and not args.out:
+            raise DomainError("--table needs --out for the CSV destination")
 
         def say(text: str) -> None:
             if not args.quiet:

@@ -66,7 +66,8 @@ class StepKind(enum.Enum):
     default to the u^(-s-1/2) kernel; T_SUM (which keeps the n = 1
     term) and P_OVER_U default to the plain u^(-s) kernel. MU_ONE is
     the Mobius analogue of F_ONE (plain kernel), and ONE is the
-    constant function for closed-form cross-checks.
+    constant function for closed-form cross-checks. Members hash by
+    identity, in C: the pass keys its per-sub-block memos by kind.
     """
 
     F_HALF = "F_half"
@@ -76,6 +77,8 @@ class StepKind(enum.Enum):
     P_OVER_U = "P_over_u"
     MU_ONE = "Mu_one"
     ONE = "One"
+
+    __hash__ = object.__hash__
 
 
 _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
@@ -197,24 +200,52 @@ def _unsieved(lo, hi, base_primes):
     return blank, blank
 
 
-def _coefficients(kind, ns, powers, lam, squareful):
-    """a(n) on ns for kind, from one factor-kernel segment's lambda and
-    squareful mask; powers(e) is ns**e."""
-    if kind is StepKind.ONE:
-        return (ns == 1.0).astype(np.float64)  # G(u) = 1
-    if kind is StepKind.P_OVER_U:
-        return lam  # sums lambda itself
-    if kind is StepKind.MU_ONE:
-        lam = np.where(squareful, 0.0, lam)  # mu = lambda on squarefree n, else 0
-    if kind is StepKind.F_HALF:
-        a = lam * powers(-0.5)
-    elif kind is StepKind.L_XI:
-        a = lam * (powers(-0.5) - 1.0 / ns)
-    else:  # F_ONE, T_SUM, MU_ONE
-        a = lam / ns
-    if ns[0] == 1 and kind is not StepKind.T_SUM:
-        a[0] = 0.0  # a(1) = 0 conventions
+def _coefficients(ns, lam, squareful):
+    """kind -> a(n) on the sub-block ns, from its lambda (as floats) and
+    squareful mask, each kind's array built on first use.
+
+    The sub-block takes one reciprocal r = 1/n, and n^(-1/2) is np.sqrt(r):
+    both steps are correctly rounded, so each is non-increasing in n and
+    sqrt(r) lies within an ulp of the correctly rounded n^(-1/2). F_ONE,
+    T_SUM and MU_ONE are c r with c in {-1, 0, 1}, the bits of c/n;
+    F_HALF is lambda sqrt(r) and L_XI lambda (sqrt(r) - r).
+    """
+    recip = functools.cache(lambda: 1.0 / ns)
+    root = functools.cache(lambda: np.sqrt(recip()))
+
+    @functools.cache
+    def a(kind):
+        if kind is StepKind.ONE:
+            return (ns == 1.0).astype(np.float64)  # G(u) = 1
+        if kind is StepKind.P_OVER_U:
+            return lam  # sums lambda itself
+        if kind is StepKind.F_HALF:
+            out = lam * root()
+        elif kind is StepKind.L_XI:
+            out = np.subtract(root(), recip())
+            out *= lam
+        else:  # F_ONE, T_SUM, MU_ONE
+            c = np.where(squareful, 0.0, lam) if kind is StepKind.MU_ONE else lam  # mu
+            out = c * recip()
+        if ns[0] == 1 and kind is not StepKind.T_SUM:
+            out[0] = 0.0  # a(1) = 0 conventions
+        return out
+
     return a
+
+
+def _live(kind, b, j, squareful) -> bool:
+    """Whether kind's a(n) is nonzero somewhere on the range [b, b + j) of
+    a sub-block: a(k)[:j].any(), read from the range and the squareful
+    mask. Lambda is never 0 and every weight is positive, so only a(1) = 0
+    (all kinds but T_SUM and P_OVER_U) and mu = 0 on squareful n make a
+    coefficient vanish; ONE's a(n) lives at n = 1 alone."""
+    if kind is StepKind.ONE:
+        return b == 1
+    first = int(b == 1 and kind not in (StepKind.T_SUM, StepKind.P_OVER_U))  # a(1) = 0
+    if kind is StepKind.MU_ONE:
+        return not squareful[first:j].all()
+    return first < j
 
 
 def _abel_spread(c: np.ndarray) -> int:
@@ -238,13 +269,15 @@ def _envelope_bound(kind, ex: float, b: float, first: float, m: int, g0: float, 
     Each a(n) is c(n) w(n) with c in {lambda, mu} and w positive and
     non-increasing on the float n from b, so by Abel summation every sum
     of a from b is at most d w(b) in size. Each float term is within
-    2^-48 w(b) of its a(n) (a few ulp: the power, and the difference for
-    L_XI), and np.cumsum adds at most 2 m u (d + m) w(b) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section
-    4.2), u = 2^-53. g0 is the float the fold adds, so it needs no
-    margin. The factor 1 + 2^-40 covers the rounding of that add, of
-    n**ex and the divide, and of evaluating this bound; first**ex is at
-    most every n**ex the fold divides by, as ex >= 0.
+    2^-50 w(b) of its a(n), u = 2^-53 (_coefficients): 1/n is within u/n,
+    np.sqrt of it within 1.51 u n^(-1/2), and for L_XI, where
+    n^(-1/2) <= 2 w(n) and 1/n <= w(n) from n = 4, the difference adds
+    its own rounding, 5.03 u w(b) in all. np.cumsum adds at most
+    2 m u (d + m) w(b) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2). g0 is the float the fold adds, so
+    it needs no margin. The factor 1 + 2^-40 covers the rounding of that
+    add, of n**ex (a few ulp) and the divide, and of evaluating this
+    bound; first**ex is at most every n**ex the fold divides by, as ex >= 0.
     """
     if kind is StepKind.P_OVER_U:
         w_b = 1.0
@@ -256,8 +289,34 @@ def _envelope_bound(kind, ex: float, b: float, first: float, m: int, g0: float, 
         w_b = b**-0.5 - 1.0 / b
     else:
         return math.inf
-    spread = w_b * (d + m * (2.0**-48 + 2 * 2.0**-53 * (d + m)))
+    spread = w_b * (d + m * (2.0**-50 + 2 * 2.0**-53 * (d + m)))
     return (abs(g0) + spread) * (1 + 2.0**-40) / first**ex
+
+
+def _fold_envelopes(envs, g, b, ns, a, lam, squareful) -> None:
+    """Fold the sub-block ns from n = b into each tail envelope of envs,
+    (kind, e, window_lo, x) -> max |G(n)| / n^e so far over [window_lo, x),
+    where G(b - 1) is g[kind].value and a(kind) the sub-block's a(n).
+
+    A sub-block whose Abel bound (_envelope_bound, from the 64-term group
+    sums of its lambda or mu) is at most the envelope so far cannot raise
+    it and is skipped; a tie leaves the max as it is, so the envelope is
+    the float that folding every sub-block gives. The folds' arrays are
+    released on return, before the sub-block's moments are formed.
+    """
+    e = b + len(ns)
+    powers = functools.cache(lambda ex: ns**ex)
+    g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
+    peaks = functools.cache(lambda k, ex, i, j: _envelope_peak(g_abs(k)[i:j], powers(ex)[i:j]))
+    # d of mu's coefficient stream or lambda's
+    spread = functools.cache(lambda mu: _abel_spread(lam * ~squareful if mu else lam))
+    for key in envs:
+        k, ex, w_lo, x = key
+        i, j = max(w_lo, b) - b, min(x, e) - b
+        if i < j and not 0 < envs[key] >= _envelope_bound(
+            k, ex, float(ns[0]), float(ns[i]), len(ns), g[k].value, spread(k is StepKind.MU_ONE)
+        ):
+            envs[key] = max(envs[key], peaks(k, ex, i, j))
 
 
 def _taylor_order(x: float):
@@ -307,10 +366,13 @@ def _evaluate(requests) -> dict:
     One ordered pass of the factor kernel serves every request: each
     segment's lambda and squareful mask give every kind's a(n). Segments
     start at n = 1 and are walked in sub-blocks [b, e) of _SUB_BLOCK, on
-    one grid when DEFAULT_SEGMENT is a multiple of it. Each request keeps
-    its own compensated sum of one term per sub-block below its stop
-    (x, for an integral), that of the range [b, min(stop, e)), whose
-    moments all sums ending there share.
+    one grid when DEFAULT_SEGMENT is a multiple of it. A sub-block builds
+    the a(n) of a kind on first use, all from one reciprocal 1/n and its
+    square root (_coefficients), and a range adds nothing for a kind whose
+    a(n) all vanish there, read from the range and the squareful mask
+    (_live). Each request keeps its own compensated sum of one term per
+    sub-block below its stop (x, for an integral), that of the range
+    [b, min(stop, e)), whose moments all sums ending there share.
 
     On a range [b, c) with centre log N = (log b + log(c-1))/2 and
     delta = log n - log N, |delta| <= h, a kind's moments
@@ -324,14 +386,11 @@ def _evaluate(requests) -> dict:
     never on the other requests of its pass. One running G per kind, the
     compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
     sub-block, feeds the tail envelopes of the integrals whose tail is
-    modeled (a max over [window_lo, x)) and the visits of _Prefix
-    requests (below their stop), which have no value. An envelope skips
-    the cumsum, abs, divide and max of a sub-block whose Abel bound
-    (_envelope_bound, from the 64-term group sums of its lambda or mu) is
-    at most the envelope so far; a tie leaves the max as it is, so the
-    envelope is the float that folding every sub-block gives. A value with
-    a part that is not finite, a sum past double precision, raises
-    PrecisionError.
+    modeled (a max over [window_lo, x), _fold_envelopes) and the visits
+    of _Prefix requests (below their stop), which have no value. A
+    direct-route power array lives only while its exponent's sums use it.
+    A value with a part that is not finite, a sum past double precision,
+    raises PrecisionError.
     """
     requests = set(requests)
     integrals = [r for r in requests if isinstance(r, _Integral)]
@@ -355,24 +414,10 @@ def _evaluate(requests) -> dict:
             ns = np.arange(b, e, dtype=np.float64)
             lam_i8, sq_b = lam[b - lo : e - lo], squareful[b - lo : e - lo]
             lam_b = lam_i8.astype(np.float64)
-            logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
             # built on first use, shared by every sum that needs them, dropped with the sub-block
-            powers = functools.cache(lambda ex: ns**ex)
-            a = functools.cache(lambda k: _coefficients(k, ns, powers, lam_b, sq_b))
-            live = functools.cache(lambda k, j: a(k)[:j].any())
-            g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
-            peaks = functools.cache(lambda k, ex, i, j: _envelope_peak(g_abs(k)[i:j], powers(ex)[i:j]))
-            # d of mu's coefficient stream or lambda's, for the envelope bounds
-            spread = functools.cache(lambda mu: _abel_spread(lam_i8 * ~sq_b if mu else lam_i8))
-            bound = lambda k, ex, i: _envelope_bound(k, ex, float(ns[0]), float(ns[i]), e - b,
-                                                     g[k].value, spread(k is StepKind.MU_ONE))
-
-            for key in envs:
-                k, ex, w_lo, x = key
-                i, j = max(w_lo, b) - b, min(x, e) - b
-                # a sub-block bounded by the envelope so far cannot raise it (a tie leaves it)
-                if i < j and not 0 < envs[key] >= bound(k, ex, i):
-                    envs[key] = max(envs[key], peaks(k, ex, i, j))
+            logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
+            a = _coefficients(ns, lam_b, sq_b)
+            _fold_envelopes(envs, g, b, ns, a, lam_i8, sq_b)
             for r in prefixes:
                 if b < r.stop:
                     j = min(r.stop, e) - b
@@ -391,7 +436,7 @@ def _evaluate(requests) -> dict:
                 # kind -> highest moment row any of its exponents needs; m_0 advances G
                 rows = dict.fromkeys(g if c == e else (), 0)
                 for q, by_kind in by_q.items():
-                    q_plans = [(k, plan) for k, plan in by_kind.items() if live(k, j)]
+                    q_plans = [(k, plan) for k, plan in by_kind.items() if _live(k, b, j, sq_b)]
                     if q_plans:
                         order = _taylor_order(abs(q) * h)
                         due.append((q, order, q_plans))
@@ -403,7 +448,7 @@ def _evaluate(requests) -> dict:
                     g[k].add(moments[k][0])
                 for q, order, q_plans in due:
                     if order is None:
-                        power = np.exp(q * logn()[:j])  # one array at a time, shared by q's kinds
+                        power = np.exp(q * logn()[:j])  # shared by q's kinds, released after them
                     else:
                         scale = np.exp(q * log_mid)
                     for k, plan in q_plans:
@@ -419,6 +464,7 @@ def _evaluate(requests) -> dict:
                                 acc.add(scale * (m[0] + q * t))
                             else:
                                 acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
+                    power = None
 
     out = {r: acc.value for r, acc in sums.items()}
     for r, value in out.items():

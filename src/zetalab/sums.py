@@ -11,6 +11,9 @@ L_XI coefficient of integrals._coefficients: summing that rearranged
 form keeps F_x(1/2) = F_x(1) + L_x tight to rounding. Every sum is a
 polynomial request to the Abel core (integrals._evaluate), so one sieve
 pass of partial_sums serves any number of sums and the sums CSV's rows.
+The terms are those of _coefficients: n^(-1/2) is the square root of the
+correctly rounded 1/n, and F_x(alpha) at alpha != 1/2 is F_ONE's
+lambda(n)/n times n^(1 - alpha), the request zeta.lambda_series adds 1 to.
 PrefixEvaluator keeps its own fold for callers that feed it segments.
 """
 

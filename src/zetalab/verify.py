@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .integrals import StepKind, _evaluate, _integral, _j_xi, _Polynomial, _Prefix
-from .zeta import shifted_ratio, zeta, zeta_ratio
+from .zeta import _lambda_series, shifted_ratio, zeta, zeta_ratio
 
 DEFAULT_S_POINTS = (2.0, 3.0, 1.5 + 2j, 0.75, 0.6 + 1j)
 DEFAULT_X = 10**6
@@ -195,19 +195,22 @@ def verify_ratio_decomposition(s: complex, X: int = DEFAULT_X) -> VerificationCa
 
 
 def _shifted_identity(s, X):
+    """The plan of verify_shifted_identity. Its series cross-check is
+    lambda_series(s + 1/2, X), F_ONE's polynomial at q = 1/2 - s plus 1,
+    whose flag reads |rhs - series|."""
     s = complex(s)
     if s.real <= 0.5:
         raise DomainError("verify_shifted_identity needs sigma > 1/2")
     if s == 1:
         raise DomainError("s = 1 sits on the zeta pole")
     j = _j_xi(s, X)
-    # lambda_series(s + 1/2, X): lambda(n) n^(-s-1/2) over n <= X, its own accumulator
-    series = _Polynomial(StepKind.P_OVER_U, -(s + 0.5), int(X) + 1)
+    # in the suite, the decomposition's F_ONE integral at s forms the same moments
+    series, series_value = _lambda_series(s + 0.5, X)
     ratio, rhs = zeta_ratio(s), shifted_ratio(s)
 
     def build(r):
         lhs = ratio - (s - 0.5) * r[j].value
-        flags = [f"series_xcheck_gap={abs(rhs - r[series]):.3e}"]
+        flags = [f"series_xcheck_gap={abs(rhs - series_value(r)):.3e}"]
         if s.real > 1:
             tol = max(_FLOOR, 2.0 * abs(s - 0.5) * r[j].tail_estimate)
         else:

@@ -157,18 +157,30 @@ def shifted_ratio(s: complex) -> complex:
     return zeta_ratio(s + 0.5)
 
 
-def lambda_series(s: complex, n_terms: int) -> complex:
-    """Truncated Liouville Dirichlet series sum_{n<=N} lambda(n) n^{-s}.
+def _lambda_series(s: complex, n_terms: int):
+    """The core request for sum_{n<=N} lambda(n) n^(-s), and that sum from
+    the values of a pass that served it.
 
-    Converges to zeta(2s)/zeta(s) for sigma > 1 as N grows; the caller
-    shifts the argument to get the n^{-s-1/2} variant.
+    The request is F_ONE's polynomial at q = 1 - s below N + 1: its
+    lambda(n)/n times n^(1-s) is lambda(n) n^(-s), and its a(1) = 0 leaves
+    the n = 1 term, lambda(1) = 1, to add.
     """
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("lambda_series needs N >= 1")
-    # P's coefficients are lambda(n) itself, n = 1 included
-    series = _Polynomial(StepKind.P_OVER_U, -complex(s), n_terms + 1)
-    return complex(_evaluate([series])[series])
+    series = _Polynomial(StepKind.F_ONE, 1.0 - complex(s), n_terms + 1)
+    return series, lambda values: 1.0 + complex(values[series])
+
+
+def lambda_series(s: complex, n_terms: int) -> complex:
+    """Truncated Liouville Dirichlet series sum_{n<=N} lambda(n) n^{-s}.
+
+    Converges to zeta(2s)/zeta(s) for sigma > 1 as N grows; the caller
+    shifts the argument to get the n^{-s-1/2} variant. It is 1 plus F_ONE's
+    polynomial at q = 1 - s (_lambda_series).
+    """
+    series, value = _lambda_series(s, n_terms)
+    return value(_evaluate([series]))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import functools
 import importlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from zetalab import (
     verify_shifted_identity,
 )
 from zetalab.cli import main
-from zetalab.liouville import mobius_segment, run_scan, sieve_range
+from zetalab.liouville import _factor_segment, _iter_segments, mobius_segment, run_scan, sieve_range
 from zetalab.sums import partial_sums
 from zetalab.integrals import (
     _SUB_BLOCK,
@@ -40,6 +41,7 @@ from zetalab.integrals import (
     _evaluate,
     _expm1_over,
     _integral,
+    _live,
     _moments,
     _Polynomial,
     _Prefix,
@@ -276,6 +278,97 @@ def test_a_request_gets_the_same_bits_alone_and_in_any_pass():
         assert repr(together[r]) == repr(_evaluate([r])[r]), r
 
 
+def _rounded_inverse_sqrt(n: int) -> float:
+    """n^(-1/2) correctly rounded, for n < 2^54. n^(-1/2) lies in
+    [z, z + 1) 2^-k with z = floor(2^k n^(-1/2)) exact, and is a midpoint
+    between doubles for no n; those midpoints are multiples of 2^-81, none
+    strictly between z 2^-k and (z + 1) 2^-k. So (z + 1/2) 2^-k, correctly
+    rounded by CPython's int division, rounds as n^(-1/2) does."""
+    k = 256
+    z = math.isqrt((1 << 2 * k) // n)
+    return (2 * z + 1) / (1 << (k + 1))
+
+
+@pytest.mark.parametrize("b", [1, 10**6 - _SUB_BLOCK // 2, 2**52 - _SUB_BLOCK // 2])
+def test_coefficients_take_one_reciprocal_and_its_square_root(b):
+    """On a sub-block from b, the n^(-1) kinds are lambda / n (mu / n)
+    bit for bit; F_HALF's n^(-1/2) lies within an ulp of the correctly
+    rounded value and never increases with n; L_XI's weight is F_HALF's
+    minus F_ONE's, rounded once; and a(1) = 0 but for T_SUM."""
+    rng = np.random.default_rng(b)
+    lam_i8 = rng.choice(np.array([-1, 1], dtype=np.int8), _SUB_BLOCK)
+    sq = rng.random(_SUB_BLOCK) < 0.4
+    ns = np.arange(b, b + _SUB_BLOCK, dtype=np.float64)
+    lam = lam_i8.astype(np.float64)
+    a = _coefficients(ns, lam, sq)
+    head = slice(1 if b == 1 else 0, None)
+    assert np.array_equal(a(StepKind.T_SUM), lam / ns)
+    assert np.array_equal(a(StepKind.F_ONE)[head], (lam / ns)[head])
+    assert np.array_equal(a(StepKind.MU_ONE)[head], (np.where(sq, 0.0, lam) / ns)[head])
+    root = a(StepKind.F_HALF) * lam
+    assert np.all(root[head] > 0) and np.all(np.diff(root[head]) <= 0)
+    exact = np.array([_rounded_inverse_sqrt(n) for n in range(b, b + _SUB_BLOCK)])
+    assert np.all(np.abs(root - exact)[head] <= np.spacing(exact)[head])
+    assert np.array_equal(a(StepKind.L_XI), a(StepKind.F_HALF) - a(StepKind.F_ONE))
+    if b == 1:
+        assert [a(k)[0] for k in (StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI,
+                                  StepKind.MU_ONE)] == [0.0] * 4
+        assert a(StepKind.T_SUM)[0] == lam[0] and a(StepKind.ONE)[0] == 1.0
+
+
+@pytest.mark.parametrize("b, c", [
+    (1, 2), (1, 3), (8, 10), (48, 51), (2, 9), (1 + _SUB_BLOCK, 2 + _SUB_BLOCK),
+])
+def test_liveness_reads_the_range_and_the_squareful_mask(b, c):
+    """_live(kind, b, j, squareful) is a(kind)[:j].any() for every kind on
+    the range [b, c) of a sub-block from b: [1, 2) holds only a(1) = 0 for
+    the a(1) = 0 kinds, mu is 0 on all of [8, 10) and [48, 51), and ONE
+    is dead past n = 1."""
+    stop = c + 8
+    (_, (lam_i8, squareful)), = _iter_segments(_factor_segment, 1, stop)
+    lam_i8, squareful = lam_i8[b - 1:], squareful[b - 1:]
+    a = _coefficients(np.arange(b, stop, dtype=np.float64), lam_i8.astype(np.float64), squareful)
+    j = c - b
+    for kind in StepKind:
+        assert _live(kind, b, j, squareful) == bool(a(kind)[:j].any()), kind
+    if (b, c) in ((8, 10), (48, 51)):
+        assert not _live(StepKind.MU_ONE, b, j, squareful)
+
+
+def test_the_suite_builds_no_p_over_u_coefficients(monkeypatch):
+    """The suite's series cross-check sums F_ONE's stream, so its pass
+    builds the coefficients of F_HALF, F_ONE, L_XI and MU_ONE alone; and
+    StepKind members hash in C, by identity."""
+    built = set()
+    real = integrals_module._coefficients
+
+    def recording(ns, lam, squareful):
+        a = real(ns, lam, squareful)
+        return lambda kind: built.add(kind) or a(kind)
+
+    monkeypatch.setattr(integrals_module, "_coefficients", recording)
+    run_default_suite(X=10**5)
+    assert built == {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.MU_ONE}
+    assert StepKind.__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("X, mib", [(10**5, 4.5), (10**6, 6.1)])
+def test_suite_memory_stays_near_the_sieve(X, mib):
+    """The suite allocates at most 4.5 MiB at its peak at X = 1e5 and
+    6.1 MiB at X = 1e6, where the sieve segment alone is 2 MiB: the
+    sub-block arrays in use (256 KiB each), but no envelope fold's arrays
+    kept through the sub-block's moments (5.1 MiB at 1e5 with them) and no
+    direct-route power kept past its exponent (6.2 MiB at 1e6 with it)."""
+    run_default_suite(X=10**4)
+    tracemalloc.start()
+    try:
+        run_default_suite(X=X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
+
+
 # The kinds whose a(n) is c(n) w(n) with w positive and non-increasing
 # from n = 4, c lambda or mu: those an envelope fold may skip.
 _BOUNDED = (StepKind.F_HALF, StepKind.F_ONE, StepKind.T_SUM, StepKind.L_XI,
@@ -303,12 +396,14 @@ def test_the_envelope_bound_holds_every_value_of_a_sub_block(b, m, plus, squaref
     just before it, lies within the bound _envelope_bound takes from the
     slice's first n and the 64-term group bound of the block's lambda or
     mu, for every kind an envelope may skip and every envelope exponent,
-    checked in exact arithmetic. Each lambda is +1 with chance plus, and
-    a share squareful of the n is squareful (mu = 0 there)."""
+    checked in exact arithmetic. The terms are the pass's own floats
+    (_coefficients). Each lambda is +1 with chance plus, and a share
+    squareful of the n is squareful (mu = 0 there)."""
     rng = np.random.default_rng(seed)
     lam = np.where(rng.random(m) < plus, 1, -1).astype(np.int8)
     sq = rng.random(m) < squareful
     ns = np.arange(b, b + m, dtype=np.float64)
+    a = _coefficients(ns, lam.astype(np.float64), sq)  # the pass's terms: 1/n and its np.sqrt
     powers = functools.cache(lambda ex: ns**ex)
     i = min(int(cut[0] * m), m - 1)
     j = max(i + 1, int(cut[1] * m))
@@ -317,7 +412,7 @@ def test_the_envelope_bound_holds_every_value_of_a_sub_block(b, m, plus, squaref
         # the pass's d, and the least d, which leaves the rounding margins less room
         ds = (_abel_spread(c), int(np.abs(np.cumsum(c, dtype=np.int64)).max()))
         assert ds[0] >= ds[1]
-        g_abs = np.abs(g0 + np.cumsum(_coefficients(kind, ns, powers, lam.astype(np.float64), sq)))
+        g_abs = np.abs(g0 + np.cumsum(a(kind)))
         for ex in (0.0, 0.5, 1.0):
             peak = float((g_abs[i:j] / powers(ex)[i:j]).max())
             for d in ds:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from zetalab import integrals, liouville
+from zetalab import cli, integrals, liouville
 from zetalab.cli import _float_list, _num_int, main
 
 
@@ -272,6 +272,17 @@ def test_xi_table(tmp_path, capsys):
     rows = list(csv.DictReader(out_path.open()))
     assert rows[0]["n"] == "2" and rows[-1]["n"] == "10000"
     assert all(float(r["residual"]) < 1e-12 for r in rows)
+
+
+def test_xi_table_without_out_is_refused_before_any_work(capsys, monkeypatch):
+    """--table without --out fails before the monotone scan runs or prints."""
+    def refuse(n_max):
+        raise AssertionError("check_monotone_limit called")
+
+    monkeypatch.setattr(cli, "check_monotone_limit", refuse)
+    code, out, err = run(capsys, "xi", "--check-monotone", "3e7", "--table", "100")
+    assert code == 1 and out == ""
+    assert err == "error: --table needs --out for the CSV destination\n"
 
 
 @pytest.mark.parametrize("points", ["-1", "0"])

@@ -73,7 +73,8 @@ def test_p_over_u_cell_shape():
 
 
 def test_partial_summation_exact_p_route():
-    # sum_{n<=X} lambda(n) n^-s = s * int_1^X P(u) u^(-s-1) du + P(X) X^-s
+    # sum_{n<=X} lambda(n) n^-s = s * int_1^X P(u) u^(-s-1) du + P(X) X^-s;
+    # lambda_series sums F_ONE's lambda(n)/n stream, the integral P's lambda(n)
     for s in (2.0, 1.5 + 2j):
         X = 5000
         p_final = int(np.sum(sieve_range(1, X + 1).values))

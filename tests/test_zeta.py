@@ -22,7 +22,9 @@ from zetalab import (
     zeta_ratio,
     zeta_with_error,
 )
-from zetalab.zeta import zeta
+from zetalab.integrals import StepKind, _evaluate, _Polynomial
+from zetalab.verify import DEFAULT_S_POINTS
+from zetalab.zeta import _lambda_series, zeta
 
 zeta_module = importlib.import_module("zetalab.zeta")
 
@@ -148,6 +150,21 @@ def test_lambda_series_examples():
     assert abs(lambda_series(1.25, 10**5) - shifted_ratio(0.75)) < 5e-2
     with pytest.raises(DomainError):
         lambda_series(2, 0)
+
+
+@pytest.mark.parametrize("s", DEFAULT_S_POINTS)
+def test_lambda_series_is_f_one_plus_lambda_one(s):
+    """1 plus F_ONE's polynomial at q = 1 - w is P's polynomial at -w, the
+    plain sum of lambda(n) n^(-w), to 1e-14 of max(1, |value|), at the
+    suite's w = s + 1/2 and at w = s."""
+    n = 10**4
+    for w in (complex(s) + 0.5, complex(s)):
+        series, value = _lambda_series(w, n)
+        p_route = _Polynomial(StepKind.P_OVER_U, -w, n + 1)
+        results = _evaluate([series, p_route])
+        assert series.kind is StepKind.F_ONE
+        assert value(results) == lambda_series(w, n)
+        assert abs(value(results) - results[p_route]) <= 1e-14 * max(1.0, abs(results[p_route])), w
 
 
 def test_lambda_series_tail_constant():
