@@ -21,8 +21,9 @@ parts one of 2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
 e_max - e_min <= 23, so both float sums are exact, in any order. The
 blocks' exact sums, Python ints counting units of 2^-1074 (1/UNITS, the
 smallest subnormal), are added and rounded once by CPython's correctly
-rounded int / int. A block whose ends lie further apart, or are zero,
-subnormal, inf, nan or 2^960 or more, is refused.
+rounded int / int. A block longer than 2^15 terms, or one whose ends
+lie further apart, or are zero, subnormal, inf, nan or 2^960 or more,
+is refused.
 """
 
 import math
@@ -48,10 +49,12 @@ def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> int:
     magnitudes do not increase, as an int counting units of 2^-1074,
     using buf, as long as block, for scratch. Its first and last terms
     hold its largest and smallest exponents, so the block is not
-    scanned for them. ValueError when they lie more than _MAX_SPREAD
-    apart or either is a term the split does not cover."""
-    e_max, e_min = (int(e) for e in np.abs(block[[0, -1]]).view(np.int64) >> 52)
-    if not 1 <= e_min <= e_max <= min(e_min + _MAX_SPREAD, _MAX_EXP):
+    scanned for them. ValueError when the block is longer than _BLOCK,
+    or when they lie more than _MAX_SPREAD apart or either is a term the
+    split does not cover."""
+    bits = block.view(np.int64)  # sign, 11 exponent bits, 52 fraction bits
+    e_max, e_min = int(bits[0]) >> 52 & 2047, int(bits[-1]) >> 52 & 2047
+    if len(block) > _BLOCK or not 1 <= e_min <= e_max <= min(e_min + _MAX_SPREAD, _MAX_EXP):
         raise ValueError(f"a block from {float(block[0])!r} to {float(block[-1])!r} "
                          "is outside the exact split")
     sigma = math.ldexp(1.5, e_max - 1007)

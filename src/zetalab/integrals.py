@@ -37,7 +37,6 @@ means n below about |q| 2^14, the range sums n^q term by term.
 """
 
 import bisect
-import functools
 import csv
 import enum
 import math
@@ -200,6 +199,22 @@ def _unsieved(lo, hi, base_primes):
     return blank, blank
 
 
+class _Memo(dict):
+    """A dict that builds a missing key's value, build(key), on its first
+    lookup and keeps it. The pass makes several per sub-block, where a
+    functools.cache wrapper costs more to set up than some of them save.
+    build must not refer to its own memo: that cycle would keep the
+    sub-block's arrays until the garbage collector runs."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _coefficients(ns, lam, squareful):
     """kind -> a(n) on the sub-block ns, from its lambda (as floats) and
     squareful mask, each kind's array built on first use.
@@ -210,28 +225,30 @@ def _coefficients(ns, lam, squareful):
     T_SUM and MU_ONE are c r with c in {-1, 0, 1}, the bits of c/n;
     F_HALF is lambda sqrt(r) and L_XI lambda (sqrt(r) - r).
     """
-    recip = functools.cache(lambda: 1.0 / ns)
-    root = functools.cache(lambda: np.sqrt(recip()))
+    recip = root = None  # 1/n and its square root, built when a kind first needs them
 
-    @functools.cache
     def a(kind):
+        nonlocal recip, root
         if kind is StepKind.ONE:
             return (ns == 1.0).astype(np.float64)  # G(u) = 1
         if kind is StepKind.P_OVER_U:
             return lam  # sums lambda itself
+        recip = 1.0 / ns if recip is None else recip
+        if kind is StepKind.F_HALF or kind is StepKind.L_XI:
+            root = np.sqrt(recip) if root is None else root
         if kind is StepKind.F_HALF:
-            out = lam * root()
+            out = lam * root
         elif kind is StepKind.L_XI:
-            out = np.subtract(root(), recip())
+            out = np.subtract(root, recip)
             out *= lam
         else:  # F_ONE, T_SUM, MU_ONE
             c = np.where(squareful, 0.0, lam) if kind is StepKind.MU_ONE else lam  # mu
-            out = c * recip()
+            out = c * recip
         if ns[0] == 1 and kind is not StepKind.T_SUM:
             out[0] = 0.0  # a(1) = 0 conventions
         return out
 
-    return a
+    return _Memo(a).__getitem__
 
 
 def _live(kind, b, j, squareful) -> bool:
@@ -249,9 +266,10 @@ def _live(kind, b, j, squareful) -> bool:
 
 
 def _abel_spread(c: np.ndarray) -> int:
-    """D >= every |c(b) + ... + c(n)| over a block of c in {0, +-1}:
-    the bound on P that liouville._p_bounds takes from 64-term groups."""
-    low, high, _ = _p_bounds(c, 0)
+    """D >= every |c(b) + ... + c(n)| over a block of c in {0, +-1}, at
+    most _SUB_BLOCK long: the bound on P that liouville._p_bounds takes
+    from 64-term groups."""
+    (low,), (high,), _ = _p_bounds(c)
     return max(high, -low)
 
 
@@ -305,18 +323,23 @@ def _fold_envelopes(envs, g, b, ns, a, lam, squareful) -> None:
     released on return, before the sub-block's moments are formed.
     """
     e = b + len(ns)
-    powers = functools.cache(lambda ex: ns**ex)
-    g_abs = functools.cache(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
-    peaks = functools.cache(lambda k, ex, i, j: _envelope_peak(g_abs(k)[i:j], powers(ex)[i:j]))
+    powers = _Memo(lambda ex: ns**ex)
+    g_abs = _Memo(lambda k: np.abs(g[k].value + np.cumsum(a(k))))
+
+    def peak(key):  # (kind, e, i, j) -> the fold's max on [i, j)
+        k, ex, i, j = key
+        return _envelope_peak(g_abs[k][i:j], powers[ex][i:j])
+
+    peaks = _Memo(peak)
     # d of mu's coefficient stream or lambda's
-    spread = functools.cache(lambda mu: _abel_spread(lam * ~squareful if mu else lam))
+    spread = _Memo(lambda mu: _abel_spread(lam * ~squareful if mu else lam))
     for key in envs:
         k, ex, w_lo, x = key
         i, j = max(w_lo, b) - b, min(x, e) - b
         if i < j and not 0 < envs[key] >= _envelope_bound(
-            k, ex, float(ns[0]), float(ns[i]), len(ns), g[k].value, spread(k is StepKind.MU_ONE)
+            k, ex, float(ns[0]), float(ns[i]), len(ns), g[k].value, spread[k is StepKind.MU_ONE]
         ):
-            envs[key] = max(envs[key], peaks(k, ex, i, j))
+            envs[key] = max(envs[key], peaks[k, ex, i, j])
 
 
 def _taylor_order(x: float):
@@ -415,7 +438,7 @@ def _evaluate(requests) -> dict:
             lam_i8, sq_b = lam[b - lo : e - lo], squareful[b - lo : e - lo]
             lam_b = lam_i8.astype(np.float64)
             # built on first use, shared by every sum that needs them, dropped with the sub-block
-            logn = functools.cache(lambda: np.log(ns))  # for moment rows and direct sums only
+            logn = None  # np.log(ns), for moment rows and direct sums only
             a = _coefficients(ns, lam_b, sq_b)
             _fold_envelopes(envs, g, b, ns, a, lam_i8, sq_b)
             for r in prefixes:
@@ -442,13 +465,17 @@ def _evaluate(requests) -> dict:
                         due.append((q, order, q_plans))
                         for k, _ in q_plans:
                             rows[k] = max(rows.get(k, 0), order or 0)
-                delta = logn()[:j] - log_mid if any(rows.values()) else None
+                delta = None
+                if any(rows.values()):
+                    logn = np.log(ns) if logn is None else logn
+                    delta = logn[:j] - log_mid
                 moments = _moments({k: a(k)[:j] for k in rows}, rows, delta)
                 for k in g if c == e else ():
                     g[k].add(moments[k][0])
                 for q, order, q_plans in due:
                     if order is None:
-                        power = np.exp(q * logn()[:j])  # shared by q's kinds, released after them
+                        logn = np.log(ns) if logn is None else logn
+                        power = np.exp(q * logn[:j])  # shared by q's kinds, released after them
                     else:
                         scale = np.exp(q * log_mid)
                     for k, plan in q_plans:

@@ -23,6 +23,7 @@ sum, has one summation order.
 
 import contextlib
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -489,16 +490,37 @@ def _open_trace(path: str, next_n: int, stride: int):
     return fh
 
 
-def _p_bounds(lam_b: np.ndarray, p_before: int) -> tuple[int, int, int]:
-    """Bounds on P over a block of lambda, where P is p_before just before
-    it, and P at its end. Every P(n) lies within _GROUP of p_before or of
-    a group's last P; the last group may be shorter. _t_bounds bounds T
-    over the block from the same bounds."""
-    # a group's sum is at most _GROUP < 128 in size, so int8 holds it
-    group_sums = np.add.reduceat(lam_b, np.arange(0, len(lam_b), _GROUP), dtype=np.int8)
-    ends = np.cumsum(group_sums, dtype=np.int64)
-    low, high = min(0, int(ends.min())), max(0, int(ends.max()))
-    return p_before + low - _GROUP, p_before + high + _GROUP, p_before + int(ends[-1])
+# Cached: building the starts anew would add about a sixth to a
+# one-block _p_bounds call, the Abel core's per sub-block.
+@functools.lru_cache(maxsize=16)
+def _group_starts(n: int, block: int, group: int) -> np.ndarray:
+    """Read-only: the start of each group of `group` terms of n terms,
+    the groups restarting at the start of each block of `block` terms."""
+    starts = (np.arange(0, n, block)[:, None] + np.arange(0, block, group)).ravel()
+    starts = starts[starts < n]
+    starts.flags.writeable = False
+    return starts
+
+
+def _p_bounds(lam: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Lists (low, high, end), one entry for each _BLOCK-term block of lam
+    (the last may be shorter): on a block from b, every P(n) - P(b - 1)
+    lies in [low, high], and it is end at the block's last n. A block's
+    groups of _GROUP terms start at its own start (the last may be
+    shorter), and every P(n) - P(b - 1) lies within _GROUP of 0 or of its
+    value at a group's end. _t_bounds bounds T over a block from the
+    same bounds."""
+    per_block = -(-_BLOCK // _GROUP)
+    starts = _group_starts(len(lam), _BLOCK, _GROUP)
+    # a group's sum is at most _GROUP < 128 in size, so int8 holds it; a
+    # short last block's row ends in groups of sum 0
+    sums = np.zeros((-(-len(lam) // _BLOCK), per_block), dtype=np.int8)
+    np.add.reduceat(lam, starts, dtype=np.int8, out=sums.reshape(-1)[:len(starts)])
+    # each row: 0, then P - P(b - 1) at each group's end
+    ends = np.zeros((len(sums), per_block + 1), dtype=np.int64)
+    np.add.accumulate(sums, axis=1, dtype=np.int64, out=ends[:, 1:])
+    low, high = np.minimum.reduce(ends, axis=1).tolist(), np.maximum.reduce(ends, axis=1).tolist()
+    return [v - _GROUP for v in low], [v + _GROUP for v in high], ends[:, -1].tolist()
 
 
 def _t_bounds(t_star: float, p_before: int, p_low: int, p_high: int,
@@ -534,8 +556,9 @@ def run_scan(
     [1, limit]; min/argmin are tracked over those same ranges and sign
     changes are counted on the integer lattice (zeros skipped); limit
     must be at least 2. Each segment is folded in blocks of _BLOCK terms
-    through two block-length buffers allocated once per scan, one each
-    for the running P and T. A block's terms lambda(n)/n are written
+    through three block-length buffers allocated once per scan: the
+    running P, the running T, and the block's n, advanced in place from
+    block to block. A block's terms lambda(n)/n are written
     into the T buffer and summed exactly there, while in cache, into
     T's exact running sum; where its running T values are needed, they
     are one np.cumsum of its terms from the correctly rounded T before
@@ -543,8 +566,9 @@ def run_scan(
     math.fsum gives.
 
     A block is folded into a report only when it could change it. P is
-    bounded from the sums of its groups of _GROUP terms, which also
-    advance it, and T from P's bounds by Abel summation, widened by the
+    bounded over every block of a segment at once, from the sums of
+    its groups of _GROUP terms, which also advance it (_p_bounds, once
+    per segment), and T from P's bounds by Abel summation, widened by the
     rounding of its terms and of their cumsum (_t_bounds). When the
     bounds leave a report settled (no new minimum, no violation, no sign
     change), that series' running values are never formed: T's are
@@ -580,28 +604,29 @@ def run_scan(
         if ck.next_n <= limit:
             rows = None if csv_fh is None else csv.writer(csv_fh)
             traced = rows is not None
-            # The running P and T of one fold block.
+            # The running P and T of one fold block, and its n from n0 on.
             p_buf = np.empty(_BLOCK, dtype=np.int64)
             t_buf = np.empty(_BLOCK)
+            n_buf = np.arange(ck.next_n, ck.next_n + _BLOCK, dtype=np.int64)
             # T, exactly, in the units of decreasing_block_sum
             t_sum = int((Fraction(ck.t_total) + ck.t_comp) * UNITS)
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
-                for a in range(0, len(lam), _BLOCK):
+                for a, low, high, p_step in zip(range(0, len(lam), _BLOCK), *_p_bounds(lam)):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
                     m = len(lam_b)
-                    t_vals = np.divide(lam_b, np.arange(n0, n0 + m, dtype=np.int64),
-                                       out=t_buf[:m])
+                    t_vals = np.divide(lam_b, n_buf[:m], out=t_buf[:m])
+                    n_buf += m
                     # |lambda(n)/n| is normal, at most 1 and does not grow
                     # with n; p_buf is scratch until P fills it
                     t_sum += decreasing_block_sum(t_vals, p_buf[:m].view(np.float64))
-                    p_low, p_high, p_end = _p_bounds(lam_b, ck.p_sum)
+                    p_low, p_high = ck.p_sum + low, ck.p_sum + high
                     t_low, t_high = _t_bounds(ck.t_total, ck.p_sum, p_low, p_high, n0, m)
                     if traced or not ck.polya.settled(p_low, p_high, positive_violates=True):
                         p_vals = np.cumsum(lam_b, dtype=np.int64, out=p_buf[:m])
                         p_vals += ck.p_sum
                         k = int(n0 == 1)  # P(x) is scanned from x = 2
                         ck.polya.fold_segment(n0 + k, p_vals[k:], positive_violates=True)
-                    ck.p_sum = p_end
+                    ck.p_sum += p_step
                     if traced or not ck.turan.settled(t_low, t_high, positive_violates=False):
                         t_vals[0] += ck.t_total  # T before the block, correctly rounded
                         np.cumsum(t_vals, out=t_vals)

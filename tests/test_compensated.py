@@ -255,12 +255,14 @@ def test_lists_other_dtypes_and_strided_views():
         [1.0, math.nan],
         [math.inf, math.nan],
         [-(2.0**900), 2.0**-60, -(2.0**-900)],
+        # more terms than a block holds
+        [1.0] * (_BLOCK + 1),
     ],
 )
 def test_fallback_cases_match_fsum(values):
-    """The kernel refuses a block whose ends lie outside its split, one a
-    caller must sum otherwise, as math.fsum does; it never returns a
-    wrong sum for one."""
+    """The kernel refuses a block whose ends lie outside its split, or
+    longer than _BLOCK, one a caller must sum otherwise, as math.fsum
+    does; it never returns a wrong sum for one."""
     assert_refused(np.array(values))
 
 

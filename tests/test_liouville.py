@@ -593,6 +593,43 @@ _NEAR_A_MILLIONTH = st.builds(
 _NEAR_ONE = st.floats(min_value=1 - 1e-6, max_value=1 + 1e-6)
 
 
+@st.composite
+def _p_bound_inputs(draw):
+    """(block, values): a block length, the scan's 2^15 or one the fold
+    tests patch in, and 1 to 3 blocks + 7 terms of lambda (random +-1
+    int8) or of mu (random {0, +-1} floats)."""
+    block = draw(st.sampled_from([64, 97, 128, 2**15]))
+    n = draw(st.integers(min_value=1, max_value=3 * block + 7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        return block, rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    return block, rng.choice([-1.0, 0.0, 1.0], n)
+
+
+@settings(max_examples=100, deadline=None)
+@example(inputs=(97, np.ones(3 * 97 + 7, dtype=np.int8)))
+@example(inputs=(2**15, -np.ones(2**15 + 1)))
+@given(_p_bound_inputs())
+def test_p_bounds_take_each_block_alone(inputs):
+    """For each block of _BLOCK terms from b, _p_bounds's (low, high, end)
+    holds every P(n) - P(b - 1) of the block, ends at its exact sum, and is
+    the rule taken from that block alone: min(0, group ends) - 64 and
+    max(0, group ends) + 64, over groups of 64 from the block's start. At
+    97 terms, as the fold tests patch in, the groups restart with each
+    block."""
+    block, lam = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lv, "_BLOCK", block)
+        bounds = lv._p_bounds(lam)
+    assert [len(v) for v in bounds] == [-(-len(lam) // block)] * 3
+    for a, low, high, end in zip(range(0, len(lam), block), *bounds):
+        p = np.cumsum(lam[a:a + block].astype(np.int64))
+        assert low <= p.min() and p.max() <= high
+        assert end == p[-1]
+        group_ends = np.append(p[63::64], p[-1])
+        assert (low, high) == (min(0, group_ends.min()) - 64, max(0, group_ends.max()) + 64)
+
+
 @settings(max_examples=200, deadline=None)
 @example(m=1, n0=1, t_star=0.0, plus=1.0, seed=0, p_before=0)
 @example(m=2**15, n0=2**53 - 2**15, t_star=0.0, plus=0.5, seed=1, p_before=-7)

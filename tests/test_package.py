@@ -52,8 +52,12 @@ def test_segments_lie_on_the_sub_block_grid():
     """The Abel core walks each segment in sub-blocks of _SUB_BLOCK from
     its start. Only a segment length that is a multiple of _SUB_BLOCK
     keeps every sub-block on the grid 1 + k _SUB_BLOCK, on which no float
-    depends on the segment length."""
+    depends on the segment length. A scan folds the same blocks: its
+    _BLOCK is _SUB_BLOCK, so that _abel_spread's one sub-block is one
+    block of liouville._p_bounds."""
     assert liouville.DEFAULT_SEGMENT % integrals._SUB_BLOCK == 0
+    assert liouville.DEFAULT_SEGMENT % liouville._BLOCK == 0
+    assert liouville._BLOCK == integrals._SUB_BLOCK
 
 
 def test_the_exact_sums_unit_has_one_home():
