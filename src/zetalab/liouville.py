@@ -18,7 +18,8 @@ sum is close enough to the logarithm that comparing it with one integer
 per binade of n tells whether n has one more prime factor, above the
 base limit. The per-n results are exact integers. The stream runs in
 segments of DEFAULT_SEGMENT, so a float fold over it, such as the Turan
-sum, has one summation order.
+sum, has one summation order. Past its first segment, a stream is
+sieved in a forked child process while its consumer folds.
 """
 
 import contextlib
@@ -32,10 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from .compensated import UNITS, decreasing_block_sum, round_units
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, ZetalabError
 
 # The length of every sieve segment; read when a stream starts.
 DEFAULT_SEGMENT = 1 << 20
+# Slots of the ring a stream's child sieves into, ahead of the caller.
+_RING = 2
 # Largest sieve_range() span (int8 values) and _base_primes() limit.
 DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
@@ -265,11 +268,103 @@ def sieve_range(lo: int, hi: int) -> LiouvilleTable:
 
 
 def _iter_segments(segment_fn, start, stop):
+    """Yield (lo, segment_fn(lo, hi, base primes)) for the segments of
+    [start, stop), each output of segment_fn one byte per n.
+
+    The first segment is sieved here. On a longer range a forked child
+    sieves the rest into a shared ring of _RING slots while the caller
+    folds, and each is copied out into arrays the caller owns. Pipes
+    carry one byte per slot filled and per slot freed; the child leaves
+    only through os._exit, and the stream kills and reaps it on every
+    exit. Without os.fork every segment is sieved here.
+    """
     _check_range(start, stop)
     seg = DEFAULT_SEGMENT
     base = _base_primes(math.isqrt(stop - 1))
-    for lo in range(start, stop, seg):
-        yield lo, segment_fn(lo, min(lo + seg, stop), base)
+    first = segment_fn(start, min(start + seg, stop), base)
+    lows = range(start + seg, stop, seg)
+    if not lows or not hasattr(os, "fork"):
+        yield start, first
+        del first  # the caller's now; held here, it would live to the end
+        for lo in lows:
+            yield lo, segment_fn(lo, min(lo + seg, stop), base)
+        return
+    import mmap  # here, so that a one-segment run loads neither
+    import signal
+
+    single = not isinstance(first, tuple)
+    dtypes = [out.dtype for out in ((first,) if single else first)]
+    # whole pages per slot, so that this process can drop a slot's pages
+    # once it is copied out, keeping the data
+    slot = -(-len(dtypes) * seg // mmap.PAGESIZE) * mmap.PAGESIZE
+    ring = mmap.mmap(-1, _RING * slot)
+    slots = np.frombuffer(ring, np.uint8).reshape(_RING, slot)
+    fds = full_r, full_w, free_r, free_w = os.pipe() + os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid == 0:
+        _sieve_ahead(segment_fn, base, lows, stop, slots, fds)
+    os.close(full_w)
+    os.close(free_r)
+    try:
+        yield start, first
+        del first
+        for i, lo in enumerate(lows):
+            hi = min(lo + seg, stop)
+            if not os.read(full_r, 1):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid = None
+                raise ZetalabError(f"the sieve process for [{lo}, {hi}) exited with status {status}")
+            j = i % _RING
+            got = [slots[j, k * seg : k * seg + hi - lo].view(dt).copy() for k, dt in enumerate(dtypes)]
+            ring.madvise(mmap.MADV_DONTNEED, j * slot, slot)
+            if i + _RING < len(lows):
+                with contextlib.suppress(BrokenPipeError):  # a dead child shows at the next read
+                    os.write(free_w, b"\0")
+            yield lo, got[0] if single else tuple(got)
+    finally:
+        os.close(full_r)
+        os.close(free_w)
+        if pid is not None:  # killed: a stream open at once may hold its pipe ends too
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _sieve_ahead(segment_fn, base, lows, stop, slots, fds):
+    """The child of _iter_segments: sieve the segments from lows[0] on
+    into the ring, waiting for a free slot from the _RING-th on, and
+    leave through os._exit, whatever happens: with status 1 after an
+    error in the sieve, else 0. A closed pipe means the parent has gone."""
+    full_r, full_w, free_r, free_w = fds
+    seg, status = lows.step, 1
+    try:
+        import gc
+
+        gc.disable()  # no collection here may run a finalizer of the parent's, such as a stream's
+        os.close(full_r)
+        os.close(free_w)
+        for i, lo in enumerate(lows):
+            if i >= _RING and not os.read(free_r, 1):
+                break
+            outs = segment_fn(lo, min(lo + seg, stop), base)
+            for k, out in enumerate(outs if isinstance(outs, tuple) else (outs,)):
+                slots[i % _RING, k * seg : k * seg + len(out)] = out.view(np.uint8)
+            os.write(full_w, b"\0")
+        status = 0
+    except BrokenPipeError:
+        status = 0
+    except KeyboardInterrupt:  # the parent has it too, from the same terminal
+        pass
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def iter_lambda_segments(start: int, stop: int):
@@ -574,6 +669,12 @@ def run_scan(
     change), that series' running values are never formed: T's are
     formed only on the blocks T folds. Traced blocks are always folded.
     The results are those of folding every block.
+
+    A scan's peak memory is about the sieve's. Past the first segment,
+    a child sieves ahead into a shared ring of _RING slots, 2 MiB of
+    lambda, of which this process maps one slot at a time. The child's
+    peak RSS, about 32 MB at limit 1e8, is mostly pages inherited from
+    this process.
 
     When checkpoint_path is given, progress is saved there after every
     _SAVE_EVERY segments of DEFAULT_SEGMENT and after the last, and an

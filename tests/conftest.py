@@ -1,4 +1,5 @@
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -47,3 +48,15 @@ def segment_length():
     at small limits."""
     with pytest.MonkeyPatch.context() as mp:
         yield lambda n: mp.setattr(liouville, "DEFAULT_SEGMENT", n)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test(request):
+    """Fail a test that leaves a child process behind, exited or not: a
+    sieve stream kills and reaps its child on every exit."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"{request.node.nodeid} left a child process ({pid or 'still running'})")

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import math
+import os
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -196,14 +197,46 @@ def test_moment_route_matches_a_direct_integral_on_one_sub_block(centre, length)
             assert _fsum_close(value, terms), (q, x, order)
 
 
+class _CallLog:
+    """The (lo, hi) of each recorded kernel call, in order, from every
+    process: each call appends a line "lo hi pid" to one file, as a
+    stream sieves its later segments in a forked child. Compares equal
+    to the list of (lo, hi)."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def record(self, lo, hi):
+        with open(self.path, "a") as fh:
+            fh.write(f"{lo} {hi} {os.getpid()}\n")
+
+    def _rows(self):
+        with open(self.path) as fh:
+            return [tuple(map(int, line.split())) for line in fh]
+
+    def pids(self):
+        return {pid for _, _, pid in self._rows()}
+
+    def clear(self):
+        open(self.path, "w").close()
+
+    def __eq__(self, other):
+        return [(lo, hi) for lo, hi, _ in self._rows()] == other
+
+    def __repr__(self):
+        return repr(self._rows())
+
+
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """Record the calls to liouville._factor_segment, wherever the name is bound."""
+def kernel_calls(monkeypatch, tmp_path):
+    """Record the calls to liouville._factor_segment, wherever the name is
+    bound and in whichever process they run."""
     original = importlib.import_module("zetalab.liouville")._factor_segment
-    calls = []
+    calls = _CallLog(tmp_path / "kernel_calls.txt")
 
     def counting(lo, hi, base_primes):
-        calls.append((lo, hi))
+        calls.record(lo, hi)
         return original(lo, hi, base_primes)
 
     for mod_name, module in list(sys.modules.items()):
@@ -234,6 +267,7 @@ def test_suite_sieves_each_n_once(kernel_calls, segment_length):
     suite = run_default_suite(X=X)
     # one pass to X + 1 (F_X(1) sums through n = X) serves lambda and mu alike
     assert kernel_calls == _one_pass(X + 1, 4097)
+    assert kernel_calls.pids() - {os.getpid()}  # the later segments were sieved in a child
     assert report_json_text(suite) == report_json_text(_standalone_cases(X))
 
 

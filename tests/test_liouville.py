@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import re
+import signal
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -24,8 +25,10 @@ from zetalab import (
     DomainError,
     LiouvilleTable,
     ScanCheckpoint,
+    ZetalabError,
     iter_lambda_segments,
     iter_mobius_segments,
+    run_default_suite,
     run_scan,
     sieve_range,
 )
@@ -252,6 +255,114 @@ def test_mobius_streaming_matches_segment(segment_length):
     segment_length(1234)
     chunks = [vals for _, vals in iter_mobius_segments(1, 9001)]
     assert np.array_equal(np.concatenate(chunks), whole)
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+@pytest.fixture
+def within_a_minute():
+    """Fail, rather than hang, a test whose stream waits on its sieve
+    process for more than 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the stream waited 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_segment_starts_no_process(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    chunks = list(iter_lambda_segments(1, lv.DEFAULT_SEGMENT + 1))
+    assert [lo for lo, _ in chunks] == [1]
+    assert np.array_equal(sieve_range(1, 12001).values, lv.lambda_segment(1, 12001))
+
+
+def test_past_the_base_prime_capacity_no_process_starts(monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with pytest.raises(CapacityError):
+        next(iter_lambda_segments(2**60, 2**60 + 3 * lv.DEFAULT_SEGMENT))
+
+
+def _abel_pass(start, stop):
+    return lv._iter_segments(lv._factor_segment, start, stop)
+
+
+@pytest.mark.parametrize("stream", [iter_lambda_segments, iter_mobius_segments, _abel_pass])
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_a_consumer_that_raises_leaves_no_child(within_a_minute, segment_length, stream, k):
+    segment_length(1000)
+    with pytest.raises(RuntimeError, match="consumer"):
+        for i, _ in enumerate(stream(1, 9001)):
+            if i + 1 == k:
+                raise RuntimeError("consumer")
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("stream", [iter_lambda_segments, iter_mobius_segments, _abel_pass])
+def test_a_stream_closed_after_its_first_segment_leaves_no_child(within_a_minute, segment_length, stream):
+    segment_length(1000)
+    segments = stream(1, 9001)
+    assert next(segments)[0] == 1
+    segments.close()
+    _assert_no_child()
+
+
+def test_two_streams_at_once_close_and_leave_no_child(within_a_minute, segment_length):
+    """The second stream's child inherits the first's pipe ends, so the
+    first child cannot rely on seeing them close."""
+    segment_length(1000)
+    lam, mu = iter_lambda_segments(1, 9001), iter_mobius_segments(1, 9001)
+    for (lo, a), (lo_mu, b) in itertools.islice(zip(lam, mu), 3):
+        assert lo == lo_mu
+        assert np.array_equal(a, lv.lambda_segment(lo, lo + 1000))
+        assert np.array_equal(b, lv.mobius_segment(lo, lo + 1000))
+    lam.close()
+    mu.close()
+    _assert_no_child()
+
+
+def test_an_abel_pass_that_raises_leaves_no_child(within_a_minute, segment_length, monkeypatch):
+    segment_length(1000)
+    integrals = importlib.import_module("zetalab.integrals")
+    real_fold, calls = integrals._fold_envelopes, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("consumer")
+        real_fold(*args)
+
+    monkeypatch.setattr(integrals, "_fold_envelopes", failing)
+    with pytest.raises(RuntimeError, match="consumer"):
+        run_default_suite(X=10**4)
+    _assert_no_child()
+
+
+def test_a_segment_that_fails_in_the_child_is_an_error(within_a_minute, segment_length):
+    segment_length(1000)
+
+    def failing(lo, hi, base_primes):
+        if lo == 3001:
+            raise RuntimeError("injected")
+        return lv.lambda_segment(lo, hi, base_primes)
+
+    got = []
+    with pytest.raises(ZetalabError, match=r"\[3001, 4001\) exited with status 1$"):
+        for lo, _ in lv._iter_segments(failing, 1, 9001):
+            got.append(lo)
+    assert got == [1, 1001, 2001]
+    _assert_no_child()
 
 
 def test_scan_hand_values_to_ten():
