@@ -37,8 +37,6 @@ from .errors import CapacityError, DomainError, ZetalabError
 
 # The length of every sieve segment; read when a stream starts.
 DEFAULT_SEGMENT = 1 << 20
-# Slots of the ring a stream's child sieves into, ahead of the caller.
-_RING = 2
 # Largest sieve_range() span (int8 values) and _base_primes() limit.
 DEFAULT_MAX_SPAN = 1 << 26
 # n is treated as an unsigned 64-bit quantity throughout.
@@ -272,9 +270,9 @@ def _iter_segments(segment_fn, start, stop):
     [start, stop), each output of segment_fn one byte per n.
 
     The first segment is sieved here. On a longer range a forked child
-    sieves the rest into a shared ring of _RING slots while the caller
-    folds, and each is copied out into arrays the caller owns. Pipes
-    carry one byte per slot filled and per slot freed; the child leaves
+    sieves the rest and writes their bytes into one pipe, grown to one
+    segment where Linux's F_SETPIPE_SZ allows, while the caller folds;
+    each is read straight into arrays the caller owns. The child leaves
     only through os._exit, and the stream kills and reaps it on every
     exit. Without os.fork every segment is sieved here.
     """
@@ -289,71 +287,62 @@ def _iter_segments(segment_fn, start, stop):
         for lo in lows:
             yield lo, segment_fn(lo, min(lo + seg, stop), base)
         return
-    import mmap  # here, so that a one-segment run loads neither
-    import signal
+    import signal  # here, so that a one-segment run does not load it
 
     single = not isinstance(first, tuple)
     dtypes = [out.dtype for out in ((first,) if single else first)]
-    # whole pages per slot, so that this process can drop a slot's pages
-    # once it is copied out, keeping the data
-    slot = -(-len(dtypes) * seg // mmap.PAGESIZE) * mmap.PAGESIZE
-    ring = mmap.mmap(-1, _RING * slot)
-    slots = np.frombuffer(ring, np.uint8).reshape(_RING, slot)
-    fds = full_r, full_w, free_r, free_w = os.pipe() + os.pipe()
+    r, w = os.pipe()
+    # Linux's; where it is missing or refused the pipe keeps its default
+    # size, which gives the same bytes and lets the child get less far ahead
+    with contextlib.suppress(AttributeError, OSError):
+        import fcntl
+
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, seg)
     try:
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        os.close(r)
+        os.close(w)
         raise
     if pid == 0:
-        _sieve_ahead(segment_fn, base, lows, stop, slots, fds)
-    os.close(full_w)
-    os.close(free_r)
+        _sieve_ahead(segment_fn, base, lows, stop, r, w)
+    os.close(w)
+    pipe = open(r, "rb")
     try:
         yield start, first
         del first
-        for i, lo in enumerate(lows):
+        for lo in lows:
             hi = min(lo + seg, stop)
-            if not os.read(full_r, 1):
+            got = [np.empty(hi - lo, dt) for dt in dtypes]
+            if sum(pipe.readinto(out.view(np.uint8)) for out in got) < len(got) * (hi - lo):
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 pid = None
                 raise ZetalabError(f"the sieve process for [{lo}, {hi}) exited with status {status}")
-            j = i % _RING
-            got = [slots[j, k * seg : k * seg + hi - lo].view(dt).copy() for k, dt in enumerate(dtypes)]
-            ring.madvise(mmap.MADV_DONTNEED, j * slot, slot)
-            if i + _RING < len(lows):
-                with contextlib.suppress(BrokenPipeError):  # a dead child shows at the next read
-                    os.write(free_w, b"\0")
             yield lo, got[0] if single else tuple(got)
     finally:
-        os.close(full_r)
-        os.close(free_w)
-        if pid is not None:  # killed: a stream open at once may hold its pipe ends too
+        pipe.close()
+        if pid is not None:  # killed: a stream open at once may hold its pipe's read end too
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _sieve_ahead(segment_fn, base, lows, stop, slots, fds):
-    """The child of _iter_segments: sieve the segments from lows[0] on
-    into the ring, waiting for a free slot from the _RING-th on, and
-    leave through os._exit, whatever happens: with status 1 after an
-    error in the sieve, else 0. A closed pipe means the parent has gone."""
-    full_r, full_w, free_r, free_w = fds
+def _sieve_ahead(segment_fn, base, lows, stop, r, w):
+    """The child of _iter_segments: sieve the segments from lows[0] on,
+    write their bytes into the pipe w, and leave through os._exit,
+    whatever happens: with status 1 after an error in the sieve, else 0.
+    A closed pipe means the parent has gone."""
     seg, status = lows.step, 1
     try:
         import gc
 
         gc.disable()  # no collection here may run a finalizer of the parent's, such as a stream's
-        os.close(full_r)
-        os.close(free_w)
-        for i, lo in enumerate(lows):
-            if i >= _RING and not os.read(free_r, 1):
-                break
+        os.close(r)
+        for lo in lows:
             outs = segment_fn(lo, min(lo + seg, stop), base)
-            for k, out in enumerate(outs if isinstance(outs, tuple) else (outs,)):
-                slots[i % _RING, k * seg : k * seg + len(out)] = out.view(np.uint8)
-            os.write(full_w, b"\0")
+            for out in outs if isinstance(outs, tuple) else (outs,):
+                left = out.view(np.uint8)
+                while len(left):  # a write may be partial
+                    left = left[os.write(w, left):]
         status = 0
     except BrokenPipeError:
         status = 0
@@ -671,9 +660,10 @@ def run_scan(
     The results are those of folding every block.
 
     A scan's peak memory is about the sieve's. Past the first segment,
-    a child sieves ahead into a shared ring of _RING slots, 2 MiB of
-    lambda, of which this process maps one slot at a time. The child's
-    peak RSS, about 32 MB at limit 1e8, is mostly pages inherited from
+    a child sieves ahead and writes each segment's lambda into one pipe,
+    which holds one segment where Linux's F_SETPIPE_SZ allows and the
+    platform's default elsewhere (the same bytes, slower). The child's
+    peak RSS, about 30 MB at limit 1e8, is mostly pages inherited from
     this process.
 
     When checkpoint_path is given, progress is saved there after every

@@ -349,7 +349,14 @@ def test_an_abel_pass_that_raises_leaves_no_child(within_a_minute, segment_lengt
     _assert_no_child()
 
 
+class _Unwritable:
+    def view(self, dtype):
+        raise RuntimeError("injected")
+
+
 def test_a_segment_that_fails_in_the_child_is_an_error(within_a_minute, segment_length):
+    """The second input fails after the child has written its segment's
+    lambda into the pipe, so the parent reads part of a segment."""
     segment_length(1000)
 
     def failing(lo, hi, base_primes):
@@ -357,11 +364,54 @@ def test_a_segment_that_fails_in_the_child_is_an_error(within_a_minute, segment_
             raise RuntimeError("injected")
         return lv.lambda_segment(lo, hi, base_primes)
 
-    got = []
-    with pytest.raises(ZetalabError, match=r"\[3001, 4001\) exited with status 1$"):
-        for lo, _ in lv._iter_segments(failing, 1, 9001):
-            got.append(lo)
-    assert got == [1, 1001, 2001]
+    def failing_partway(lo, hi, base_primes):
+        lam, squareful = lv._factor_segment(lo, hi, base_primes)
+        return (lam, _Unwritable()) if lo == 3001 else (lam, squareful)
+
+    for segment_fn in (failing, failing_partway):
+        got = []
+        with pytest.raises(ZetalabError, match=r"\[3001, 4001\) exited with status 1$"):
+            for lo, outs in lv._iter_segments(segment_fn, 1, 9001):
+                assert all(len(out) == 1000 for out in (outs if isinstance(outs, tuple) else (outs,)))
+                got.append(lo)
+        assert got == [1, 1001, 2001]
+        _assert_no_child()
+
+
+def test_a_pipe_that_cannot_grow_carries_the_same_segments(within_a_minute, segment_length, monkeypatch):
+    """Where F_SETPIPE_SZ is refused the pipe keeps its default size, of
+    64 KiB on Linux, which each output here crosses several times."""
+    fcntl = pytest.importorskip("fcntl")
+    real_fcntl, refused = fcntl.fcntl, []
+
+    def refusing(fd, cmd, *args):
+        if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
+            refused.append(fd)
+            raise OSError("refused")
+        return real_fcntl(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refusing)
+    segment_length(3 * 2**16 + 5)
+    lam = np.concatenate([vals for _, vals in iter_lambda_segments(1, 2_000_001)])
+    assert np.array_equal(lam, lv.lambda_segment(1, 2_000_001))
+    lam_parts, squareful_parts = zip(*(outs for _, outs in _abel_pass(1, 2_000_001)))
+    whole_lam, whole_squareful = lv._factor_segment(1, 2_000_001, None)
+    assert np.array_equal(np.concatenate(lam_parts), whole_lam)
+    assert np.array_equal(np.concatenate(squareful_parts), whole_squareful)
+    assert len(refused) == (2 if hasattr(fcntl, "F_SETPIPE_SZ") else 0)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("stream", [iter_lambda_segments, iter_mobius_segments, _abel_pass])
+def test_without_fork_a_stream_yields_the_same_segments(segment_length, monkeypatch, stream):
+    segment_length(1000)
+    forked = list(stream(1, 9001))
+    monkeypatch.delattr(os, "fork")
+    in_process = list(stream(1, 9001))
+    assert [lo for lo, _ in in_process] == [lo for lo, _ in forked] == list(range(1, 9001, 1000))
+    for (_, a), (_, b) in zip(in_process, forked):
+        a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
     _assert_no_child()
 
 
