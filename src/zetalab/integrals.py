@@ -40,7 +40,7 @@ import bisect
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ class StepKind(enum.Enum):
 _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Truncated integral with an explicit tail model.
 
     converged means tail_estimate < the tolerance (integrate_step's, or
@@ -113,23 +112,25 @@ def _narrow(z: complex):
     return z.real if z.imag == 0 else z
 
 
-@dataclass(frozen=True)
-class _Polynomial:
-    """Request for sum_{n < stop} a(n) n^q over the coefficients of kind."""
-
+class _PolynomialFields(NamedTuple):
     kind: StepKind
     q: complex
     stop: int
 
-    def __post_init__(self):
-        q = complex(self.q)
+
+class _Polynomial(_PolynomialFields):
+    """Request for sum_{n < stop} a(n) n^q over the coefficients of kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: StepKind, q: complex, stop: int):
+        q = complex(q)
         if not (math.isfinite(q.real) and math.isfinite(q.imag)):
             raise DomainError(f"exponent must be finite, got {q}")
-        object.__setattr__(self, "q", _narrow(q))
+        return super().__new__(cls, kind, _narrow(q), stop)
 
 
-@dataclass(frozen=True)
-class _Integral:
+class _Integral(NamedTuple):
     """Request for the integral of kind's G against u^(q-1) over [1, x].
 
     Its tail envelope is max |G(n)| n^(-envelope) over [window_lo, x).
@@ -152,8 +153,7 @@ class _Integral:
         return self.s.real + (0.5 if shift else 0.0)
 
 
-@dataclass(frozen=True)
-class _Prefix:
+class _Prefix(NamedTuple):
     """Request that visit(ns, G) see kind's running sum G(n) = sum_{m<=n} a(m)
     at every n below stop, a sub-block at a time, in ascending order."""
 
@@ -558,8 +558,7 @@ def j_xi(s: complex, X: int) -> IntegralResult:
     return _evaluate([r])[r]
 
 
-@dataclass(frozen=True)
-class SigmaCEstimate:
+class SigmaCEstimate(NamedTuple):
     """Empirical bracketing of a convergence abscissa.
 
     classifications maps each grid sigma to "converging", "diverging",

@@ -28,7 +28,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,14 +149,15 @@ def _from_wheel(pattern: np.ndarray, lo: int, span: int) -> np.ndarray:
     return np.resize(np.roll(pattern, -(lo % _WHEEL)), span)
 
 
-def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
+def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None, *, mask: bool = True):
     """Sieve the base-prime part s of every n in [lo, hi) in one pass.
 
     Returns (lambda, squareful): lambda(n) as int8, and a mask of the n
-    divisible by the square of a base prime. base_primes holds all
-    primes up to isqrt(hi - 1), or all primes up to a smaller bound; a
-    cofactor c = n/s above that bound counts as one prime. When omitted
-    they are sieved on the spot.
+    divisible by the square of a base prime, or None when mask is False
+    and it is not built. base_primes holds all primes up to
+    isqrt(hi - 1), or all primes up to a smaller bound; a cofactor
+    c = n/s above that bound counts as one prime. When omitted they are
+    sieved on the spot.
 
     Each prime p weighs w_p, the odd integer nearest S*log2(p), with
     S = _LOG_SCALE. Each n's uint16 accumulator starts from the wheel
@@ -187,7 +188,7 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
         base_primes = base_primes[:cut]
 
     acc = _from_wheel(_WHEEL_WEIGHTS, lo, span)
-    squareful = _from_wheel(_WHEEL_SQUAREFUL, lo, span)
+    squareful = _from_wheel(_WHEEL_SQUAREFUL, lo, span) if mask else None
     for p, w in zip(base_primes.tolist(), _log_weights(base_primes).tolist()):
         pk = _WHEEL_NEXT.get(p, p)
         while True:
@@ -196,7 +197,7 @@ def _factor_segment(lo: int, hi: int, base_primes: np.ndarray | None):
                 break
             v = acc[start - lo :: pk]
             v += w
-            if pk == p * p:  # multiples of p^3, p^4, ... are already marked
+            if mask and pk == p * p:  # multiples of p^3, p^4, ... are already marked
                 squareful[start - lo :: pk] = True
             if pk > (hi - 1) // p:
                 break
@@ -219,7 +220,7 @@ def lambda_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> n
     smaller bound, above which a cofactor counts as one prime (see
     _factor_segment); when omitted they are sieved on the spot.
     """
-    return _factor_segment(lo, hi, base_primes)[0]
+    return _factor_segment(lo, hi, base_primes, mask=False)[0]
 
 
 def mobius_segment(lo: int, hi: int, base_primes: np.ndarray | None = None) -> np.ndarray:
@@ -367,8 +368,7 @@ def iter_mobius_segments(start: int, stop: int):
     yield from _iter_segments(mobius_segment, start, stop)
 
 
-@dataclass(frozen=True)
-class SignScanReport:
+class SignScanReport(NamedTuple):
     """Outcome of scanning one summatory series on the integer lattice."""
 
     limit: int
@@ -378,8 +378,7 @@ class SignScanReport:
     sign_change_count: int
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Polya and Turan reports from one streaming pass, plus end values."""
 
     polya: SignScanReport
@@ -441,11 +440,26 @@ class _SeriesState:
         )
 
 
-def _fraction_from_hex(text: str) -> Fraction:
+def _units(x: float) -> int:
+    """x exactly, in units of 1/UNITS; OverflowError at inf, ValueError at nan."""
+    num, den = x.as_integer_ratio()
+    return num * (UNITS // den)
+
+
+def _units_to_hex(u: int) -> str:
+    """u units of 1/UNITS as the reduced fraction [-]0x<hex>p-<k>: no
+    trailing zero bits while k > 0, and 0 as 0x0p-0."""
+    top = UNITS.bit_length() - 1
+    shift = min((u & -u).bit_length() - 1, top) if u else top
+    return f"{u >> shift:#x}p-{top - shift}"
+
+
+def _units_from_hex(text: str) -> int:
     mant, _, exp = text.partition("p-")
-    if not 0 <= int(exp) < UNITS.bit_length():  # a multiple of 1/UNITS
+    top, k = UNITS.bit_length() - 1, int(exp)
+    if not 0 <= k <= top:  # a multiple of 1/UNITS
         raise ValueError(f"{text} is not a float's rounding error")
-    return Fraction(int(mant, 16), 1 << int(exp))
+    return int(mant, 16) << (top - k)
 
 
 def _min_from_hex(text: str) -> float:
@@ -459,11 +473,12 @@ _CHECKPOINT_HEADER = "zetalab-scan-checkpoint v2"
 _INT = (str, int)
 _HEX = (float.hex, float.fromhex)
 _MIN = (float.hex, _min_from_hex)
-_EXACT = (lambda q: f"{q.numerator:#x}p-{q.denominator.bit_length() - 1}", _fraction_from_hex)
+_EXACT = (_units_to_hex, _units_from_hex)
 _INT_OR_NONE = (lambda v: "none" if v is None else str(v), lambda t: None if t == "none" else int(t))
 # The v2 format after its header: key=value lines in this order, each
 # value read and written by its codec; "polya_X"/"turan_X" is a series' X.
 # T is t_total + t_comp exactly: its correctly rounded value and the rest,
+# held in units of 1/UNITS and written as a reduced fraction
 # [-]0x<hex>p-<k> at any length, which float.fromhex reads rounded.
 _CHECKPOINT_KEYS = (
     ("limit", _INT), ("segment_size", _INT), ("segments_done", _INT), ("next_n", _INT),
@@ -489,7 +504,7 @@ class ScanCheckpoint:
     next_n: int = 1
     p_sum: int = 0
     t_total: float = 0.0
-    t_comp: Fraction = Fraction(0)
+    t_comp: int = 0  # in units of 1/UNITS
     polya: _SeriesState = field(default_factory=_SeriesState)
     turan: _SeriesState = field(default_factory=_SeriesState)
 
@@ -519,7 +534,7 @@ class ScanCheckpoint:
             except (KeyError, ValueError):
                 raise DomainError(f"damaged scan checkpoint: no valid {key}") from None
         try:  # t_total is T = t_total + t_comp correctly rounded
-            t_rounds = float(Fraction(ck.t_total) + ck.t_comp) == ck.t_total
+            t_rounds = round_units(_units(ck.t_total) + ck.t_comp) == ck.t_total
         except (ValueError, OverflowError):  # t_total nan or inf, or T past every float
             t_rounds = False
         if not t_rounds:
@@ -700,7 +715,7 @@ def run_scan(
             t_buf = np.empty(_BLOCK)
             n_buf = np.arange(ck.next_n, ck.next_n + _BLOCK, dtype=np.int64)
             # T, exactly, in the units of decreasing_block_sum
-            t_sum = int((Fraction(ck.t_total) + ck.t_comp) * UNITS)
+            t_sum = _units(ck.t_total) + ck.t_comp
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
                 for a, low, high, p_step in zip(range(0, len(lam), _BLOCK), *_p_bounds(lam)):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
@@ -730,7 +745,7 @@ def run_scan(
                             p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
                         ))
 
-                ck.t_comp = Fraction(t_sum, UNITS) - Fraction(ck.t_total)
+                ck.t_comp = t_sum - _units(ck.t_total)
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1
 

@@ -15,7 +15,7 @@ one sieve pass; the scans read L_x and P(n) through its visits.
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _FLOOR = 1e-6
 _EMPIRICAL_BAND = 1e-2
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     """One lhs-vs-rhs comparison; residual = |lhs - rhs| always.
 
     passed means residual <= tolerance. Cases flagged "empirical" sit
@@ -250,8 +249,7 @@ def verify_finite_linearity(s: complex, X: int = DEFAULT_X) -> VerificationCase:
     return _run([_finite_linearity(s, X)])[0]
 
 
-@dataclass(frozen=True)
-class ConditionRReport:
+class ConditionRReport(NamedTuple):
     """Running maximum of L_x over 2 <= x <= x_max; observational only.
 
     best_r is 1 - max_value, the largest r for which L_x <= 1 - r held
@@ -282,8 +280,7 @@ def explore_condition_r(x_max: int) -> ConditionRReport:
     return ConditionRReport(x_max=x_max, max_value=best, argmax=arg, best_r=1.0 - best)
 
 
-@dataclass(frozen=True)
-class GrowthExponentReport:
+class GrowthExponentReport(NamedTuple):
     """Least-squares slope of log|P| against log x over record peaks."""
 
     x_max: int

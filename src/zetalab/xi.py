@@ -15,7 +15,7 @@ defining-equation residual, and scans monotonicity.
 """
 
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def xi_residual(n):
     return _scalar_or_array(n, out)
 
 
-@dataclass(frozen=True)
-class XiMonotoneReport:
+class XiMonotoneReport(NamedTuple):
     n_max: int
     monotone: bool
     first_increase: int | None  # smallest n with xi(n+1) >= xi(n)

@@ -9,7 +9,7 @@ functional-equation reflection and no Riemann-Siegel regime.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,12 @@ _TARGET_ABS_ERROR = 1e-12
 _MAX_CUTOFF = 10**6
 
 
-@dataclass(frozen=True)
-class ZetaParams:
+class _ZetaParamsFields(NamedTuple):
+    cutoff: int | None
+    bernoulli_terms: int
+
+
+class ZetaParams(_ZetaParamsFields):
     """Euler-Maclaurin truncation policy.
 
     cutoff=None picks N = max(50, 2*(|t|+10)) at call time; an explicit
@@ -39,16 +43,16 @@ class ZetaParams:
     since the tail expansion is asymptotic and needs N well past |t|.
     """
 
-    cutoff: int | None = None
-    bernoulli_terms: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 2 <= self.bernoulli_terms <= 15:
+    def __new__(cls, cutoff: int | None = None, bernoulli_terms: int = 8):
+        if not 2 <= bernoulli_terms <= 15:
             raise DomainError("bernoulli_terms must be in [2, 15]")
-        if self.cutoff is not None and self.cutoff < 2:
+        if cutoff is not None and cutoff < 2:
             raise DomainError("cutoff must be >= 2")
-        if self.cutoff is not None and self.cutoff > _MAX_CUTOFF:
+        if cutoff is not None and cutoff > _MAX_CUTOFF:
             raise DomainError(f"cutoff must be at most {_MAX_CUTOFF}")
+        return super().__new__(cls, cutoff, bernoulli_terms)
 
 
 DEFAULT_PARAMS = ZetaParams()
@@ -183,8 +187,7 @@ def lambda_series(s: complex, n_terms: int) -> complex:
     return value(_evaluate([series]))
 
 
-@dataclass(frozen=True)
-class RealBounds:
+class RealBounds(NamedTuple):
     """One sample of the elementary sandwich 1/(sigma-1) < zeta < sigma/(sigma-1)."""
 
     sigma: float

@@ -330,16 +330,19 @@ def test_integer_flags_read_the_exponent_form(argv, tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """numpy is the only runtime dependency: a fresh interpreter loads no scipy."""
+    """numpy is the only runtime dependency: a fresh interpreter loads no
+    scipy. Nor does it load fractions or decimal, which the scan's exact
+    T does without."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, zetalab.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, zetalab.cli; "
+         "print(*(m in sys.modules for m in ('scipy', 'fractions', 'decimal')))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False False\n"
 
 
 def test_xi_table_without_out_errors(capsys):

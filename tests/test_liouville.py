@@ -183,17 +183,19 @@ def test_wheel_pattern_is_read_only():
 def test_kernel_memory_stays_near_its_outputs():
     """One 2^20-term segment allocates at most 6 MiB at its peak: the
     uint16 log weights, the int8 and bool outputs and 2^15-term
-    temporaries, but no full-length int64 array."""
+    temporaries, but no full-length int64 array. lambda_segment builds
+    no squareful mask, so it stays within 3.5 MiB."""
     lo = 50 * 2**20 + 1
     base = lv._base_primes(math.isqrt(lo + 2**20))
-    lv._factor_segment(lo, lo + 2**20, base)
-    tracemalloc.start()
-    try:
-        lv._factor_segment(lo, lo + 2**20, base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 2**20
+    for kernel, bound in ((lv._factor_segment, 6 * 2**20), (lv.lambda_segment, 3.5 * 2**20)):
+        kernel(lo, lo + 2**20, base)
+        tracemalloc.start()
+        try:
+            kernel(lo, lo + 2**20, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, kernel.__name__
 
 
 def test_mobius_segment_matches_sympy():
