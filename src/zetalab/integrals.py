@@ -34,19 +34,34 @@ block-Taylor step of Odlyzko and Schoenhage's multi-evaluation of zeta
 function", Trans. AMS 1988). K follows from the exponent's own |q| and
 the range's half-width h; where |q| h > 1, which in full sub-blocks
 means n below about |q| 2^14, the range sums n^q term by term.
+
+A pass that serves both coefficient families, F_HALF and L_XI (built
+from the square root of 1/n) and the other kinds, on more than one
+sub-block, folds them in two processes. A child forked before the sieve
+stream starts folds one family, the root one unless that holds a
+_Prefix; the caller runs the one stream, writes each segment's lambda
+and squareful bytes into a pipe for the child, and folds the other
+family. The child sends back its sums and envelope maxima pickled, with
+their exact bits, and the caller finishes the pass over all requests.
+As a request's bits depend only on its own kind, q and stop, none
+depends on the split. Without os.fork, or in a process that runs more
+than one thread (a BLAS pool of two or more, say), the whole pass runs
+in-process.
 """
 
 import bisect
 import csv
 import enum
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
-from .errors import DomainError, PrecisionError
-from .liouville import _factor_segment, _iter_segments, _p_bounds
+from . import liouville
+from .errors import DomainError, PrecisionError, ZetalabError
+from .liouville import _factor_segment, _iter_segments, _p_bounds, _write_all
 
 _SINGULAR_WINDOW = 1e-9
 # Terms folded per numpy call; bounds the temporaries for any segment size.
@@ -81,6 +96,10 @@ class StepKind(enum.Enum):
 
 
 _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
+# The kinds whose a(n) take the square root of 1/n: one family of a pass
+# that may split (_families); F_ONE, T_SUM, MU_ONE, P_OVER_U and ONE are
+# the other.
+_ROOT_KINDS = {StepKind.F_HALF, StepKind.L_XI}
 
 
 class IntegralResult(NamedTuple):
@@ -382,55 +401,35 @@ def _expm1_over(q, d):
     return np.expm1(q * d) / q if q else d
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused after the pass
-def _evaluate(requests) -> dict:
-    """Values of _Polynomial and _Integral requests, keyed by request.
+class _Fold:
+    """One process's share of a pass: the compensated sum of each of its
+    requests, the tail envelope of each of its integrals whose tail is
+    modeled, and one running G per kind that an envelope or a _Prefix
+    reads, folded a segment at a time (segment)."""
 
-    One ordered pass of the factor kernel serves every request: each
-    segment's lambda and squareful mask give every kind's a(n). Segments
-    start at n = 1 and are walked in sub-blocks [b, e) of _SUB_BLOCK, on
-    one grid when DEFAULT_SEGMENT is a multiple of it. A sub-block builds
-    the a(n) of a kind on first use, all from one reciprocal 1/n and its
-    square root (_coefficients), and a range adds nothing for a kind whose
-    a(n) all vanish there, read from the range and the squareful mask
-    (_live). Each request keeps its own compensated sum of one term per
-    sub-block below its stop (x, for an integral), that of the range
-    [b, min(stop, e)), whose moments all sums ending there share.
+    def __init__(self, requests):
+        self.prefixes = [r for r in requests if isinstance(r, _Prefix)]
+        self.sums = {r: CompensatedSum() if isinstance(r.q, float) else ComplexCompensatedSum()
+                     for r in requests if not isinstance(r, _Prefix)}
+        # stop -> [(q, kind, sum, log x or None)], resolved once so that the pass hashes no request
+        self.plans: dict = {}
+        for r, acc in self.sums.items():
+            stop, log_x = (r.x, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, None)
+            self.plans.setdefault(stop, []).append((r.q, r.kind, acc, log_x))
+        self.stops = sorted(self.plans)
+        self.envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0
+                     for r in requests if isinstance(r, _Integral) and r.decay > 1.0}
+        kinds = [k for k, *_ in self.envs] + [r.kind for r in self.prefixes]
+        self.g = {k: CompensatedSum() for k in kinds}  # G(b - 1)
 
-    On a range [b, c) with centre log N = (log b + log(c-1))/2 and
-    delta = log n - log N, |delta| <= h, a kind's moments
-    m_k = sum a(n) delta^k come from one running power array, row k the
-    same whatever the other kinds and orders. A polynomial adds
-    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
-    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
-    and D = log x - log N. Where |q| h > 1 the range sums
-    S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
-    So a request's bits depend only on its kind, q, stop and the grid,
-    never on the other requests of its pass. One running G per kind, the
-    compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
-    sub-block, feeds the tail envelopes of the integrals whose tail is
-    modeled (a max over [window_lo, x), _fold_envelopes) and the visits
-    of _Prefix requests (below their stop), which have no value. A
-    direct-route power array lives only while its exponent's sums use it.
-    A value with a part that is not finite, a sum past double precision,
-    raises PrecisionError.
-    """
-    requests = set(requests)
-    integrals = [r for r in requests if isinstance(r, _Integral)]
-    prefixes = [r for r in requests if isinstance(r, _Prefix)]
-    sums = {r: CompensatedSum() if isinstance(r.q, float) else ComplexCompensatedSum()
-            for r in requests if not isinstance(r, _Prefix)}
-    # stop -> [(q, kind, sum, log x or None)], resolved once so that the pass hashes no request
-    plans: dict = {}
-    for r, acc in sums.items():
-        stop, log_x = (r.x, math.log(r.x)) if isinstance(r, _Integral) else (r.stop, None)
-        plans.setdefault(stop, []).append((r.q, r.kind, acc, log_x))
-    stops = sorted(plans)
-    envs = {(r.kind, r.envelope, r.window_lo, r.x): 0.0 for r in integrals if r.decay > 1.0}
-    g = {k: CompensatedSum() for k in [k for k, *_ in envs] + [r.kind for r in prefixes]}  # G(b - 1)
-    kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
+    def result(self) -> tuple[list, list]:
+        """The values of the sums and the maxima of the envelopes, in the
+        order of self.sums and self.envs."""
+        return [acc.value for acc in self.sums.values()], list(self.envs.values())
 
-    for lo, (lam, squareful) in _iter_segments(kernel, 1, max(stops + [r.stop for r in prefixes])):
+    def segment(self, lo, lam, squareful) -> None:
+        """Fold the segment from n = lo, its lambda and squareful mask."""
+        plans, stops, envs, g, prefixes = self.plans, self.stops, self.envs, self.g, self.prefixes
         hi = lo + len(lam)
         for b in range(lo, hi, _SUB_BLOCK):
             e = min(b + _SUB_BLOCK, hi)
@@ -493,14 +492,224 @@ def _evaluate(requests) -> dict:
                                 acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
                     power = None
 
-    out = {r: acc.value for r, acc in sums.items()}
+
+def _one_thread() -> bool:
+    """Whether this process runs a single OS thread, as Linux's /proc
+    shows; False where it cannot be read.
+
+    A pass splits only then. With a BLAS pool of more than one thread
+    in each of two folding processes the cores are oversubscribed, and
+    the moments' dot products wait on descheduled workers: with two
+    OpenBLAS threads on a 2-core Xeon, run_default_suite(X=1e6) took a
+    median 0.41 s split against 0.06 s unsplit. And a fork from a
+    process with threads is unsafe."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _families(requests, stop) -> list:
+    """The requests of the caller's _Fold, then, where the pass splits,
+    those of a family child's (_FoldChild): the root kinds' and the
+    others', when the pass serves both on a range [1, stop) of more than
+    _SUB_BLOCK terms, os.fork exists and this process runs one thread
+    (_one_thread). _Prefix visits run in the caller, so the family that
+    holds one stays there, and a pass with one in each family does not
+    split."""
+    root = [r for r in requests if r.kind in _ROOT_KINDS]
+    rest = [r for r in requests if r.kind not in _ROOT_KINDS]
+    if (not (root and rest) or stop - 1 <= _SUB_BLOCK or not hasattr(os, "fork")
+            or not _one_thread()):
+        return [requests]
+    visited = [any(isinstance(r, _Prefix) for r in family) for family in (root, rest)]
+    if all(visited):
+        return [requests]
+    return [root, rest] if visited[0] else [rest, root]
+
+
+class _FoldChild:
+    """A forked process that folds one family's _Fold over [1, stop).
+
+    send() writes each segment's lambda and squareful bytes into one pipe,
+    which the child reads straight into arrays of its own, cut as
+    _iter_segments cuts [1, stop). result() reads a second pipe to its
+    end, the pickled fold.result() or the exception the fold raised,
+    before it reaps the child, so that a result of any size gets through;
+    it returns the one and raises the other. The child leaves only
+    through os._exit, and close() kills and reaps a child still there.
+    """
+
+    def __init__(self, fold: _Fold, stop: int):
+        lows = range(1, stop, liouville.DEFAULT_SEGMENT)
+        seg_r, self.seg_w = os.pipe()
+        try:  # grown to one segment where Linux's F_SETPIPE_SZ allows, as in _iter_segments
+            import fcntl
+
+            fcntl.fcntl(self.seg_w, fcntl.F_SETPIPE_SZ, lows.step)
+        except (ImportError, AttributeError, OSError):
+            pass
+        self.out_r, out_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (seg_r, self.seg_w, self.out_r, out_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _fold_ahead(fold, lows, stop, seg_r, out_w, (self.seg_w, self.out_r))
+        os.close(seg_r)
+        os.close(out_w)
+
+    def send(self, lam, squareful) -> None:
+        try:
+            _write_all(self.seg_w, lam)
+            _write_all(self.seg_w, squareful)
+        except BrokenPipeError:  # the child stopped reading; result() raises its error
+            self.result()
+            raise
+
+    def result(self) -> tuple[list, list]:
+        with open(self.out_r, "rb") as pipe:
+            self.out_r = None
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status or not payload:
+            raise ZetalabError(f"the Abel fold process exited with status {status}")
+        import pickle
+
+        folded, value = pickle.loads(payload)
+        if not folded:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self.pid is not None:
+            import signal  # here, as in _iter_segments: importing the module does not load it
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        os.close(self.seg_w)
+        if self.out_r is not None:
+            os.close(self.out_r)
+
+
+def _fold_ahead(fold, lows, stop, seg_r, out_w, parent_fds):
+    """The child of _FoldChild: fold the segments from lows, read from
+    the pipe seg_r, then write (True, fold.result()) or (False, the
+    exception raised) pickled into the pipe out_w, and leave through
+    os._exit: with status 0 once that is written, else 1. seg_r is closed
+    first, so that a parent still sending stops at once."""
+    status = 1
+    try:
+        import gc
+        import pickle
+
+        gc.disable()  # no collection here may run a finalizer of the parent's, such as a stream's
+        for fd in parent_fds:
+            os.close(fd)
+        try:
+            with open(seg_r, "rb") as pipe:
+                for lo in lows:
+                    m = min(lo + lows.step, stop) - lo
+                    lam, squareful = np.empty(m, np.int8), np.empty(m, bool)
+                    if pipe.readinto(lam.view(np.uint8)) + pipe.readinto(squareful.view(np.uint8)) < 2 * m:
+                        raise ZetalabError(f"the Abel pass sent no segment from {lo}")
+                    fold.segment(lo, lam, squareful)
+            result = True, fold.result()
+        except BaseException as exc:
+            result = False, exc
+        _write_all(out_w, pickle.dumps(result))
+        status = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused after the pass
+def _evaluate(requests) -> dict:
+    """Values of _Polynomial and _Integral requests, keyed by request.
+
+    One ordered pass of the factor kernel serves every request: each
+    segment's lambda and squareful mask give every kind's a(n). Segments
+    start at n = 1 and are walked in sub-blocks [b, e) of _SUB_BLOCK, on
+    one grid when DEFAULT_SEGMENT is a multiple of it. A sub-block builds
+    the a(n) of a kind on first use, all from one reciprocal 1/n and its
+    square root (_coefficients), and a range adds nothing for a kind whose
+    a(n) all vanish there, read from the range and the squareful mask
+    (_live). Each request keeps its own compensated sum of one term per
+    sub-block below its stop (x, for an integral), that of the range
+    [b, min(stop, e)), whose moments all sums ending there share.
+
+    On a range [b, c) with centre log N = (log b + log(c-1))/2 and
+    delta = log n - log N, |delta| <= h, a kind's moments
+    m_k = sum a(n) delta^k come from one running power array, row k the
+    same whatever the other kinds and orders. A polynomial adds
+    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
+    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
+    and D = log x - log N. Where |q| h > 1 the range sums
+    S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
+    So a request's bits depend only on its kind, q, stop and the grid,
+    never on the other requests of its pass. One running G per kind, the
+    compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
+    sub-block, feeds the tail envelopes of the integrals whose tail is
+    modeled (a max over [window_lo, x), _fold_envelopes) and the visits
+    of _Prefix requests (below their stop), which have no value. A
+    direct-route power array lives only while its exponent's sums use it.
+
+    A pass that serves both coefficient families on more than _SUB_BLOCK
+    terms, the root kinds F_HALF and L_XI (from sqrt(1/n)) and the
+    others, folds them in two processes (_families). A child forked
+    before the stream starts folds the root family, or the other one
+    where the root family holds a _Prefix, whose visits run here. The
+    caller runs the one stream, sends each segment's bytes on to the
+    child before it folds the segment itself, and folds the other
+    family. The child hands back its sums and envelope maxima pickled,
+    with their exact bits, or its exception, with its type and message
+    (_FoldChild). As no bit of a request depends on the others, none
+    depends on the split. Without os.fork, or in a process that runs
+    more than one thread, such as a BLAS pool's, the pass runs
+    in-process.
+
+    A value with a part that is not finite, a sum past double precision,
+    raises PrecisionError.
+    """
+    requests = set(requests)
+    stop = max(r.x if isinstance(r, _Integral) else r.stop for r in requests)
+    kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
+    folds = [_Fold(family) for family in _families(requests, stop)]
+    child = _FoldChild(folds[1], stop) if len(folds) > 1 else None
+    segments = _iter_segments(kernel, 1, stop)
+    try:
+        for lo, (lam, squareful) in segments:
+            if child is not None:
+                child.send(lam, squareful)
+            folds[0].segment(lo, lam, squareful)
+        results = [folds[0].result()]
+        if child is not None:
+            results.append(child.result())
+    finally:
+        segments.close()
+        if child is not None:
+            child.close()
+
+    values, env_max = {}, {}
+    for fold, (sums, maxima) in zip(folds, results):
+        values.update(zip(fold.sums, sums))
+        env_max.update(zip(fold.envs, maxima))
+    out = {r: values[r] for r in requests if not isinstance(r, _Prefix)}
     for r, value in out.items():
         if not np.isfinite(value):
             stop = r.x if isinstance(r, _Integral) else r.stop
             raise PrecisionError(f"the {r.kind.value} sum at q={r.q} below {stop} "
                                  "is not finite in double precision")
-    for r in integrals:
-        out[r] = _result(r, complex(out[r]), envs.get((r.kind, r.envelope, r.window_lo, r.x)))
+    for r in requests:
+        if isinstance(r, _Integral):
+            out[r] = _result(r, complex(out[r]), env_max.get((r.kind, r.envelope, r.window_lo, r.x)))
     return out
 
 

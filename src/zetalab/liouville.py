@@ -341,9 +341,7 @@ def _sieve_ahead(segment_fn, base, lows, stop, r, w):
         for lo in lows:
             outs = segment_fn(lo, min(lo + seg, stop), base)
             for out in outs if isinstance(outs, tuple) else (outs,):
-                left = out.view(np.uint8)
-                while len(left):  # a write may be partial
-                    left = left[os.write(w, left):]
+                _write_all(w, out)
         status = 0
     except BrokenPipeError:
         status = 0
@@ -355,6 +353,13 @@ def _sieve_ahead(segment_fn, base, lows, stop, r, w):
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
+
+
+def _write_all(w, data) -> None:
+    """Write the bytes of data, an array or bytes, into the pipe w."""
+    left = memoryview(data).cast("B")
+    while len(left):  # a write may be partial
+        left = left[os.write(w, left):]
 
 
 def iter_lambda_segments(start: int, stop: int):

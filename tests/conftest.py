@@ -1,5 +1,6 @@
 import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def segment_length():
     at small limits."""
     with pytest.MonkeyPatch.context() as mp:
         yield lambda n: mp.setattr(liouville, "DEFAULT_SEGMENT", n)
+
+
+@pytest.fixture
+def within_a_minute():
+    """Fail, rather than hang, a test whose pass or stream waits on a
+    forked process (a sieve or a fold child) for more than 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the stream waited 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

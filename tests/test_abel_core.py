@@ -4,7 +4,11 @@ import functools
 import importlib
 import math
 import os
+import pickle
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -197,35 +201,43 @@ def test_moment_route_matches_a_direct_integral_on_one_sub_block(centre, length)
             assert _fsum_close(value, terms), (q, x, order)
 
 
-class _CallLog:
-    """The (lo, hi) of each recorded kernel call, in order, from every
-    process: each call appends a line "lo hi pid" to one file, as a
-    stream sieves its later segments in a forked child. Compares equal
-    to the list of (lo, hi)."""
+class _ProcessLog:
+    """Lines appended to one file by every process that records: the
+    fields given to record() and the recording pid, so that a count sees
+    the calls made in a forked sieve or fold child too."""
 
     def __init__(self, path):
         self.path = path
         self.clear()
 
-    def record(self, lo, hi):
+    def record(self, *fields):
         with open(self.path, "a") as fh:
-            fh.write(f"{lo} {hi} {os.getpid()}\n")
+            fh.write(" ".join(map(str, (*fields, os.getpid()))) + "\n")
 
-    def _rows(self):
+    def rows(self):
+        """(fields..., pid) of each record, in order, as strings."""
         with open(self.path) as fh:
-            return [tuple(map(int, line.split())) for line in fh]
+            return [tuple(line.split()) for line in fh]
 
     def pids(self):
-        return {pid for _, _, pid in self._rows()}
+        return {int(row[-1]) for row in self.rows()}
 
     def clear(self):
         open(self.path, "w").close()
 
-    def __eq__(self, other):
-        return [(lo, hi) for lo, hi, _ in self._rows()] == other
+    def __len__(self):
+        return len(self.rows())
 
     def __repr__(self):
-        return repr(self._rows())
+        return repr(self.rows())
+
+
+class _CallLog(_ProcessLog):
+    """The (lo, hi) of each recorded kernel call, in order, from every
+    process. Compares equal to the list of (lo, hi)."""
+
+    def __eq__(self, other):
+        return [(int(lo), int(hi)) for lo, hi, _ in self.rows()] == other
 
 
 @pytest.fixture
@@ -369,19 +381,36 @@ def test_liveness_reads_the_range_and_the_squareful_mask(b, c):
         assert not _live(StepKind.MU_ONE, b, j, squareful)
 
 
-def test_the_suite_builds_no_p_over_u_coefficients(monkeypatch):
-    """The suite's series cross-check sums F_ONE's stream, so its pass
-    builds the coefficients of F_HALF, F_ONE, L_XI and MU_ONE alone; and
-    StepKind members hash in C, by identity."""
-    built = set()
+def _coefficients_built(monkeypatch, tmp_path):
+    """A _ProcessLog of (kind name, pid) for each lookup of a kind's
+    coefficients on a sub-block from now on, in whichever process."""
+    built = _ProcessLog(tmp_path / "coefficients.txt")
     real = integrals_module._coefficients
 
     def recording(ns, lam, squareful):
         a = real(ns, lam, squareful)
-        return lambda kind: built.add(kind) or a(kind)
+        return lambda kind: built.record(kind.name) or a(kind)
 
     monkeypatch.setattr(integrals_module, "_coefficients", recording)
+    return built
+
+
+def _kinds_by_pid(built):
+    """pid -> the set of kinds whose coefficients it built."""
+    kinds = {}
+    for name, pid in built.rows():
+        kinds.setdefault(int(pid), set()).add(StepKind[name])
+    return kinds
+
+
+def test_the_suite_builds_no_p_over_u_coefficients(monkeypatch, tmp_path):
+    """The suite's series cross-check sums F_ONE's stream, so its pass
+    builds the coefficients of F_HALF, F_ONE, L_XI and MU_ONE alone, in
+    the caller and any fold child; and StepKind members hash in C, by
+    identity."""
+    log = _coefficients_built(monkeypatch, tmp_path)
     run_default_suite(X=10**5)
+    built = set().union(*_kinds_by_pid(log).values())
     assert built == {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.MU_ONE}
     assert StepKind.__hash__ is object.__hash__
 
@@ -454,17 +483,18 @@ def test_the_envelope_bound_holds_every_value_of_a_sub_block(b, m, plus, squaref
                 assert Fraction(peak) <= Fraction(bound), (kind, ex, d)
 
 
-def _count_envelope_folds(monkeypatch):
-    """A dict whose "folds" counts the envelope folds from now on."""
-    counts = {"folds": 0}
+def _count_envelope_folds(monkeypatch, tmp_path):
+    """A _ProcessLog whose length counts the envelope folds from now on,
+    those of a fold child included."""
+    folds = _ProcessLog(tmp_path / "folds.txt")
     real = integrals_module._envelope_peak
 
     def counting(g_abs, powers):
-        counts["folds"] += 1
+        folds.record()
         return real(g_abs, powers)
 
     monkeypatch.setattr(integrals_module, "_envelope_peak", counting)
-    return counts
+    return folds
 
 
 def test_skipped_envelope_folds_change_no_bit(monkeypatch, tmp_path):
@@ -473,7 +503,7 @@ def test_skipped_envelope_folds_change_no_bit(monkeypatch, tmp_path):
     every kind and kernel at sigma > 1 and a Mu_one sigma-c trace bit for
     bit as they are."""
     X = 3 * 10**5
-    counts = _count_envelope_folds(monkeypatch)
+    folds = _count_envelope_folds(monkeypatch, tmp_path)
 
     def run(name):
         trace = tmp_path / name
@@ -484,21 +514,21 @@ def test_skipped_envelope_folds_change_no_bit(monkeypatch, tmp_path):
         return report_json_text(run_default_suite(X=X)), trace.read_text(), repr(steps)
 
     skipping = run("skipping.csv")
-    skipped_folds = counts["folds"]
+    skipped_folds = len(folds)
     monkeypatch.setattr(integrals_module, "_envelope_bound", lambda *args: math.inf)
-    counts["folds"] = 0
+    folds.clear()
     assert run("folding.csv") == skipping
-    assert skipped_folds < counts["folds"]  # the bound did skip some
+    assert skipped_folds < len(folds)  # the bound did skip some
 
 
-def test_most_envelope_folds_past_a_million_are_skipped(monkeypatch):
+def test_most_envelope_folds_past_a_million_are_skipped(monkeypatch, tmp_path):
     """Of the 128 (kind, window, sub-block) envelope folds of the suite
     at X = 1e6, few can raise an envelope: the first sub-block of each
     of its 5 windows must fold, and 15 do in all. A pass that quietly
     folds every sub-block again fails here."""
-    counts = _count_envelope_folds(monkeypatch)
+    folds = _count_envelope_folds(monkeypatch, tmp_path)
     run_default_suite(X=10**6)
-    assert 5 <= counts["folds"] <= 30
+    assert 5 <= len(folds) <= 30
 
 
 def test_no_float_depends_on_a_grid_multiple_segment_length(segment_length):
@@ -569,6 +599,151 @@ def test_ratio_decomposition_at_the_pole_raises_before_the_pass(kernel_calls):
     with pytest.raises(DomainError):
         verify_ratio_decomposition(1.0, 10**6)
     assert kernel_calls == []
+
+
+@pytest.fixture
+def one_thread(monkeypatch):
+    """Let a pass split as in a process of one thread, which it is not
+    where numpy's BLAS pool has more: the split path's tests then run
+    too, only slower."""
+    monkeypatch.setattr(integrals_module, "_one_thread", lambda: True)
+
+
+@pytest.mark.parametrize("length", [None, 30011])
+def test_a_split_pass_sieves_each_n_once(one_thread, within_a_minute, kernel_calls, segment_length, monkeypatch,
+                                         tmp_path, length):
+    """The suite's pass folds the root kinds, F_HALF and L_XI, in a forked
+    child and F_ONE and MU_ONE in the caller, from one sieve pass over one
+    segment, or over four."""
+    X = 10**5
+    if length is not None:
+        segment_length(length)
+    built = _coefficients_built(monkeypatch, tmp_path)
+    run_default_suite(X=X)
+    assert kernel_calls == (_one_pass(X + 1, length) if length else [(1, X + 1)])
+    by_pid = _kinds_by_pid(built)
+    assert by_pid.pop(os.getpid()) == {StepKind.F_ONE, StepKind.MU_ONE}
+    assert list(by_pid.values()) == [{StepKind.F_HALF, StepKind.L_XI}]
+
+
+@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
+def test_a_split_pass_keeps_every_bit(one_thread, within_a_minute, segment_length, monkeypatch, length):
+    """The suite's report is byte-identical whether its pass folds in two
+    processes or, without os.fork, in one."""
+    X = 10**5
+    if length is not None:
+        segment_length(length)
+    split = report_json_text(run_default_suite(X=X))
+    monkeypatch.delattr(os, "fork")
+    assert report_json_text(run_default_suite(X=X)) == split
+
+
+@pytest.mark.parametrize("terms, split", [(_SUB_BLOCK, False), (_SUB_BLOCK + 1, True)])
+def test_a_pass_splits_only_past_one_sub_block(one_thread, within_a_minute, monkeypatch, tmp_path, terms, split):
+    """A pass of both families over one sub-block stays in-process."""
+    built = _coefficients_built(monkeypatch, tmp_path)
+    _evaluate([_Polynomial(StepKind.F_HALF, 0.0, terms + 1), _Polynomial(StepKind.F_ONE, 0.0, terms + 1)])
+    assert (built.pids() != {os.getpid()}) == split
+
+
+def test_a_family_with_a_prefix_folds_in_the_caller(one_thread, within_a_minute, monkeypatch, tmp_path):
+    """_Prefix visits run in the caller: with an F_HALF prefix, the caller
+    folds the root kinds and the child F_ONE, whose value keeps its bits;
+    with a prefix in each family the pass does not split."""
+    stop = 3 * _SUB_BLOCK
+    seen = []
+    prefix = _Prefix(StepKind.F_HALF, stop, lambda ns, g: seen.append(ns[-1]))
+    poly = _Polynomial(StepKind.F_ONE, -0.5, stop)
+    built = _coefficients_built(monkeypatch, tmp_path)
+    value = _evaluate([prefix, poly])[poly]
+    assert seen[-1] == stop - 1
+    by_pid = _kinds_by_pid(built)
+    assert by_pid.pop(os.getpid()) == {StepKind.F_HALF}
+    assert list(by_pid.values()) == [{StepKind.F_ONE}]
+    assert repr(value) == repr(_evaluate([poly])[poly])
+    built.clear()
+    _evaluate([prefix, _Prefix(StepKind.MU_ONE, stop, lambda ns, g: None), poly])
+    assert built.pids() == {os.getpid()}
+
+
+def test_a_process_with_a_second_thread_does_not_split(within_a_minute, monkeypatch, tmp_path):
+    """A pass splits only in a process of one thread: in one that runs a
+    second, a BLAS pool's worker or any other, the pass stays in-process.
+    A fresh interpreter whose BLAS is pinned to one thread runs one."""
+    built = _coefficients_built(monkeypatch, tmp_path)
+    stop = 3 * _SUB_BLOCK
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert not integrals_module._one_thread()
+        _evaluate([_Polynomial(StepKind.F_HALF, 0.0, stop), _Polynomial(StepKind.F_ONE, 0.0, stop)])
+    finally:
+        done.set()
+        thread.join(timeout=60)
+    assert built.pids() == {os.getpid()}
+    if os.path.isdir("/proc/self/task"):  # where _one_thread can read it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import zetalab.cli; from zetalab.integrals import _one_thread; "
+             "print(_one_thread())"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "True\n", proc.stderr
+
+
+@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
+def test_an_error_in_the_fold_child_reaches_the_caller(one_thread, within_a_minute, segment_length, monkeypatch,
+                                                       length):
+    """An exception raised in the fold child alone is raised in the
+    caller with its type and message: once the caller has folded its one
+    segment, or at its next send, as the child stops reading."""
+    if length is not None:
+        segment_length(length)
+    caller, real = os.getpid(), integrals_module._coefficients
+
+    def failing(ns, lam, squareful):
+        if os.getpid() != caller:
+            raise LookupError("in the fold child")
+        return real(ns, lam, squareful)
+
+    monkeypatch.setattr(integrals_module, "_coefficients", failing)
+    with pytest.raises(LookupError) as raised:
+        run_default_suite(X=10**5)
+    assert type(raised.value) is LookupError and str(raised.value) == "in the fold child"
+
+
+def test_an_error_in_the_caller_kills_and_reaps_both_children(one_thread, within_a_minute, segment_length,
+                                                              monkeypatch):
+    """An exception in the caller's fold ends the pass at once: the fold
+    child, which here waits until it is killed, and the stream's sieve
+    child are both killed and reaped."""
+    segment_length(3 * _SUB_BLOCK)
+    caller = os.getpid()
+
+    def failing(ns, lam, squareful):
+        if os.getpid() == caller:
+            raise LookupError("in the caller")
+        time.sleep(90)  # past within_a_minute, should the kill be missing
+
+    monkeypatch.setattr(integrals_module, "_coefficients", failing)
+    with pytest.raises(LookupError, match="^in the caller$"):
+        run_default_suite(X=10**5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fold_child_result_past_one_pipe_buffer_gets_through(one_thread, within_a_minute):
+    """A fold child's pickled result longer than a 64 KiB pipe buffer is
+    read to its end before the child is reaped, and keeps every bit."""
+    stop = _SUB_BLOCK + 2
+    roots = [_Polynomial(StepKind.F_HALF, complex(0.0, k * 1e-5), stop) for k in range(4000)]
+    out = _evaluate([*roots, _Polynomial(StepKind.F_ONE, 0.0, stop)])
+    assert len(pickle.dumps((True, ([out[r] for r in roots], [])))) > 2**16
+    alone = _evaluate(roots)
+    assert all(repr(out[r]) == repr(alone[r]) for r in roots)
 
 
 def _prefix_coefficients(kind, stop):

@@ -345,6 +345,26 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "False False False\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all", "--X", "1e5", "--out", "{tmp}/report.json"],  # its pass splits in two
+    ["scan", "--limit", "3e6"],  # its stream sieves ahead in a child
+])
+def test_forked_runs_leave_no_file_unclosed(argv, tmp_path):
+    """Under -X dev, with ResourceWarning an error, a run that forks a
+    fold child and one that forks a sieve child exit 0 with nothing on
+    stderr: no pipe file object is left to the garbage collector. The
+    BLAS runs one thread, so that the verify pass splits."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "zetalab",
+         *(arg.replace("{tmp}", str(tmp_path)) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_xi_table_without_out_errors(capsys):
     code, _, err = run(capsys, "xi", "--table", "100")
     assert code == 1 and "error:" in err

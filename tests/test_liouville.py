@@ -5,7 +5,6 @@ import itertools
 import math
 import os
 import re
-import signal
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -261,21 +260,6 @@ def test_mobius_streaming_matches_segment(segment_length):
 
 def _no_fork():
     raise AssertionError("os.fork was called")
-
-
-@pytest.fixture
-def within_a_minute():
-    """Fail, rather than hang, a test whose stream waits on its sieve
-    process for more than 60 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the stream waited 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def _assert_no_child():
