@@ -37,16 +37,15 @@ means n below about |q| 2^14, the range sums n^q term by term.
 
 A pass that serves both coefficient families, F_HALF and L_XI (built
 from the square root of 1/n) and the other kinds, on more than one
-sub-block, folds them in two processes. A child forked before the sieve
-stream starts folds one family, the root one unless that holds a
-_Prefix; the caller runs the one stream, writes each segment's lambda
-and squareful bytes into a pipe for the child, and folds the other
-family. The child sends back its sums and envelope maxima pickled, with
-their exact bits, and the caller finishes the pass over all requests.
-As a request's bits depend only on its own kind, q and stop, none
-depends on the split. Without os.fork, or in a process that runs more
-than one thread (a BLAS pool of two or more, say), the whole pass runs
-in-process.
+sub-block, and holds no _Prefix, folds them in two processes. A child
+forked before the sieve stream starts folds the root family; the caller
+runs the one stream, writes each segment's lambda bytes into a pipe for
+the child, and folds the other family. The child sends back its sums
+and envelope maxima pickled, with their exact bits, and the caller
+finishes the pass over all requests. As a request's bits depend only on
+its own kind, q and stop, none depends on the split. Without os.fork,
+or in a process that runs more than one thread (a BLAS pool of two or
+more, say), the whole pass runs in-process.
 """
 
 import bisect
@@ -428,13 +427,15 @@ class _Fold:
         return [acc.value for acc in self.sums.values()], list(self.envs.values())
 
     def segment(self, lo, lam, squareful) -> None:
-        """Fold the segment from n = lo, its lambda and squareful mask."""
+        """Fold the segment from n = lo, its lambda and squareful mask, or
+        None for a fold of the root kinds, which never read it."""
         plans, stops, envs, g, prefixes = self.plans, self.stops, self.envs, self.g, self.prefixes
         hi = lo + len(lam)
         for b in range(lo, hi, _SUB_BLOCK):
             e = min(b + _SUB_BLOCK, hi)
             ns = np.arange(b, e, dtype=np.float64)
-            lam_i8, sq_b = lam[b - lo : e - lo], squareful[b - lo : e - lo]
+            lam_i8 = lam[b - lo : e - lo]
+            sq_b = squareful if squareful is None else squareful[b - lo : e - lo]
             lam_b = lam_i8.astype(np.float64)
             # built on first use, shared by every sum that needs them, dropped with the sub-block
             logn = None  # np.log(ns), for moment rows and direct sums only
@@ -511,60 +512,42 @@ def _one_thread() -> bool:
 
 def _families(requests, stop) -> list:
     """The requests of the caller's _Fold, then, where the pass splits,
-    those of a family child's (_FoldChild): the root kinds' and the
-    others', when the pass serves both on a range [1, stop) of more than
-    _SUB_BLOCK terms, os.fork exists and this process runs one thread
-    (_one_thread). _Prefix visits run in the caller, so the family that
-    holds one stays there, and a pass with one in each family does not
-    split."""
+    those of a family child's (_FoldChild): the other kinds' and the root
+    kinds'. A pass splits when it serves both families on a range
+    [1, stop) of more than _SUB_BLOCK terms, holds no _Prefix (whose
+    visits run in the caller), os.fork exists and this process runs one
+    thread (_one_thread)."""
     root = [r for r in requests if r.kind in _ROOT_KINDS]
     rest = [r for r in requests if r.kind not in _ROOT_KINDS]
     if (not (root and rest) or stop - 1 <= _SUB_BLOCK or not hasattr(os, "fork")
-            or not _one_thread()):
+            or any(isinstance(r, _Prefix) for r in requests) or not _one_thread()):
         return [requests]
-    visited = [any(isinstance(r, _Prefix) for r in family) for family in (root, rest)]
-    if all(visited):
-        return [requests]
-    return [root, rest] if visited[0] else [rest, root]
+    return [rest, root]
 
 
 class _FoldChild:
-    """A forked process that folds one family's _Fold over [1, stop).
+    """A forked process (liouville._fork) that folds the root family's
+    _Fold over [1, stop).
 
-    send() writes each segment's lambda and squareful bytes into one pipe,
-    which the child reads straight into arrays of its own, cut as
-    _iter_segments cuts [1, stop). result() reads a second pipe to its
-    end, the pickled fold.result() or the exception the fold raised,
-    before it reaps the child, so that a result of any size gets through;
-    it returns the one and raises the other. The child leaves only
-    through os._exit, and close() kills and reaps a child still there.
+    send() writes each segment's lambda into one pipe, which the child
+    reads straight into an array of its own, cut as _iter_segments cuts
+    [1, stop); the root kinds never read the squareful mask. result()
+    reads a second pipe to its end, the pickled fold.result() or the
+    exception the fold raised, before it reaps the child, so that a
+    result of any size gets through; it returns the one and raises the
+    other. close() kills and reaps a child still there.
     """
 
     def __init__(self, fold: _Fold, stop: int):
         lows = range(1, stop, liouville.DEFAULT_SEGMENT)
-        seg_r, self.seg_w = os.pipe()
-        try:  # grown to one segment where Linux's F_SETPIPE_SZ allows, as in _iter_segments
-            import fcntl
-
-            fcntl.fcntl(self.seg_w, fcntl.F_SETPIPE_SZ, lows.step)
-        except (ImportError, AttributeError, OSError):
-            pass
+        seg_r, self.seg_w = liouville._pipe()
         self.out_r, out_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (seg_r, self.seg_w, self.out_r, out_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            _fold_ahead(fold, lows, stop, seg_r, out_w, (self.seg_w, self.out_r))
-        os.close(seg_r)
-        os.close(out_w)
+        self.pid = liouville._fork(lambda: _fold_ahead(fold, lows, stop, seg_r, out_w),
+                                   (seg_r, out_w), (self.seg_w, self.out_r))
 
-    def send(self, lam, squareful) -> None:
+    def send(self, lam) -> None:
         try:
             _write_all(self.seg_w, lam)
-            _write_all(self.seg_w, squareful)
         except BrokenPipeError:  # the child stopped reading; result() raises its error
             self.result()
             raise
@@ -585,49 +568,30 @@ class _FoldChild:
         return value
 
     def close(self) -> None:
-        if self.pid is not None:
-            import signal  # here, as in _iter_segments: importing the module does not load it
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+        liouville._kill(self.pid)
         os.close(self.seg_w)
         if self.out_r is not None:
             os.close(self.out_r)
 
 
-def _fold_ahead(fold, lows, stop, seg_r, out_w, parent_fds):
-    """The child of _FoldChild: fold the segments from lows, read from
-    the pipe seg_r, then write (True, fold.result()) or (False, the
-    exception raised) pickled into the pipe out_w, and leave through
-    os._exit: with status 0 once that is written, else 1. seg_r is closed
-    first, so that a parent still sending stops at once."""
-    status = 1
+def _fold_ahead(fold, lows, stop, seg_r, out_w):
+    """The work of _FoldChild's child: fold the lambda of the segments
+    from lows, read from the pipe seg_r, then write (True, fold.result())
+    or (False, the exception raised) pickled into the pipe out_w. seg_r
+    is closed first, so that a parent still sending stops at once."""
+    import pickle
+
     try:
-        import gc
-        import pickle
-
-        gc.disable()  # no collection here may run a finalizer of the parent's, such as a stream's
-        for fd in parent_fds:
-            os.close(fd)
-        try:
-            with open(seg_r, "rb") as pipe:
-                for lo in lows:
-                    m = min(lo + lows.step, stop) - lo
-                    lam, squareful = np.empty(m, np.int8), np.empty(m, bool)
-                    if pipe.readinto(lam.view(np.uint8)) + pipe.readinto(squareful.view(np.uint8)) < 2 * m:
-                        raise ZetalabError(f"the Abel pass sent no segment from {lo}")
-                    fold.segment(lo, lam, squareful)
-            result = True, fold.result()
-        except BaseException as exc:
-            result = False, exc
-        _write_all(out_w, pickle.dumps(result))
-        status = 0
-    except BaseException:
-        import traceback
-
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+        with open(seg_r, "rb") as pipe:
+            for lo in lows:
+                got = liouville._read_segment(pipe, min(lo + lows.step, stop) - lo, [np.int8])
+                if got is None:
+                    raise ZetalabError(f"the Abel pass sent no segment from {lo}")
+                fold.segment(lo, got[0], None)
+        result = True, fold.result()
+    except BaseException as exc:
+        result = False, exc
+    _write_all(out_w, pickle.dumps(result))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused after the pass
@@ -663,17 +627,16 @@ def _evaluate(requests) -> dict:
 
     A pass that serves both coefficient families on more than _SUB_BLOCK
     terms, the root kinds F_HALF and L_XI (from sqrt(1/n)) and the
-    others, folds them in two processes (_families). A child forked
-    before the stream starts folds the root family, or the other one
-    where the root family holds a _Prefix, whose visits run here. The
-    caller runs the one stream, sends each segment's bytes on to the
-    child before it folds the segment itself, and folds the other
-    family. The child hands back its sums and envelope maxima pickled,
-    with their exact bits, or its exception, with its type and message
-    (_FoldChild). As no bit of a request depends on the others, none
-    depends on the split. Without os.fork, or in a process that runs
-    more than one thread, such as a BLAS pool's, the pass runs
-    in-process.
+    others, and holds no _Prefix, whose visits run here, folds them in
+    two processes (_families). A child forked before the stream starts
+    folds the root family. The caller runs the one stream, sends each
+    segment's lambda bytes on to the child before it folds the segment
+    itself, and folds the other family. The child hands back its sums and
+    envelope maxima pickled, with their exact bits, or its exception,
+    with its type and message (_FoldChild). As no bit of a request
+    depends on the others, none depends on the split. Without os.fork,
+    or in a process that runs more than one thread, such as a BLAS
+    pool's, the pass runs in-process.
 
     A value with a part that is not finite, a sum past double precision,
     raises PrecisionError.
@@ -682,19 +645,17 @@ def _evaluate(requests) -> dict:
     stop = max(r.x if isinstance(r, _Integral) else r.stop for r in requests)
     kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
     folds = [_Fold(family) for family in _families(requests, stop)]
-    child = _FoldChild(folds[1], stop) if len(folds) > 1 else None
+    children = [_FoldChild(fold, stop) for fold in folds[1:]]
     segments = _iter_segments(kernel, 1, stop)
     try:
         for lo, (lam, squareful) in segments:
-            if child is not None:
-                child.send(lam, squareful)
+            for child in children:
+                child.send(lam)
             folds[0].segment(lo, lam, squareful)
-        results = [folds[0].result()]
-        if child is not None:
-            results.append(child.result())
+        results = [folds[0].result(), *(child.result() for child in children)]
     finally:
         segments.close()
-        if child is not None:
+        for child in children:
             child.close()
 
     values, env_max = {}, {}

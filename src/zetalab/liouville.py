@@ -271,10 +271,9 @@ def _iter_segments(segment_fn, start, stop):
     [start, stop), each output of segment_fn one byte per n.
 
     The first segment is sieved here. On a longer range a forked child
-    sieves the rest and writes their bytes into one pipe, grown to one
-    segment where Linux's F_SETPIPE_SZ allows, while the caller folds;
-    each is read straight into arrays the caller owns. The child leaves
-    only through os._exit, and the stream kills and reaps it on every
+    (_fork) sieves the rest and writes their bytes into one pipe (_pipe)
+    while the caller folds; each is read straight into arrays the caller
+    owns (_read_segment). The stream kills and reaps the child on every
     exit. Without os.fork every segment is sieved here.
     """
     _check_range(start, stop)
@@ -288,64 +287,77 @@ def _iter_segments(segment_fn, start, stop):
         for lo in lows:
             yield lo, segment_fn(lo, min(lo + seg, stop), base)
         return
-    import signal  # here, so that a one-segment run does not load it
-
     single = not isinstance(first, tuple)
     dtypes = [out.dtype for out in ((first,) if single else first)]
-    r, w = os.pipe()
-    # Linux's; where it is missing or refused the pipe keeps its default
-    # size, which gives the same bytes and lets the child get less far ahead
-    with contextlib.suppress(AttributeError, OSError):
-        import fcntl
-
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, seg)
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        _sieve_ahead(segment_fn, base, lows, stop, r, w)
-    os.close(w)
+    r, w = _pipe()
+    pid = _fork(lambda: _sieve_ahead(segment_fn, base, lows, stop, w), (w,), (r,))
     pipe = open(r, "rb")
     try:
         yield start, first
         del first
         for lo in lows:
             hi = min(lo + seg, stop)
-            got = [np.empty(hi - lo, dt) for dt in dtypes]
-            if sum(pipe.readinto(out.view(np.uint8)) for out in got) < len(got) * (hi - lo):
+            got = _read_segment(pipe, hi - lo, dtypes)
+            if got is None:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 pid = None
                 raise ZetalabError(f"the sieve process for [{lo}, {hi}) exited with status {status}")
             yield lo, got[0] if single else tuple(got)
     finally:
         pipe.close()
-        if pid is not None:  # killed: a stream open at once may hold its pipe's read end too
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _kill(pid)  # not awaited: a stream open at once may hold its pipe's read end too
 
 
-def _sieve_ahead(segment_fn, base, lows, stop, r, w):
-    """The child of _iter_segments: sieve the segments from lows[0] on,
-    write their bytes into the pipe w, and leave through os._exit,
-    whatever happens: with status 1 after an error in the sieve, else 0.
-    A closed pipe means the parent has gone."""
-    seg, status = lows.step, 1
+def _sieve_ahead(segment_fn, base, lows, stop, w):
+    """The work of _iter_segments' child: sieve the segments from lows[0]
+    on and write their bytes into the pipe w."""
+    for lo in lows:
+        outs = segment_fn(lo, min(lo + lows.step, stop), base)
+        for out in outs if isinstance(outs, tuple) else (outs,):
+            _write_all(w, out)
+
+
+def _pipe() -> tuple[int, int]:
+    """os.pipe(), grown to one segment where Linux allows; where fcntl's
+    size command is missing or refused the pipe keeps its default size,
+    which carries the same bytes and lets the writer get less far ahead."""
+    r, w = os.pipe()
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl  # here, as every module that only the fork path needs
+
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, DEFAULT_SEGMENT)
+    return r, w
+
+
+def _fork(work, child_fds, parent_fds) -> int:
+    """Fork a child that runs work(), and return its pid. The parent
+    closes child_fds, the child parent_fds; a failed fork closes both.
+    The child leaves only through os._exit: with status 0 once work()
+    returns or meets a closed pipe (the parent gone), else 1, with the
+    traceback on fd 2 unless a KeyboardInterrupt, which the parent has
+    too from the same terminal, stopped it."""
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*child_fds, *parent_fds):
+            os.close(fd)
+        raise
+    if pid:
+        for fd in child_fds:
+            os.close(fd)
+        return pid
+    status = 1
     try:
         import gc
 
         gc.disable()  # no collection here may run a finalizer of the parent's, such as a stream's
-        os.close(r)
-        for lo in lows:
-            outs = segment_fn(lo, min(lo + seg, stop), base)
-            for out in outs if isinstance(outs, tuple) else (outs,):
-                _write_all(w, out)
+        for fd in parent_fds:
+            os.close(fd)
+        work()
         status = 0
     except BrokenPipeError:
         status = 0
-    except KeyboardInterrupt:  # the parent has it too, from the same terminal
+    except KeyboardInterrupt:
         pass
     except BaseException:
         import traceback
@@ -353,6 +365,22 @@ def _sieve_ahead(segment_fn, base, lows, stop, r, w):
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
+
+
+def _read_segment(pipe, m, dtypes):
+    """A list of fresh arrays of m values, one of each dtype, read from
+    the pipe in turn; None where the pipe ends first."""
+    got = [np.empty(m, dt) for dt in dtypes]
+    return got if sum(pipe.readinto(out.view(np.uint8)) for out in got) == len(got) * m else None
+
+
+def _kill(pid) -> None:
+    """Kill the child pid and reap it; nothing for None, a child reaped."""
+    if pid is not None:
+        import signal  # here, so that a one-segment run does not load it
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _write_all(w, data) -> None:
@@ -681,7 +709,7 @@ def run_scan(
 
     A scan's peak memory is about the sieve's. Past the first segment,
     a child sieves ahead and writes each segment's lambda into one pipe,
-    which holds one segment where Linux's F_SETPIPE_SZ allows and the
+    which holds one segment where Linux allows (_pipe) and the
     platform's default elsewhere (the same bytes, slower). The child's
     peak RSS, about 30 MB at limit 1e8, is mostly pages inherited from
     this process.

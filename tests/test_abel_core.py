@@ -33,6 +33,7 @@ from zetalab import (
     verify_ratio_integral,
     verify_reciprocal_integral,
     verify_shifted_identity,
+    ZetalabError,
 )
 from zetalab.cli import main
 from zetalab.liouville import _factor_segment, _iter_segments, mobius_segment, run_scan, sieve_range
@@ -647,9 +648,9 @@ def test_a_pass_splits_only_past_one_sub_block(one_thread, within_a_minute, monk
 
 
 def test_a_family_with_a_prefix_folds_in_the_caller(one_thread, within_a_minute, monkeypatch, tmp_path):
-    """_Prefix visits run in the caller: with an F_HALF prefix, the caller
-    folds the root kinds and the child F_ONE, whose value keeps its bits;
-    with a prefix in each family the pass does not split."""
+    """_Prefix visits run in the caller, and a pass that holds one does
+    not split: with an F_HALF prefix, the caller folds both families and
+    F_ONE's value keeps its bits; so with a prefix in each family too."""
     stop = 3 * _SUB_BLOCK
     seen = []
     prefix = _Prefix(StepKind.F_HALF, stop, lambda ns, g: seen.append(ns[-1]))
@@ -657,9 +658,7 @@ def test_a_family_with_a_prefix_folds_in_the_caller(one_thread, within_a_minute,
     built = _coefficients_built(monkeypatch, tmp_path)
     value = _evaluate([prefix, poly])[poly]
     assert seen[-1] == stop - 1
-    by_pid = _kinds_by_pid(built)
-    assert by_pid.pop(os.getpid()) == {StepKind.F_HALF}
-    assert list(by_pid.values()) == [{StepKind.F_ONE}]
+    assert built.pids() == {os.getpid()}
     assert repr(value) == repr(_evaluate([poly])[poly])
     built.clear()
     _evaluate([prefix, _Prefix(StepKind.MU_ONE, stop, lambda ns, g: None), poly])
@@ -713,6 +712,52 @@ def test_an_error_in_the_fold_child_reaches_the_caller(one_thread, within_a_minu
     with pytest.raises(LookupError) as raised:
         run_default_suite(X=10**5)
     assert type(raised.value) is LookupError and str(raised.value) == "in the fold child"
+
+
+@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
+def test_an_error_the_fold_child_cannot_send_is_its_exit_status(one_thread, within_a_minute, segment_length,
+                                                                monkeypatch, capfd, length):
+    """An exception raised in the fold child alone that cannot be pickled
+    ends the child with status 1 and its traceback on fd 2; the caller
+    raises that status, once it has folded its one segment or at its
+    next send, and leaves no child."""
+    if length is not None:
+        segment_length(length)
+    caller, real = os.getpid(), integrals_module._coefficients
+
+    def failing(ns, lam, squareful):
+        if os.getpid() != caller:
+            raise LookupError(lambda: None)
+        return real(ns, lam, squareful)
+
+    monkeypatch.setattr(integrals_module, "_coefficients", failing)
+    with pytest.raises(ZetalabError, match="^the Abel fold process exited with status 1$"):
+        run_default_suite(X=10**5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "Traceback" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("length", [None, 30011])
+def test_a_split_pass_sends_the_fold_child_one_byte_per_n(one_thread, within_a_minute, segment_length,
+                                                          monkeypatch, tmp_path, length):
+    """The caller writes each segment's lambda alone into the fold
+    child's pipe, one byte per n: the root kinds read no squareful mask."""
+    X = 10**5
+    if length is not None:
+        segment_length(length)
+    writes, real = _ProcessLog(tmp_path / "writes.txt"), integrals_module._write_all
+
+    def recording(w, data):
+        writes.record(w, memoryview(data).nbytes)
+        real(w, data)
+
+    monkeypatch.setattr(integrals_module, "_write_all", recording)
+    run_default_suite(X=X)
+    sent = [(int(w), int(nbytes)) for w, nbytes, pid in writes.rows() if int(pid) == os.getpid()]
+    assert len({w for w, _ in sent}) == 1
+    assert [nbytes for _, nbytes in sent] == [hi - lo for lo, hi in _one_pass(X + 1, length or X)]
+    assert sum(nbytes for _, nbytes in sent) == X
 
 
 def test_an_error_in_the_caller_kills_and_reaps_both_children(one_thread, within_a_minute, segment_length,

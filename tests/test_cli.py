@@ -348,12 +348,13 @@ def test_cli_import_leaves_scipy_unloaded():
 @pytest.mark.parametrize("argv", [
     ["verify", "--all", "--X", "1e5", "--out", "{tmp}/report.json"],  # its pass splits in two
     ["scan", "--limit", "3e6"],  # its stream sieves ahead in a child
+    ["sums", "--x", "3e6", "--out", "{tmp}/sums.csv"],  # a fold child and a sieve child at once
 ])
 def test_forked_runs_leave_no_file_unclosed(argv, tmp_path):
     """Under -X dev, with ResourceWarning an error, a run that forks a
-    fold child and one that forks a sieve child exit 0 with nothing on
-    stderr: no pipe file object is left to the garbage collector. The
-    BLAS runs one thread, so that the verify pass splits."""
+    fold child, one that forks a sieve child and one that forks both exit
+    0 with nothing on stderr: no pipe file object is left to the garbage
+    collector. The BLAS runs one thread, so that the Abel passes split."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
