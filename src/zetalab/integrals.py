@@ -13,61 +13,48 @@ the truncation tail, which is modeled explicitly and reported rather
 than hidden.
 
 Every integral, truncated Dirichlet series and running prefix sum in
-the package goes through one core, _evaluate(). It makes one ordered
-pass of the sieve's factor kernel, whatever the number of requests
-(_Polynomial, _Integral, _Prefix): each segment's lambda and squareful
-mask give lambda, mu and the constant ONE alike, and a pass that serves
-ONE alone does not sieve. Within a pass the terms go in sub-blocks of
-2^15 on one grid from n = 1, and a request sums only the range of each
-below its stop. Around a range's centre N, n^q = N^q exp(q log(n/N)), so
+the package goes through one core, _evaluate(): one ordered pass of the
+sieve in one process, whatever the number of requests (_Polynomial,
+_Integral, _Prefix). Every kind's a(n) is c(n) n^w from n = 2, c lambda
+or mu, plus a(1) where it is 1, so each request reads one of two
+coefficient streams at a shift w of its exponent (L_XI two shifts of
+lambda's). Within a pass the terms go in sub-blocks of 2^15 on one grid
+from n = 1, and a request sums only the range of each below its stop.
+Around a range's centre N, with u = q + w, n^u = N^u exp(u log(n/N)), so
 
-    sum a(n) n^q           = N^q (m_0 + q T),
-    sum a(n) (X^q - n^q)/q = N^q (m_0 expm1(q D)/q - T),
+    sum c(n) n^u               = N^u (M_0 + u T),
+    sum c(n) n^w (X^q - n^q)/q = N^u sum_k c_k M_k / k!,
 
-with m_k = sum a(n) log(n/N)^k, T = sum_{k>=1} q^(k-1) m_k / k! and
-D = log(X/N): one formula per range for each request, without
-cancellation at any q (at q = 0 the second is m_0 D - m_1). The moments
-m_k of a kind are shared by all its exponents, so an exponent costs
-O(K) scalar operations per range instead of one power per term: the
-block-Taylor step of Odlyzko and Schoenhage's multi-evaluation of zeta
-("Fast algorithms for multiple evaluations of the Riemann zeta
-function", Trans. AMS 1988). K follows from the exponent's own |q| and
-the range's half-width h; where |q| h > 1, which in full sub-blocks
-means n below about |q| 2^14, the range sums n^q term by term.
-
-A pass that serves both coefficient families, F_HALF and L_XI (built
-from the square root of 1/n) and the other kinds, on more than one
-sub-block, and holds no _Prefix, folds them in two processes. A child
-forked before the sieve stream starts folds the root family; the caller
-runs the one stream, writes each segment's lambda bytes into a pipe for
-the child, and folds the other family. The child sends back its sums
-and envelope maxima pickled, with their exact bits, and the caller
-finishes the pass over all requests. As a request's bits depend only on
-its own kind, q and stop, none depends on the split. Without os.fork,
-or in a process that runs more than one thread (a BLAS pool of two or
-more, say), the whole pass runs in-process.
+with M_k = sum c(n) log(n/N)^k, T = sum_{k>=1} u^(k-1) M_k / k!,
+c_k = w^k expm1(q D)/q - B_k, B_0 = 0, B_k = u B_(k-1) + w^(k-1) and
+D = log(X/N): no cancellation and no division by q (at w = 0 the second
+is M_0 expm1(q D)/q - T). A stream's moments serve all its exponents
+and shifts, so an exponent costs O(K) scalar operations per range, not
+one power per term: the block-Taylor step of Odlyzko and Schoenhage's
+multi-evaluation of zeta ("Fast algorithms for multiple evaluations of
+the Riemann zeta function", Trans. AMS 1988), with lambda's and mu's
+moments as the block data. Where the series would not converge fast,
+as in the first sub-block, the range sums its terms one by one.
 """
 
 import bisect
 import csv
 import enum
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .compensated import ComplexCompensatedSum, CompensatedSum
-from . import liouville
-from .errors import DomainError, PrecisionError, ZetalabError
-from .liouville import _factor_segment, _iter_segments, _p_bounds, _write_all
+from .errors import DomainError, PrecisionError
+from .liouville import _factor_segment, _iter_segments, _p_bounds, lambda_segment
 
 _SINGULAR_WINDOW = 1e-9
 # Terms folded per numpy call; bounds the temporaries for any segment size.
 # DEFAULT_SEGMENT is a multiple of it, so the sub-blocks lie on one grid.
 _SUB_BLOCK = 1 << 15
-# A sub-block's Taylor series in q log(n/N) stops where the first omitted
-# term of T is below 2^-60 of h times the block's sum of |a(n) N^q|.
+# A range's Taylor series in u log(n/N) stops where its first omitted term
+# is below about 2^-60 of h times the range's sum of |c(n) N^u| (_taylor_order).
 _TAYLOR_TOL = 2.0**-60
 UNMODELED = "unmodeled; conditional"
 
@@ -95,10 +82,19 @@ class StepKind(enum.Enum):
 
 
 _HALF_DEFAULT = {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.ONE}
-# The kinds whose a(n) take the square root of 1/n: one family of a pass
-# that may split (_families); F_ONE, T_SUM, MU_ONE, P_OVER_U and ONE are
-# the other.
-_ROOT_KINDS = {StepKind.F_HALF, StepKind.L_XI}
+# kind -> the parts (mu, w, sign) of its a(n) from n = 2: sign c(n) n^w, c
+# mu where mu is True and lambda otherwise
+_PARTS = {
+    StepKind.F_HALF: ((False, -0.5, 1.0),),
+    StepKind.F_ONE: ((False, -1.0, 1.0),),
+    StepKind.L_XI: ((False, -0.5, 1.0), (False, -1.0, -1.0)),
+    StepKind.T_SUM: ((False, -1.0, 1.0),),
+    StepKind.P_OVER_U: ((False, 0.0, 1.0),),
+    StepKind.MU_ONE: ((True, -1.0, 1.0),),
+    StepKind.ONE: (),
+}
+# The kinds with a(1) = 1, which the pass adds apart from the streams.
+_UNIT_HEAD = {StepKind.T_SUM, StepKind.P_OVER_U, StepKind.ONE}
 
 
 class IntegralResult(NamedTuple):
@@ -213,8 +209,7 @@ def _j_xi(s, X) -> _Integral:
 
 def _unsieved(lo, hi, base_primes):
     """Kernel for a pass that serves ONE alone: its a(n) = [n = 1] reads no lambda."""
-    blank = np.zeros(hi - lo, dtype=np.int8)
-    return blank, blank
+    return np.zeros(hi - lo, dtype=np.int8)
 
 
 class _Memo(dict):
@@ -235,52 +230,54 @@ class _Memo(dict):
 
 def _coefficients(ns, lam, squareful):
     """kind -> a(n) on the sub-block ns, from its lambda (as floats) and
-    squareful mask, each kind's array built on first use.
+    squareful mask: a fresh array for the cumsum of a tail envelope's
+    fold or of a _Prefix's visits, dropped once that is formed.
 
-    The sub-block takes one reciprocal r = 1/n, and n^(-1/2) is np.sqrt(r):
-    both steps are correctly rounded, so each is non-increasing in n and
-    sqrt(r) lies within an ulp of the correctly rounded n^(-1/2). F_ONE,
-    T_SUM and MU_ONE are c r with c in {-1, 0, 1}, the bits of c/n;
-    F_HALF is lambda sqrt(r) and L_XI lambda (sqrt(r) - r).
+    a(n) sums sign c(n) n^w over the kind's _PARTS (ONE's is [n = 1]),
+    with n^(-1) one reciprocal r = 1/n and n^(-1/2) np.sqrt(r): both steps
+    are correctly rounded, so each is non-increasing in n and sqrt(r) lies
+    within an ulp of the correctly rounded n^(-1/2). As c is in {-1, 0, 1},
+    F_ONE, T_SUM and MU_ONE are the bits of c/n, and L_XI is
+    lambda (sqrt(r) - r), rounded once.
     """
     recip = root = None  # 1/n and its square root, built when a kind first needs them
 
     def a(kind):
         nonlocal recip, root
-        if kind is StepKind.ONE:
-            return (ns == 1.0).astype(np.float64)  # G(u) = 1
-        if kind is StepKind.P_OVER_U:
-            return lam  # sums lambda itself
-        recip = 1.0 / ns if recip is None else recip
-        if kind is StepKind.F_HALF or kind is StepKind.L_XI:
-            root = np.sqrt(recip) if root is None else root
-        if kind is StepKind.F_HALF:
-            out = lam * root
-        elif kind is StepKind.L_XI:
-            out = np.subtract(root, recip)
-            out *= lam
-        else:  # F_ONE, T_SUM, MU_ONE
-            c = np.where(squareful, 0.0, lam) if kind is StepKind.MU_ONE else lam  # mu
-            out = c * recip
-        if ns[0] == 1 and kind is not StepKind.T_SUM:
-            out[0] = 0.0  # a(1) = 0 conventions
+        out = None if _PARTS[kind] else np.zeros(len(ns))
+        for mu, w, sign in _PARTS[kind]:
+            c = np.where(squareful, 0.0, lam) if mu else lam
+            if w:
+                recip = 1.0 / ns if recip is None else recip
+                root = np.sqrt(recip) if root is None and w == -0.5 else root
+                c = c * (recip if w == -1.0 else root)
+            out = c if out is None else out + sign * c  # a first part's sign is +1
+        if ns[0] == 1 and kind is not StepKind.T_SUM and kind is not StepKind.P_OVER_U:
+            out[0] = float(kind is StepKind.ONE)  # a(1) = 0 conventions
         return out
 
-    return _Memo(a).__getitem__
+    return a
 
 
-def _live(kind, b, j, squareful) -> bool:
-    """Whether kind's a(n) is nonzero somewhere on the range [b, b + j) of
-    a sub-block: a(k)[:j].any(), read from the range and the squareful
-    mask. Lambda is never 0 and every weight is positive, so only a(1) = 0
-    (all kinds but T_SUM and P_OVER_U) and mu = 0 on squareful n make a
-    coefficient vanish; ONE's a(n) lives at n = 1 alone."""
-    if kind is StepKind.ONE:
-        return b == 1
-    first = int(b == 1 and kind not in (StepKind.T_SUM, StepKind.P_OVER_U))  # a(1) = 0
-    if kind is StepKind.MU_ONE:
-        return not squareful[first:j].all()
-    return first < j
+def _live(mu, b, j, squareful) -> bool:
+    """Whether mu's stream (mu True) or lambda's is nonzero somewhere on the
+    range [max(b, 2), b + j) of a sub-block from b, read from the range and
+    the squareful mask: lambda is never 0, and mu is 0 on squareful n."""
+    first = int(b == 1)
+    return first < j and not (mu and squareful[first:j].all())
+
+
+def _template(entries) -> tuple[list, dict]:
+    """(heads, due) of a range's plan entries [(q, kind, sum, log x or None)]:
+    heads [(q, sum, log x)] of the kinds with a(1) = 1, and due
+    q -> w -> (stream, log x) -> [(sign, sum)] of their stream parts."""
+    heads, due = [], {}
+    for q, k, acc, log_x in entries:
+        if k in _UNIT_HEAD:
+            heads.append((q, acc, log_x))
+        for mu, w, sign in _PARTS[k]:
+            due.setdefault(q, {}).setdefault(w, {}).setdefault((mu, log_x), []).append((sign, acc))
+    return heads, due
 
 
 def _abel_spread(c: np.ndarray) -> int:
@@ -302,10 +299,11 @@ def _envelope_bound(kind, ex: float, b: float, first: float, m: int, g0: float, 
     from n = b, where d bounds every sum of c over the block (_abel_spread);
     inf where no bound is derived (ONE, and L_XI below n = 4).
 
-    Each a(n) is c(n) w(n) with c in {lambda, mu} and w positive and
-    non-increasing on the float n from b, so by Abel summation every sum
-    of a from b is at most d w(b) in size. Each float term is within
-    2^-50 w(b) of its a(n), u = 2^-53 (_coefficients): 1/n is within u/n,
+    Each a(n) is c(n) w(n) with c in {lambda, mu} and w(n) the sum of
+    sign n^w over its _PARTS, positive and non-increasing on the float n
+    from b, so by Abel summation every sum of a from b is at most d w(b)
+    in size. Each float term is within 2^-50 w(b) of its a(n),
+    u = 2^-53 (_coefficients): 1/n is within u/n,
     np.sqrt of it within 1.51 u n^(-1/2), and for L_XI, where
     n^(-1/2) <= 2 w(n) and 1/n <= w(n) from n = 4, the difference adds
     its own rounding, 5.03 u w(b) in all. np.cumsum adds at most
@@ -315,16 +313,9 @@ def _envelope_bound(kind, ex: float, b: float, first: float, m: int, g0: float, 
     add, of n**ex (a few ulp) and the divide, and of evaluating this
     bound; first**ex is at most every n**ex the fold divides by, as ex >= 0.
     """
-    if kind is StepKind.P_OVER_U:
-        w_b = 1.0
-    elif kind in (StepKind.F_ONE, StepKind.T_SUM, StepKind.MU_ONE):
-        w_b = 1.0 / b
-    elif kind is StepKind.F_HALF:
-        w_b = b**-0.5
-    elif kind is StepKind.L_XI and b >= 4:
-        w_b = b**-0.5 - 1.0 / b
-    else:
+    if kind is StepKind.ONE or kind is StepKind.L_XI and b < 4:
         return math.inf
+    w_b = sum(sign * b**w for _, w, sign in _PARTS[kind])
     spread = w_b * (d + m * (2.0**-50 + 2 * 2.0**-53 * (d + m)))
     return (abs(g0) + spread) * (1 + 2.0**-40) / first**ex
 
@@ -361,9 +352,13 @@ def _fold_envelopes(envs, g, b, ns, a, lam, squareful) -> None:
 
 
 def _taylor_order(x: float):
-    """Smallest K >= 1 with x^K/(K+1)! <= 2^-60, or None when x = |q| h > 1
-    and the sub-block takes the direct route. T's first omitted term is then
-    below 2^-60 h of the block's sum |a(n) N^q|, a polynomial's x times less."""
+    """Smallest K >= 1 with x^K/(K+1)! <= 2^-60, or None when x > 1 and
+    the range takes the direct route. For a polynomial at u = q + w,
+    x = |u| h, and T's first omitted term is below 2^-60 h of the range's
+    sum |c(n) N^u|, the value's x times less. For an integral,
+    x = max(|u|, |w|) h: as |B_k| <= k max(|u|, |w|)^(k-1), its first
+    omitted term is below 2^-60 (x |E| + (K + 1) h) of that sum,
+    E = expm1(q D)/q."""
     if x > 1.0:
         return None
     order, term = 1, x / 2
@@ -373,10 +368,10 @@ def _taylor_order(x: float):
     return order
 
 
-def _moments(a: dict, rows: dict, delta: np.ndarray | None) -> dict:
-    """{kind: [m_0, ..., m_top]}, m_j = sum a[kind] delta^j, for each
-    kind's top row in rows (delta is read only above row 0). Row j is the
-    same whatever the other kinds and tops: delta^j is one running array."""
+def _moments(a: dict, rows: dict, delta: np.ndarray) -> dict:
+    """{key: [m_0, ..., m_top]}, m_j = sum a[key] delta^j, for each
+    stream's top row in rows (delta is read only above row 0). Row j is the
+    same whatever the other streams and tops: delta^j is one running array."""
     moments = {k: [float(a[k].sum())] for k in rows}
     for row in range(1, max(rows.values(), default=0) + 1):
         delta_row = delta.copy() if row == 1 else np.multiply(delta_row, delta, out=delta_row)
@@ -388,23 +383,39 @@ def _moments(a: dict, rows: dict, delta: np.ndarray | None) -> dict:
 
 def _taylor_quotient(q, m, order: int):
     """T = sum_{1 <= k <= order} q^(k-1) m_k / k!, by Horner:
-    m_1 + q/2 (m_2 + q/3 (m_3 + ...)). It is (sum a(n) e^(q delta) - m_0)/q."""
+    m_1 + q/2 (m_2 + q/3 (m_3 + ...)). It is (sum c(n) e^(q delta) - m_0)/q."""
     value = m[order]
     for row in range(order, 1, -1):
         value = m[row - 1] + value * q / row
     return value
 
 
+def _integral_series(q, w, m, order: int, d):
+    """sum_{k <= order} c_k m_k / k!, c_k = w^k expm1(q d)/q - B_k with
+    B_0 = 0 and B_k = (q + w) B_(k-1) + w^(k-1): a range's
+    sum c(n) n^w (x^q - n^q)/q over N^(q+w), d = log(x/N), as
+    n^w (x^q - n^q)/q = N^(q+w) e^(w delta) (e^(q d) - e^(q delta))/q.
+    Each B_k = ((q + w)^k - w^k)/q is formed without dividing by q."""
+    e = np.expm1(q * d).item() / q if q else d
+    total, b, w_k, k_fact = m[0] * e, 0.0, 1.0, 1.0
+    for k in range(1, order + 1):
+        b = (q + w) * b + w_k
+        w_k *= w
+        k_fact *= k
+        total += (w_k * e - b) * m[k] / k_fact
+    return total
+
+
 def _expm1_over(q, d):
-    """(e^(q d) - 1)/q, and its limit d at q = 0."""
+    """(e^(q d) - 1)/q, and its limit d at q = 0, for a float d or an array."""
     return np.expm1(q * d) / q if q else d
 
 
 class _Fold:
-    """One process's share of a pass: the compensated sum of each of its
-    requests, the tail envelope of each of its integrals whose tail is
-    modeled, and one running G per kind that an envelope or a _Prefix
-    reads, folded a segment at a time (segment)."""
+    """A pass's state: the compensated sum of each request, the tail
+    envelope of each integral whose tail is modeled, and one running G
+    per kind that an envelope or a _Prefix reads, folded a segment at a
+    time (segment)."""
 
     def __init__(self, requests):
         self.prefixes = [r for r in requests if isinstance(r, _Prefix)]
@@ -421,248 +432,133 @@ class _Fold:
         kinds = [k for k, *_ in self.envs] + [r.kind for r in self.prefixes]
         self.g = {k: CompensatedSum() for k in kinds}  # G(b - 1)
 
-    def result(self) -> tuple[list, list]:
-        """The values of the sums and the maxima of the envelopes, in the
-        order of self.sums and self.envs."""
-        return [acc.value for acc in self.sums.values()], list(self.envs.values())
-
     def segment(self, lo, lam, squareful) -> None:
         """Fold the segment from n = lo, its lambda and squareful mask, or
-        None for a fold of the root kinds, which never read it."""
+        None for a pass that reads no mu."""
         plans, stops, envs, g, prefixes = self.plans, self.stops, self.envs, self.g, self.prefixes
         hi = lo + len(lam)
         for b in range(lo, hi, _SUB_BLOCK):
             e = min(b + _SUB_BLOCK, hi)
+            first = int(b == 1)  # the streams start at n = 2
             ns = np.arange(b, e, dtype=np.float64)
             lam_i8 = lam[b - lo : e - lo]
             sq_b = squareful if squareful is None else squareful[b - lo : e - lo]
             lam_b = lam_i8.astype(np.float64)
             # built on first use, shared by every sum that needs them, dropped with the sub-block
-            logn = None  # np.log(ns), for moment rows and direct sums only
+            streams = _Memo(lambda mu: np.where(sq_b, 0.0, lam_b) if mu else lam_b)  # c(n)
+            logn = None  # np.log(ns), built by the first range a stream part reads
             a = _coefficients(ns, lam_b, sq_b)
             _fold_envelopes(envs, g, b, ns, a, lam_i8, sq_b)
             for r in prefixes:
                 if b < r.stop:
                     j = min(r.stop, e) - b
                     r.visit(ns[:j], g[r.kind].value + np.cumsum(a(r.kind)[:j]))  # G(n) on ns[:j]
-            # range end c -> q -> kind -> [(sum, log x)]; G advances on whole sub-blocks only
-            ranges: dict = {e: {}} if g else {}
+            del a
+            # range end c -> its plan entries; each G advances by its kind's polynomial at
+            # q = 0 on the whole sub-block
+            ranges: dict = {e: [(0.0, k, acc, None) for k, acc in g.items()]} if g else {}
             for stop in stops[bisect.bisect_right(stops, b):]:
-                by_q = ranges.setdefault(min(stop, e), {})
-                for q, k, acc, log_x in plans[stop]:
-                    by_q.setdefault(q, {}).setdefault(k, []).append((acc, log_x))
-            for c, by_q in ranges.items():
+                ranges.setdefault(min(stop, e), []).extend(plans[stop])
+            for c, entries in ranges.items():
+                heads, due = _template(entries)
                 j = c - b
-                log_lo, log_hi = np.log(ns[[0, j - 1]])  # the bits of np.log(ns) there
+                span = slice(first, j)
+                for q, acc, log_x in heads if first else ():  # a(1) = 1 adds 1^q, or (x^q - 1)/q
+                    acc.add(1.0 if log_x is None else _expm1_over(q, log_x))
+                live = _Memo(lambda mu: _live(mu, b, j, sq_b))
+                if not live[False]:
+                    continue
+                log_lo, log_hi = np.log(ns[[first, j - 1]]).tolist()  # the bits of np.log(ns) there
                 log_mid, h = (log_lo + log_hi) / 2, (log_hi - log_lo) / 2
-                due = []  # (q, its order K or None, [(kind, plan)]) for the sums this range adds to
-                # kind -> highest moment row any of its exponents needs; m_0 advances G
-                rows = dict.fromkeys(g if c == e else (), 0)
-                for q, by_kind in by_q.items():
-                    q_plans = [(k, plan) for k, plan in by_kind.items() if _live(k, b, j, sq_b)]
-                    if q_plans:
-                        order = _taylor_order(abs(q) * h)
-                        due.append((q, order, q_plans))
-                        for k, _ in q_plans:
-                            rows[k] = max(rows.get(k, 0), order or 0)
-                delta = None
-                if any(rows.values()):
-                    logn = np.log(ns) if logn is None else logn
-                    delta = logn[:j] - log_mid
-                moments = _moments({k: a(k)[:j] for k in rows}, rows, delta)
-                for k in g if c == e else ():
-                    g[k].add(moments[k][0])
-                for q, order, q_plans in due:
-                    if order is None:
-                        logn = np.log(ns) if logn is None else logn
-                        power = np.exp(q * logn[:j])  # shared by q's kinds, released after them
-                    else:
-                        scale = np.exp(q * log_mid)
-                    for k, plan in q_plans:
-                        m = moments[k]
-                        if order is None:
-                            total = (a(k)[:j] * power).sum()
-                        else:
-                            t = _taylor_quotient(q, m, order)
-                        for acc, log_x in plan:
+                orders: dict = {}  # (q, w, whether an integral) -> its order; None: direct
+                rows: dict = {}  # stream -> the highest moment row any of its parts needs
+                for q, by_w in due.items():
+                    for w, by_key in by_w.items():
+                        for mu, log_x in by_key:
+                            key = q, w, log_x is not None
+                            if key not in orders:
+                                u = abs(q + w)
+                                orders[key] = _taylor_order((max(u, abs(w)) if key[2] else u) * h)
+                            if live[mu]:
+                                rows[mu] = max(rows.get(mu, 0), orders[key] or 0)
+                logn = np.log(ns) if logn is None else logn
+                moments = _moments({mu: streams[mu][span] for mu in rows}, rows, logn[span] - log_mid)
+                # (stream, w) -> c(n) n^w on the range, for the direct sums; built on first use
+                weighted = _Memo(lambda key: streams[key[0]][span] * np.exp(key[1] * logn[span]))
+                for q, by_w in due.items():
+                    power = None  # n^q, shared by the direct sums of q and released after them
+                    for w, by_key in by_w.items():
+                        u = q + w
+                        scale = np.exp(u * log_mid).item()
+                        for (mu, log_x), accs in by_key.items():
+                            if mu not in rows:
+                                continue  # a stream that is 0 on the range
+                            order = orders[q, w, log_x is not None]
+                            m = moments[mu]
                             if order is None:
-                                acc.add(total if log_x is None else (np.exp(q * log_x) * m[0] - total) / q)
+                                power = np.exp(q * logn[span]) if power is None else power
+                                terms = weighted[mu, w] * power
+                                if log_x is None:
+                                    value = terms.sum()
+                                elif abs(q) * h > 1.0:  # as far from q = 0 as the moment route's |q| h <= 1
+                                    value = (np.exp(q * log_x) * weighted[mu, w].sum() - terms.sum()) / q
+                                else:
+                                    terms *= _expm1_over(q, log_x - logn[span])
+                                    value = terms.sum()
                             elif log_x is None:
-                                acc.add(scale * (m[0] + q * t))
+                                value = scale * (m[0] + u * _taylor_quotient(u, m, order))
                             else:
-                                acc.add(scale * (m[0] * _expm1_over(q, log_x - log_mid) - t))
+                                value = scale * _integral_series(q, w, m, order, log_x - log_mid)
+                            for sign, acc in accs:
+                                acc.add(sign * value)
                     power = None
-
-
-def _one_thread() -> bool:
-    """Whether this process runs a single OS thread, as Linux's /proc
-    shows; False where it cannot be read.
-
-    A pass splits only then. With a BLAS pool of more than one thread
-    in each of two folding processes the cores are oversubscribed, and
-    the moments' dot products wait on descheduled workers: with two
-    OpenBLAS threads on a 2-core Xeon, run_default_suite(X=1e6) took a
-    median 0.41 s split against 0.06 s unsplit. And a fork from a
-    process with threads is unsafe."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _families(requests, stop) -> list:
-    """The requests of the caller's _Fold, then, where the pass splits,
-    those of a family child's (_FoldChild): the other kinds' and the root
-    kinds'. A pass splits when it serves both families on a range
-    [1, stop) of more than _SUB_BLOCK terms, holds no _Prefix (whose
-    visits run in the caller), os.fork exists and this process runs one
-    thread (_one_thread)."""
-    root = [r for r in requests if r.kind in _ROOT_KINDS]
-    rest = [r for r in requests if r.kind not in _ROOT_KINDS]
-    if (not (root and rest) or stop - 1 <= _SUB_BLOCK or not hasattr(os, "fork")
-            or any(isinstance(r, _Prefix) for r in requests) or not _one_thread()):
-        return [requests]
-    return [rest, root]
-
-
-class _FoldChild:
-    """A forked process (liouville._fork) that folds the root family's
-    _Fold over [1, stop).
-
-    send() writes each segment's lambda into one pipe, which the child
-    reads straight into an array of its own, cut as _iter_segments cuts
-    [1, stop); the root kinds never read the squareful mask. result()
-    reads a second pipe to its end, the pickled fold.result() or the
-    exception the fold raised, before it reaps the child, so that a
-    result of any size gets through; it returns the one and raises the
-    other. close() kills and reaps a child still there.
-    """
-
-    def __init__(self, fold: _Fold, stop: int):
-        lows = range(1, stop, liouville.DEFAULT_SEGMENT)
-        seg_r, self.seg_w = liouville._pipe()
-        self.out_r, out_w = os.pipe()
-        self.pid = liouville._fork(lambda: _fold_ahead(fold, lows, stop, seg_r, out_w),
-                                   (seg_r, out_w), (self.seg_w, self.out_r))
-
-    def send(self, lam) -> None:
-        try:
-            _write_all(self.seg_w, lam)
-        except BrokenPipeError:  # the child stopped reading; result() raises its error
-            self.result()
-            raise
-
-    def result(self) -> tuple[list, list]:
-        with open(self.out_r, "rb") as pipe:
-            self.out_r = None
-            payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if status or not payload:
-            raise ZetalabError(f"the Abel fold process exited with status {status}")
-        import pickle
-
-        folded, value = pickle.loads(payload)
-        if not folded:
-            raise value
-        return value
-
-    def close(self) -> None:
-        liouville._kill(self.pid)
-        os.close(self.seg_w)
-        if self.out_r is not None:
-            os.close(self.out_r)
-
-
-def _fold_ahead(fold, lows, stop, seg_r, out_w):
-    """The work of _FoldChild's child: fold the lambda of the segments
-    from lows, read from the pipe seg_r, then write (True, fold.result())
-    or (False, the exception raised) pickled into the pipe out_w. seg_r
-    is closed first, so that a parent still sending stops at once."""
-    import pickle
-
-    try:
-        with open(seg_r, "rb") as pipe:
-            for lo in lows:
-                got = liouville._read_segment(pipe, min(lo + lows.step, stop) - lo, [np.int8])
-                if got is None:
-                    raise ZetalabError(f"the Abel pass sent no segment from {lo}")
-                fold.segment(lo, got[0], None)
-        result = True, fold.result()
-    except BaseException as exc:
-        result = False, exc
-    _write_all(out_w, pickle.dumps(result))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused after the pass
 def _evaluate(requests) -> dict:
     """Values of _Polynomial and _Integral requests, keyed by request.
 
-    One ordered pass of the factor kernel serves every request: each
-    segment's lambda and squareful mask give every kind's a(n). Segments
-    start at n = 1 and are walked in sub-blocks [b, e) of _SUB_BLOCK, on
-    one grid when DEFAULT_SEGMENT is a multiple of it. A sub-block builds
-    the a(n) of a kind on first use, all from one reciprocal 1/n and its
-    square root (_coefficients), and a range adds nothing for a kind whose
-    a(n) all vanish there, read from the range and the squareful mask
-    (_live). Each request keeps its own compensated sum of one term per
-    sub-block below its stop (x, for an integral), that of the range
-    [b, min(stop, e)), whose moments all sums ending there share.
+    One ordered pass of the factor kernel, in one process, serves every
+    request. Its kernel builds the squareful mask, and so mu, only for a
+    pass that holds a MU_ONE request, and a pass that serves ONE alone
+    sieves nothing. Segments start at n = 1 and are walked in sub-blocks
+    [b, e) of _SUB_BLOCK, on one grid when DEFAULT_SEGMENT is a multiple
+    of it. Each request keeps its own compensated sum of one term per
+    sub-block below its stop (x, for an integral) and per part of its
+    kind (_PARTS), that of the range [b, min(stop, e)), plus its a(1) = 1
+    apart. A range skips a stream that is 0 there (_live).
 
-    On a range [b, c) with centre log N = (log b + log(c-1))/2 and
-    delta = log n - log N, |delta| <= h, a kind's moments
-    m_k = sum a(n) delta^k come from one running power array, row k the
-    same whatever the other kinds and orders. A polynomial adds
-    N^q (m_0 + q T) and an integral N^q (m_0 expm1(q D)/q - T), with T
-    to the order its own |q| h needs (_taylor_quotient, _taylor_order)
-    and D = log x - log N. Where |q| h > 1 the range sums
-    S = sum a(n) n^q term by term, and an integral adds (x^q m_0 - S)/q.
-    So a request's bits depend only on its kind, q, stop and the grid,
-    never on the other requests of its pass. One running G per kind, the
-    compensated sum of its whole sub-blocks' m_0 plus a cumsum within the
-    sub-block, feeds the tail envelopes of the integrals whose tail is
-    modeled (a max over [window_lo, x), _fold_envelopes) and the visits
-    of _Prefix requests (below their stop), which have no value. A
-    direct-route power array lives only while its exponent's sums use it.
-
-    A pass that serves both coefficient families on more than _SUB_BLOCK
-    terms, the root kinds F_HALF and L_XI (from sqrt(1/n)) and the
-    others, and holds no _Prefix, whose visits run here, folds them in
-    two processes (_families). A child forked before the stream starts
-    folds the root family. The caller runs the one stream, sends each
-    segment's lambda bytes on to the child before it folds the segment
-    itself, and folds the other family. The child hands back its sums and
-    envelope maxima pickled, with their exact bits, or its exception,
-    with its type and message (_FoldChild). As no bit of a request
-    depends on the others, none depends on the split. Without os.fork,
-    or in a process that runs more than one thread, such as a BLAS
-    pool's, the pass runs in-process.
+    On a range of half-width h in log n, a part at u = q + w takes its
+    stream's moments, whose row k is the same whatever the other streams
+    and orders, to the order its own q, w and h need (_taylor_order,
+    _integral_series). Where that would not converge fast, the range sums
+    c(n) n^w n^q term by term: an integral takes (x^q sum c(n) n^w - that)/q
+    where |q| h > 1 and a factor expm1(q log(x/n))/q per term nearer
+    q = 0. So a request's bits depend only on its kind, q, stop and the
+    grid, never on the other requests of its pass. One running G per
+    kind, the sum of its polynomials at q = 0 on whole sub-blocks plus a
+    cumsum of its own a(n) within one (_coefficients), feeds the tail
+    envelopes of the integrals whose tail is modeled (a max over
+    [window_lo, x), _fold_envelopes) and the visits of _Prefix requests
+    (below their stop), which have no value.
 
     A value with a part that is not finite, a sum past double precision,
     raises PrecisionError.
     """
     requests = set(requests)
     stop = max(r.x if isinstance(r, _Integral) else r.stop for r in requests)
-    kernel = _unsieved if {r.kind for r in requests} == {StepKind.ONE} else _factor_segment
-    folds = [_Fold(family) for family in _families(requests, stop)]
-    children = [_FoldChild(fold, stop) for fold in folds[1:]]
+    kinds = {r.kind for r in requests}
+    mask = StepKind.MU_ONE in kinds
+    kernel = _factor_segment if mask else _unsieved if kinds == {StepKind.ONE} else lambda_segment
+    fold = _Fold(requests)
     segments = _iter_segments(kernel, 1, stop)
     try:
-        for lo, (lam, squareful) in segments:
-            for child in children:
-                child.send(lam)
-            folds[0].segment(lo, lam, squareful)
-        results = [folds[0].result(), *(child.result() for child in children)]
+        for lo, out in segments:
+            fold.segment(lo, *(out if mask else (out, None)))
     finally:
         segments.close()
-        for child in children:
-            child.close()
 
-    values, env_max = {}, {}
-    for fold, (sums, maxima) in zip(folds, results):
-        values.update(zip(fold.sums, sums))
-        env_max.update(zip(fold.envs, maxima))
-    out = {r: values[r] for r in requests if not isinstance(r, _Prefix)}
+    out = {r: acc.value for r, acc in fold.sums.items()}
     for r, value in out.items():
         if not np.isfinite(value):
             stop = r.x if isinstance(r, _Integral) else r.stop
@@ -670,7 +566,7 @@ def _evaluate(requests) -> dict:
                                  "is not finite in double precision")
     for r in requests:
         if isinstance(r, _Integral):
-            out[r] = _result(r, complex(out[r]), env_max.get((r.kind, r.envelope, r.window_lo, r.x)))
+            out[r] = _result(r, complex(out[r]), fold.envs.get((r.kind, r.envelope, r.window_lo, r.x)))
     return out
 
 

@@ -330,12 +330,12 @@ def _pipe() -> tuple[int, int]:
 
 
 def _fork(work, child_fds, parent_fds) -> int:
-    """Fork a child that runs work(), and return its pid. The parent
-    closes child_fds, the child parent_fds; a failed fork closes both.
-    The child leaves only through os._exit: with status 0 once work()
-    returns or meets a closed pipe (the parent gone), else 1, with the
-    traceback on fd 2 unless a KeyboardInterrupt, which the parent has
-    too from the same terminal, stopped it."""
+    """Fork the sieve child of _iter_segments, which runs work(), and
+    return its pid. The parent closes child_fds, the child parent_fds; a
+    failed fork closes both. The child leaves only through os._exit: with
+    status 0 once work() returns or meets a closed pipe (the parent gone),
+    else 1, with the traceback on fd 2 unless a KeyboardInterrupt, which
+    the parent has too from the same terminal, stopped it."""
     try:
         pid = os.fork()
     except OSError:
@@ -384,7 +384,7 @@ def _kill(pid) -> None:
 
 
 def _write_all(w, data) -> None:
-    """Write the bytes of data, an array or bytes, into the pipe w."""
+    """Write the bytes of the array data into the pipe w."""
     left = memoryview(data).cast("B")
     while len(left):  # a write may be partial
         left = left[os.write(w, left):]

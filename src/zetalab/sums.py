@@ -6,14 +6,11 @@ Everything here sums a(n) = lambda(n) for n >= 2 (and a(1) = 0):
     L_x        = (1/2) sum_{2<=n<=x} lambda(n) log(n) n^(-xi(n))
 
 with xi(n) the mean value exponent of (alpha, beta) = (1/2, 1) (see
-xi.py), which makes L's per-term weight exactly n^(-1/2) - n^(-1), the
-L_XI coefficient of integrals._coefficients: summing that rearranged
-form keeps F_x(1/2) = F_x(1) + L_x tight to rounding. Every sum is a
-polynomial request to the Abel core (integrals._evaluate), so one sieve
-pass of partial_sums serves any number of sums and the sums CSV's rows.
-The terms are those of _coefficients: n^(-1/2) is the square root of the
-correctly rounded 1/n, and F_x(alpha) at alpha != 1/2 is F_ONE's
-lambda(n)/n times n^(1 - alpha), the request zeta.lambda_series adds 1 to.
+xi.py), which makes L's per-term weight exactly n^(-1/2) - n^(-1): the
+Abel core reads L_XI as lambda's stream at the shifts of F_x(1/2) and
+F_x(1), so F_x(1/2) = F_x(1) + L_x holds to rounding. Every sum is a
+polynomial request to the core (integrals._evaluate), so one sieve pass
+of partial_sums serves any number of sums and the sums CSV's rows.
 PrefixEvaluator keeps its own fold for callers that feed it segments.
 """
 

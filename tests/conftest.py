@@ -53,8 +53,8 @@ def segment_length():
 
 @pytest.fixture
 def within_a_minute():
-    """Fail, rather than hang, a test whose pass or stream waits on a
-    forked process (a sieve or a fold child) for more than 60 s."""
+    """Fail, rather than hang, a test whose pass or stream waits on its
+    forked sieve child for more than 60 s."""
 
     def expire(signum, frame):
         raise TimeoutError("the stream waited 60 s")

@@ -4,11 +4,7 @@ import functools
 import importlib
 import math
 import os
-import pickle
-import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +29,6 @@ from zetalab import (
     verify_ratio_integral,
     verify_reciprocal_integral,
     verify_shifted_identity,
-    ZetalabError,
 )
 from zetalab.cli import main
 from zetalab.liouville import _factor_segment, _iter_segments, mobius_segment, run_scan, sieve_range
@@ -45,7 +40,7 @@ from zetalab.integrals import (
     _coefficients,
     _envelope_bound,
     _evaluate,
-    _expm1_over,
+    _integral_series,
     _integral,
     _live,
     _moments,
@@ -152,11 +147,11 @@ def test_taylor_order_is_the_smallest_that_meets_the_bound(x):
 
 
 def _sub_block(centre, length):
-    """ns, +-1/n coefficients, log n, and the block's log N and h."""
+    """ns, +-1 coefficients c(n) as lambda's, log n, and the block's log N and h."""
     ns = np.arange(centre - length // 2, centre + length // 2, dtype=np.float64)
-    a = np.random.default_rng(centre).choice([-1.0, 1.0], length) / ns
+    c = np.random.default_rng(centre).choice([-1.0, 1.0], length)
     logn = np.log(ns)
-    return ns, a, logn, (logn[0] + logn[-1]) / 2, (logn[-1] - logn[0]) / 2
+    return ns, c, logn, (logn[0] + logn[-1]) / 2, (logn[-1] - logn[0]) / 2
 
 
 def _fsum_close(value, terms, rel=1e-15):
@@ -164,48 +159,65 @@ def _fsum_close(value, terms, rel=1e-15):
     return abs(value - exact) <= rel * math.fsum(np.abs(terms))
 
 
-@pytest.mark.parametrize("centre, length", [(10**4, 1 << 11), (10**6, _SUB_BLOCK)])
-def test_moment_route_matches_a_direct_sum_on_one_sub_block(centre, length):
-    """With +-1/n coefficients, N^q (m_0 + q T) is the block's
-    sum a(n) n^q to 1e-15 of sum |a(n) n^q|, up to |q| h = 1."""
-    ns, a, logn, log_mid, h = _sub_block(centre, length)
+# (centre, length, w) of a sub-block of +-1 coefficients read at each shift w at which the
+# kinds read lambda's and mu's streams; the unshifted case keeps the block's own id
+SHIFTED_BLOCKS = [
+    pytest.param(centre, length, w, id=f"{centre}-{length}" + (f"-w{w}" if w else ""))
+    for centre, length in ((10**4, 1 << 11), (10**6, _SUB_BLOCK))
+    for w in (0.0, -0.5, -1.0)
+]
+
+
+@pytest.mark.parametrize("centre, length, w", SHIFTED_BLOCKS)
+def test_moment_route_matches_a_direct_sum_on_one_sub_block(centre, length, w):
+    """With +-1 coefficients c(n) read at a shift w of the exponent q,
+    N^u (M_0 + u T), u = q + w, is the block's sum c(n) n^u to 1e-15 of
+    sum |c(n) n^u|, up to |u| h = 1."""
+    ns, c, logn, log_mid, h = _sub_block(centre, length)
     edge = 0.99 / h  # |q| h just inside the moment route
     for q in (-2.5, -0.25, 0.3, -1 - 2j, -0.1 - 1j, 0.5 + 3j, -edge, edge * (0.6 - 0.8j)):
-        order = _taylor_order(abs(q) * h)
-        assert order is not None, q
-        m = _moments({0: a}, {0: order}, logn - log_mid)[0]
-        value = np.exp(q * log_mid) * (m[0] + q * _taylor_quotient(q, m, order))
-        assert _fsum_close(value, a * np.exp(q * logn)), (q, order)
+        u = q + w
+        order = _taylor_order(abs(u) * h)
+        if order is None:
+            assert w, q  # unshifted, every q here is on the moment route
+            continue
+        m = _moments({0: c}, {0: order}, logn - log_mid)[0]
+        value = np.exp(u * log_mid) * (m[0] + u * _taylor_quotient(u, m, order))
+        assert _fsum_close(value, c * np.exp(u * logn)), (q, order)
 
 
-@pytest.mark.parametrize("centre, length", [(10**4, 1 << 11), (10**6, _SUB_BLOCK)])
-def test_moment_route_matches_a_direct_integral_on_one_sub_block(centre, length):
-    """N^q (m_0 expm1(q D)/q - T), D = log(x/N), is the block's share
-    sum a(n) n^q expm1(q log(x/n))/q of an integral to x, to 1e-15 of the
-    sum of the terms' absolute values: at q = 0 and next to it, up to
-    |q| h = 1, and with x at the block's end or far beyond it."""
-    ns, a, logn, log_mid, h = _sub_block(centre, length)
+@pytest.mark.parametrize("centre, length, w", SHIFTED_BLOCKS)
+def test_moment_route_matches_a_direct_integral_on_one_sub_block(centre, length, w):
+    """N^u sum_k c_k M_k / k!, u = q + w, D = log(x/N) (_integral_series),
+    is the block's share sum c(n) n^w n^q expm1(q log(x/n))/q of an
+    integral to x, with +-1 coefficients c(n) read at a shift w, to 1e-15
+    of the sum of the terms' absolute values: at q = 0 and next to it, up
+    to max(|u|, |w|) h = 1, and with x at the block's end or far beyond it."""
+    ns, c, logn, log_mid, h = _sub_block(centre, length)
     edge = 0.99 / h
     for q in (0.0, 1e-9, -1e-6j, -0.02, 0.3, -1 - 2j, edge, -edge):
+        u = q + w
         with np.errstate(over="ignore", under="ignore"):
-            power = np.abs(np.exp(q * logn))
+            power = np.abs(np.exp(u * logn))
         if not (np.all(np.isfinite(power)) and power.min() >= np.finfo(np.float64).tiny):
-            continue  # n^q is not a normal float here: +-0.99/h at N = 1e6
-        order = _taylor_order(abs(q) * h)
-        m = _moments({0: a}, {0: order}, logn - log_mid)[0]
-        t = _taylor_quotient(q, m, order)
+            continue  # n^u is not a normal float here: +-0.99/h at N = 1e6
+        order = _taylor_order(max(abs(u), abs(w)) * h)
+        if order is None:
+            assert w, q  # unshifted, every q here is on the moment route
+            continue
+        m = _moments({0: c}, {0: order}, logn - log_mid)[0]
         for x in (ns[-1] + 1, 1.5e6, 1e7):
             log_x = math.log(x)
-            value = np.exp(q * log_mid) * (m[0] * _expm1_over(q, log_x - log_mid) - t)
+            value = np.exp(u * log_mid) * _integral_series(q, w, m, order, log_x - log_mid)
             d = log_x - logn
-            terms = a * (np.exp(q * logn) * np.expm1(q * d) / q if q else d)
+            terms = c * np.exp(w * logn) * (np.exp(q * logn) * np.expm1(q * d) / q if q else d)
             assert _fsum_close(value, terms), (q, x, order)
 
 
 class _ProcessLog:
     """Lines appended to one file by every process that records: the
     fields given to record() and the recording pid, so that a count sees
-    the calls made in a forked sieve or fold child too."""
+    the calls made in a forked sieve child too."""
 
     def __init__(self, path):
         self.path = path
@@ -248,9 +260,9 @@ def kernel_calls(monkeypatch, tmp_path):
     original = importlib.import_module("zetalab.liouville")._factor_segment
     calls = _CallLog(tmp_path / "kernel_calls.txt")
 
-    def counting(lo, hi, base_primes):
+    def counting(lo, hi, base_primes, **options):
         calls.record(lo, hi)
-        return original(lo, hi, base_primes)
+        return original(lo, hi, base_primes, **options)
 
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("zetalab") and getattr(module, "_factor_segment", None) is original:
@@ -325,6 +337,39 @@ def test_a_request_gets_the_same_bits_alone_and_in_any_pass():
         assert repr(together[r]) == repr(_evaluate([r])[r]), r
 
 
+def test_a_pass_that_reads_no_mu_sieves_no_squareful_mask(monkeypatch, tmp_path, segment_length):
+    """A pass without a MU_ONE request sieves lambda alone, with no
+    squareful mask, in the caller and in its sieve child, and each of its
+    requests gets the same bits as next to a MU_ONE request, whose pass
+    builds the mask."""
+    masks = _ProcessLog(tmp_path / "masks.txt")
+    liouville_module = importlib.import_module("zetalab.liouville")
+    original = liouville_module._factor_segment
+
+    def recording(lo, hi, base_primes, mask=True):
+        masks.record(mask)
+        return original(lo, hi, base_primes, mask=mask)
+
+    for module in (liouville_module, integrals_module):  # integrals imports it by name
+        monkeypatch.setattr(module, "_factor_segment", recording)
+    segment_length(3 * _SUB_BLOCK)
+    X = 3 * 10**5
+    requests = [
+        _integral(kind, s, X)
+        for kind in (StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.T_SUM, StepKind.P_OVER_U)
+        for s in (0.75, 1.5 + 2j)
+    ] + [_Polynomial(StepKind.F_ONE, 0.0, X + 1)]
+    alone = _evaluate(requests)
+    assert {mask for mask, _ in masks.rows()} == {"False"}
+    assert len(masks.pids()) == 2  # the caller's first segment and the child's
+    masks.clear()
+    mu = _integral(StepKind.MU_ONE, 2.0, X)
+    together = _evaluate([*requests, mu])
+    assert {mask for mask, _ in masks.rows()} == {"True"}
+    for r in requests:
+        assert repr(together[r]) == repr(alone[r]), r
+
+
 def _rounded_inverse_sqrt(n: int) -> float:
     """n^(-1/2) correctly rounded, for n < 2^54. n^(-1/2) lies in
     [z, z + 1) 2^-k with z = floor(2^k n^(-1/2)) exact, and is a midpoint
@@ -367,52 +412,35 @@ def test_coefficients_take_one_reciprocal_and_its_square_root(b):
     (1, 2), (1, 3), (8, 10), (48, 51), (2, 9), (1 + _SUB_BLOCK, 2 + _SUB_BLOCK),
 ])
 def test_liveness_reads_the_range_and_the_squareful_mask(b, c):
-    """_live(kind, b, j, squareful) is a(kind)[:j].any() for every kind on
-    the range [b, c) of a sub-block from b: [1, 2) holds only a(1) = 0 for
-    the a(1) = 0 kinds, mu is 0 on all of [8, 10) and [48, 51), and ONE
-    is dead past n = 1."""
+    """_live(mu, b, j, squareful) is whether mu's stream (mu True) or
+    lambda's has a nonzero c(n) on the range [max(b, 2), c) of a sub-block
+    from b: [1, 2) holds no stream term, and mu is 0 on all of [8, 10) and
+    [48, 51)."""
     stop = c + 8
     (_, (lam_i8, squareful)), = _iter_segments(_factor_segment, 1, stop)
     lam_i8, squareful = lam_i8[b - 1:], squareful[b - 1:]
-    a = _coefficients(np.arange(b, stop, dtype=np.float64), lam_i8.astype(np.float64), squareful)
-    j = c - b
-    for kind in StepKind:
-        assert _live(kind, b, j, squareful) == bool(a(kind)[:j].any()), kind
-    if (b, c) in ((8, 10), (48, 51)):
-        assert not _live(StepKind.MU_ONE, b, j, squareful)
+    first, j = int(b == 1), c - b
+    for mu in (False, True):
+        stream = np.where(squareful, 0, lam_i8) if mu else lam_i8
+        assert _live(mu, b, j, squareful) == bool(stream[first:j].any()), mu
+    if (b, c) in ((1, 2), (8, 10), (48, 51)):
+        assert not _live(True, b, j, squareful)
 
 
-def _coefficients_built(monkeypatch, tmp_path):
-    """A _ProcessLog of (kind name, pid) for each lookup of a kind's
-    coefficients on a sub-block from now on, in whichever process."""
-    built = _ProcessLog(tmp_path / "coefficients.txt")
-    real = integrals_module._coefficients
+def test_the_suite_folds_the_moments_of_two_streams_alone(monkeypatch):
+    """Every moment call of the suite's pass holds lambda's stream, mu's
+    or both, never a kind's own a(n): each kind reads one of the two at a
+    shift of its exponent. StepKind members hash in C, by identity."""
+    calls, real = [], integrals_module._moments
 
-    def recording(ns, lam, squareful):
-        a = real(ns, lam, squareful)
-        return lambda kind: built.record(kind.name) or a(kind)
+    def recording(a, rows, delta):
+        calls.append(set(a))
+        return real(a, rows, delta)
 
-    monkeypatch.setattr(integrals_module, "_coefficients", recording)
-    return built
-
-
-def _kinds_by_pid(built):
-    """pid -> the set of kinds whose coefficients it built."""
-    kinds = {}
-    for name, pid in built.rows():
-        kinds.setdefault(int(pid), set()).add(StepKind[name])
-    return kinds
-
-
-def test_the_suite_builds_no_p_over_u_coefficients(monkeypatch, tmp_path):
-    """The suite's series cross-check sums F_ONE's stream, so its pass
-    builds the coefficients of F_HALF, F_ONE, L_XI and MU_ONE alone, in
-    the caller and any fold child; and StepKind members hash in C, by
-    identity."""
-    log = _coefficients_built(monkeypatch, tmp_path)
+    monkeypatch.setattr(integrals_module, "_moments", recording)
     run_default_suite(X=10**5)
-    built = set().union(*_kinds_by_pid(log).values())
-    assert built == {StepKind.F_HALF, StepKind.F_ONE, StepKind.L_XI, StepKind.MU_ONE}
+    assert calls and all(streams <= {False, True} for streams in calls)
+    assert set().union(*calls) == {False, True}
     assert StepKind.__hash__ is object.__hash__
 
 
@@ -485,8 +513,7 @@ def test_the_envelope_bound_holds_every_value_of_a_sub_block(b, m, plus, squaref
 
 
 def _count_envelope_folds(monkeypatch, tmp_path):
-    """A _ProcessLog whose length counts the envelope folds from now on,
-    those of a fold child included."""
+    """A _ProcessLog whose length counts the envelope folds from now on."""
     folds = _ProcessLog(tmp_path / "folds.txt")
     real = integrals_module._envelope_peak
 
@@ -600,195 +627,6 @@ def test_ratio_decomposition_at_the_pole_raises_before_the_pass(kernel_calls):
     with pytest.raises(DomainError):
         verify_ratio_decomposition(1.0, 10**6)
     assert kernel_calls == []
-
-
-@pytest.fixture
-def one_thread(monkeypatch):
-    """Let a pass split as in a process of one thread, which it is not
-    where numpy's BLAS pool has more: the split path's tests then run
-    too, only slower."""
-    monkeypatch.setattr(integrals_module, "_one_thread", lambda: True)
-
-
-@pytest.mark.parametrize("length", [None, 30011])
-def test_a_split_pass_sieves_each_n_once(one_thread, within_a_minute, kernel_calls, segment_length, monkeypatch,
-                                         tmp_path, length):
-    """The suite's pass folds the root kinds, F_HALF and L_XI, in a forked
-    child and F_ONE and MU_ONE in the caller, from one sieve pass over one
-    segment, or over four."""
-    X = 10**5
-    if length is not None:
-        segment_length(length)
-    built = _coefficients_built(monkeypatch, tmp_path)
-    run_default_suite(X=X)
-    assert kernel_calls == (_one_pass(X + 1, length) if length else [(1, X + 1)])
-    by_pid = _kinds_by_pid(built)
-    assert by_pid.pop(os.getpid()) == {StepKind.F_ONE, StepKind.MU_ONE}
-    assert list(by_pid.values()) == [{StepKind.F_HALF, StepKind.L_XI}]
-
-
-@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
-def test_a_split_pass_keeps_every_bit(one_thread, within_a_minute, segment_length, monkeypatch, length):
-    """The suite's report is byte-identical whether its pass folds in two
-    processes or, without os.fork, in one."""
-    X = 10**5
-    if length is not None:
-        segment_length(length)
-    split = report_json_text(run_default_suite(X=X))
-    monkeypatch.delattr(os, "fork")
-    assert report_json_text(run_default_suite(X=X)) == split
-
-
-@pytest.mark.parametrize("terms, split", [(_SUB_BLOCK, False), (_SUB_BLOCK + 1, True)])
-def test_a_pass_splits_only_past_one_sub_block(one_thread, within_a_minute, monkeypatch, tmp_path, terms, split):
-    """A pass of both families over one sub-block stays in-process."""
-    built = _coefficients_built(monkeypatch, tmp_path)
-    _evaluate([_Polynomial(StepKind.F_HALF, 0.0, terms + 1), _Polynomial(StepKind.F_ONE, 0.0, terms + 1)])
-    assert (built.pids() != {os.getpid()}) == split
-
-
-def test_a_family_with_a_prefix_folds_in_the_caller(one_thread, within_a_minute, monkeypatch, tmp_path):
-    """_Prefix visits run in the caller, and a pass that holds one does
-    not split: with an F_HALF prefix, the caller folds both families and
-    F_ONE's value keeps its bits; so with a prefix in each family too."""
-    stop = 3 * _SUB_BLOCK
-    seen = []
-    prefix = _Prefix(StepKind.F_HALF, stop, lambda ns, g: seen.append(ns[-1]))
-    poly = _Polynomial(StepKind.F_ONE, -0.5, stop)
-    built = _coefficients_built(monkeypatch, tmp_path)
-    value = _evaluate([prefix, poly])[poly]
-    assert seen[-1] == stop - 1
-    assert built.pids() == {os.getpid()}
-    assert repr(value) == repr(_evaluate([poly])[poly])
-    built.clear()
-    _evaluate([prefix, _Prefix(StepKind.MU_ONE, stop, lambda ns, g: None), poly])
-    assert built.pids() == {os.getpid()}
-
-
-def test_a_process_with_a_second_thread_does_not_split(within_a_minute, monkeypatch, tmp_path):
-    """A pass splits only in a process of one thread: in one that runs a
-    second, a BLAS pool's worker or any other, the pass stays in-process.
-    A fresh interpreter whose BLAS is pinned to one thread runs one."""
-    built = _coefficients_built(monkeypatch, tmp_path)
-    stop = 3 * _SUB_BLOCK
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert not integrals_module._one_thread()
-        _evaluate([_Polynomial(StepKind.F_HALF, 0.0, stop), _Polynomial(StepKind.F_ONE, 0.0, stop)])
-    finally:
-        done.set()
-        thread.join(timeout=60)
-    assert built.pids() == {os.getpid()}
-    if os.path.isdir("/proc/self/task"):  # where _one_thread can read it
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import zetalab.cli; from zetalab.integrals import _one_thread; "
-             "print(_one_thread())"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.stdout == "True\n", proc.stderr
-
-
-@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
-def test_an_error_in_the_fold_child_reaches_the_caller(one_thread, within_a_minute, segment_length, monkeypatch,
-                                                       length):
-    """An exception raised in the fold child alone is raised in the
-    caller with its type and message: once the caller has folded its one
-    segment, or at its next send, as the child stops reading."""
-    if length is not None:
-        segment_length(length)
-    caller, real = os.getpid(), integrals_module._coefficients
-
-    def failing(ns, lam, squareful):
-        if os.getpid() != caller:
-            raise LookupError("in the fold child")
-        return real(ns, lam, squareful)
-
-    monkeypatch.setattr(integrals_module, "_coefficients", failing)
-    with pytest.raises(LookupError) as raised:
-        run_default_suite(X=10**5)
-    assert type(raised.value) is LookupError and str(raised.value) == "in the fold child"
-
-
-@pytest.mark.parametrize("length", [None, 3 * _SUB_BLOCK])
-def test_an_error_the_fold_child_cannot_send_is_its_exit_status(one_thread, within_a_minute, segment_length,
-                                                                monkeypatch, capfd, length):
-    """An exception raised in the fold child alone that cannot be pickled
-    ends the child with status 1 and its traceback on fd 2; the caller
-    raises that status, once it has folded its one segment or at its
-    next send, and leaves no child."""
-    if length is not None:
-        segment_length(length)
-    caller, real = os.getpid(), integrals_module._coefficients
-
-    def failing(ns, lam, squareful):
-        if os.getpid() != caller:
-            raise LookupError(lambda: None)
-        return real(ns, lam, squareful)
-
-    monkeypatch.setattr(integrals_module, "_coefficients", failing)
-    with pytest.raises(ZetalabError, match="^the Abel fold process exited with status 1$"):
-        run_default_suite(X=10**5)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert "Traceback" in capfd.readouterr().err
-
-
-@pytest.mark.parametrize("length", [None, 30011])
-def test_a_split_pass_sends_the_fold_child_one_byte_per_n(one_thread, within_a_minute, segment_length,
-                                                          monkeypatch, tmp_path, length):
-    """The caller writes each segment's lambda alone into the fold
-    child's pipe, one byte per n: the root kinds read no squareful mask."""
-    X = 10**5
-    if length is not None:
-        segment_length(length)
-    writes, real = _ProcessLog(tmp_path / "writes.txt"), integrals_module._write_all
-
-    def recording(w, data):
-        writes.record(w, memoryview(data).nbytes)
-        real(w, data)
-
-    monkeypatch.setattr(integrals_module, "_write_all", recording)
-    run_default_suite(X=X)
-    sent = [(int(w), int(nbytes)) for w, nbytes, pid in writes.rows() if int(pid) == os.getpid()]
-    assert len({w for w, _ in sent}) == 1
-    assert [nbytes for _, nbytes in sent] == [hi - lo for lo, hi in _one_pass(X + 1, length or X)]
-    assert sum(nbytes for _, nbytes in sent) == X
-
-
-def test_an_error_in_the_caller_kills_and_reaps_both_children(one_thread, within_a_minute, segment_length,
-                                                              monkeypatch):
-    """An exception in the caller's fold ends the pass at once: the fold
-    child, which here waits until it is killed, and the stream's sieve
-    child are both killed and reaped."""
-    segment_length(3 * _SUB_BLOCK)
-    caller = os.getpid()
-
-    def failing(ns, lam, squareful):
-        if os.getpid() == caller:
-            raise LookupError("in the caller")
-        time.sleep(90)  # past within_a_minute, should the kill be missing
-
-    monkeypatch.setattr(integrals_module, "_coefficients", failing)
-    with pytest.raises(LookupError, match="^in the caller$"):
-        run_default_suite(X=10**5)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_fold_child_result_past_one_pipe_buffer_gets_through(one_thread, within_a_minute):
-    """A fold child's pickled result longer than a 64 KiB pipe buffer is
-    read to its end before the child is reaped, and keeps every bit."""
-    stop = _SUB_BLOCK + 2
-    roots = [_Polynomial(StepKind.F_HALF, complex(0.0, k * 1e-5), stop) for k in range(4000)]
-    out = _evaluate([*roots, _Polynomial(StepKind.F_ONE, 0.0, stop)])
-    assert len(pickle.dumps((True, ([out[r] for r in roots], [])))) > 2**16
-    alone = _evaluate(roots)
-    assert all(repr(out[r]) == repr(alone[r]) for r in roots)
 
 
 def _prefix_coefficients(kind, stop):
