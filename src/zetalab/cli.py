@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ZetalabError
 from .integrals import StepKind, estimate_sigma_c, integrate_step
-from .liouville import run_scan, sieve_range
+from .liouville import MAX_N, run_scan, sieve_range
 from .sums import f_x, partial_sums
 from .verify import (
     DEFAULT_S_POINTS,
@@ -255,6 +255,8 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
 
 
 def _cmd_sieve(args, say) -> int:
+    if not 1 <= args.lo <= args.hi < MAX_N:  # --hi is inclusive
+        raise DomainError(f"need 1 <= --lo <= --hi < 2^63, got --lo {args.lo} --hi {args.hi}")
     table = sieve_range(args.lo, args.hi + 1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,29 +1,27 @@
-"""Compensated floating-point accumulation.
+"""Exact floating-point accumulation.
 
-Long folds add millions of small terms into running totals. A plain
-`+=` loses low-order bits once the running value dwarfs the terms, so
-the Abel core's totals use Neumaier's variant of Kahan summation: the
-rounding error of every add is recovered and banked in a side term.
+Every sum of floats is a whole number of units of 2^-1074 (1/UNITS, the
+smallest subnormal), so a running sum (CompensatedSum) is held exactly
+in a Python int and rounded once, as math.fsum rounds it, whatever the
+order of its terms.
 
-A block of float64 terms can also be summed exactly and its sum rounded
-once, correctly, as math.fsum rounds it. A block of at most 2^15 terms
-whose magnitudes do not increase, as lambda(n)/n in the sign scan, is
-summed exactly with plain float adds after an error-free split on a
-fixed grid (Rump, Ogita and Oishi, "Accurate floating-point summation,
-part I", SIAM J. Sci. Comput. 2008). Let e_max and e_min be the biased
-exponents of its first and last terms, its largest and smallest, and
-g = 2^(e_max - 1059) the grid. With sigma = 1.5 * 2^(e_max - 1007),
-whose ulp is g, each term x splits exactly into hi = (x + sigma) - sigma,
-a multiple of g of at most 2^(e_max - 1022), and lo = x - hi, a multiple
-of 2^(e_min - 1075) of at most g/2. Every partial sum of the hi parts is
-a multiple of g of at most 2^52 * g, and every partial sum of the lo
-parts one of 2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
+A block of float64 terms can also be summed exactly without converting
+each term. A block of at most 2^15 terms whose magnitudes do not
+increase, as lambda(n)/n in the sign scan, is summed exactly with plain
+float adds after an error-free split on a fixed grid (Rump, Ogita and
+Oishi, "Accurate floating-point summation, part I", SIAM J. Sci. Comput.
+2008). Let e_max and e_min be the biased exponents of its first and
+last terms, its largest and smallest, and g = 2^(e_max - 1059) the
+grid. With sigma = 1.5 * 2^(e_max - 1007), whose ulp is g, each term x
+splits exactly into hi = (x + sigma) - sigma, a multiple of g of at
+most 2^(e_max - 1022), and lo = x - hi, a multiple of 2^(e_min - 1075)
+of at most g/2. Every partial sum of the hi parts is a multiple of g of
+at most 2^52 * g, and every partial sum of the lo parts one of
+2^(e_min - 1075) of at most 2^53 * 2^(e_min - 1075) when
 e_max - e_min <= 23, so both float sums are exact, in any order. The
-blocks' exact sums, Python ints counting units of 2^-1074 (1/UNITS, the
-smallest subnormal), are added and rounded once by CPython's correctly
-rounded int / int. A block longer than 2^15 terms, or one whose ends
-lie further apart, or are zero, subnormal, inf, nan or 2^960 or more,
-is refused.
+blocks' exact sums, in units of 1/UNITS, are added and rounded once. A
+block longer than 2^15 terms, or one whose ends lie further apart, or
+are zero, subnormal, inf, nan or 2^960 or more, is refused.
 """
 
 import math
@@ -69,37 +67,37 @@ def decreasing_block_sum(block: np.ndarray, buf: np.ndarray) -> int:
     return units << (e_min - 1)
 
 
+def to_units(x: float) -> int:
+    """x exactly, in units of 1/UNITS; OverflowError at inf, ValueError at nan."""
+    num, den = x.as_integer_ratio()  # den = 2^k, k <= 1074
+    return num << (1075 - den.bit_length())
+
+
 def round_units(total: int) -> float:
     """The float nearest total / UNITS, ties to even: math.fsum of the
-    terms whose decreasing_block_sum values add up to total. CPython's
-    int / int is correctly rounded, and raises OverflowError past the
-    largest float, as math.fsum does."""
+    terms whose units add up to total. CPython's int / int is correctly
+    rounded, and raises OverflowError past the largest float, as
+    math.fsum does."""
     return total / UNITS
 
 
 class CompensatedSum:
-    """Neumaier-compensated running sum.
+    """Exact running sum: value is math.fsum of the finite terms (±inf
+    past the largest float) plus the non-finite ones, kept apart.
+    add_array() adds numpy's pairwise sum of a segment as one term."""
 
-    add() folds in one value and banks the rounding error exactly.
-    add_array() folds in a whole segment, reduced with numpy's pairwise
-    sum (fast, error ~ eps*log n).
-    """
-
-    __slots__ = ("_total", "_comp")
+    __slots__ = ("_units", "_non_finite")
 
     def __init__(self):
-        self._total = 0.0
-        self._comp = 0.0
+        self._units = 0
+        self._non_finite = 0.0
 
     def add(self, term: float) -> None:
         term = float(term)
-        t = self._total + term
-        if math.isfinite(t):  # past an inf total the error term is inf - inf = nan
-            if abs(self._total) >= abs(term):
-                self._comp += (self._total - t) + term
-            else:
-                self._comp += (term - t) + self._total
-        self._total = t
+        if math.isfinite(term):
+            self._units += to_units(term)
+        else:
+            self._non_finite += term
 
     def add_array(self, values) -> None:
         if len(values) == 0:
@@ -108,12 +106,11 @@ class CompensatedSum:
 
     @property
     def value(self) -> float:
-        return self._total + self._comp
-
-    # Raw parts: the value is their sum.
-    @property
-    def parts(self) -> tuple[float, float]:
-        return self._total, self._comp
+        try:
+            total = round_units(self._units)
+        except OverflowError:
+            total = math.inf if self._units > 0 else -math.inf
+        return total + self._non_finite
 
     def __repr__(self) -> str:
         return f"CompensatedSum({self.value!r})"

@@ -412,7 +412,7 @@ def _expm1_over(q, d):
 
 
 class _Fold:
-    """A pass's state: the compensated sum of each request, the tail
+    """A pass's state: the exact sum of each request, the tail
     envelope of each integral whose tail is modeled, and one running G
     per kind that an envelope or a _Prefix reads, folded a segment at a
     time (segment)."""
@@ -523,10 +523,11 @@ def _evaluate(requests) -> dict:
     pass that holds a MU_ONE request, and a pass that serves ONE alone
     sieves nothing. Segments start at n = 1 and are walked in sub-blocks
     [b, e) of _SUB_BLOCK, on one grid when DEFAULT_SEGMENT is a multiple
-    of it. Each request keeps its own compensated sum of one term per
+    of it. Each request keeps its own exact sum of one term per
     sub-block below its stop (x, for an integral) and per part of its
     kind (_PARTS), that of the range [b, min(stop, e)), plus its a(1) = 1
-    apart. A range skips a stream that is 0 there (_live).
+    apart, so its value is math.fsum of those terms, whatever their
+    order. A range skips a stream that is 0 there (_live).
 
     On a range of half-width h in log n, a part at u = q + w takes its
     stream's moments, whose row k is the same whatever the other streams
@@ -542,8 +543,8 @@ def _evaluate(requests) -> dict:
     [window_lo, x), _fold_envelopes) and the visits of _Prefix requests
     (below their stop), which have no value.
 
-    A value with a part that is not finite, a sum past double precision,
-    raises PrecisionError.
+    A value with a term that is not finite, or whose exact sum is past
+    double precision, raises PrecisionError.
     """
     requests = set(requests)
     stop = max(r.x if isinstance(r, _Integral) else r.stop for r in requests)

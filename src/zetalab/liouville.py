@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compensated import UNITS, decreasing_block_sum, round_units
+from .compensated import UNITS, decreasing_block_sum, round_units, to_units
 from .errors import CapacityError, DomainError, ZetalabError
 
 # The length of every sieve segment; read when a stream starts.
@@ -473,12 +473,6 @@ class _SeriesState:
         )
 
 
-def _units(x: float) -> int:
-    """x exactly, in units of 1/UNITS; OverflowError at inf, ValueError at nan."""
-    num, den = x.as_integer_ratio()
-    return num * (UNITS // den)
-
-
 def _units_to_hex(u: int) -> str:
     """u units of 1/UNITS as the reduced fraction [-]0x<hex>p-<k>: no
     trailing zero bits while k > 0, and 0 as 0x0p-0."""
@@ -567,7 +561,7 @@ class ScanCheckpoint:
             except (KeyError, ValueError):
                 raise DomainError(f"damaged scan checkpoint: no valid {key}") from None
         try:  # t_total is T = t_total + t_comp correctly rounded
-            t_rounds = round_units(_units(ck.t_total) + ck.t_comp) == ck.t_total
+            t_rounds = round_units(to_units(ck.t_total) + ck.t_comp) == ck.t_total
         except (ValueError, OverflowError):  # t_total nan or inf, or T past every float
             t_rounds = False
         if not t_rounds:
@@ -748,7 +742,7 @@ def run_scan(
             t_buf = np.empty(_BLOCK)
             n_buf = np.arange(ck.next_n, ck.next_n + _BLOCK, dtype=np.int64)
             # T, exactly, in the units of decreasing_block_sum
-            t_sum = _units(ck.t_total) + ck.t_comp
+            t_sum = to_units(ck.t_total) + ck.t_comp
             for lo, lam in iter_lambda_segments(ck.next_n, limit + 1):
                 for a, low, high, p_step in zip(range(0, len(lam), _BLOCK), *_p_bounds(lam)):
                     n0, lam_b = lo + a, lam[a:a + _BLOCK]
@@ -778,7 +772,7 @@ def run_scan(
                             p_vals[i::csv_stride].tolist(), map(repr, t_vals[i::csv_stride].tolist()),
                         ))
 
-                ck.t_comp = t_sum - _units(ck.t_total)
+                ck.t_comp = t_sum - to_units(ck.t_total)
                 ck.next_n = lo + len(lam)
                 ck.segments_done += 1
 

@@ -28,9 +28,9 @@ class PrefixEvaluator:
     """Streaming accumulator for F_x(alpha) with optional history.
 
     Feed ascending lambda segments through update(); value holds the
-    compensated running sum. With record_history=True the prefix value
-    at every power of two is kept, which bounds history memory even for
-    billion-term runs.
+    exact sum of the segments' pairwise sums, correctly rounded. With
+    record_history=True the prefix value at every power of two is kept,
+    which bounds history memory even for billion-term runs.
     """
 
     def __init__(self, alpha: float, record_history: bool = False):

@@ -31,6 +31,7 @@ from zetalab import (
     verify_shifted_identity,
 )
 from zetalab.cli import main
+from zetalab.compensated import CompensatedSum
 from zetalab.liouville import _factor_segment, _iter_segments, mobius_segment, run_scan, sieve_range
 from zetalab.sums import partial_sums
 from zetalab.integrals import (
@@ -335,6 +336,38 @@ def test_a_request_gets_the_same_bits_alone_and_in_any_pass():
     together = _evaluate([*requests, *others])
     for r in requests:
         assert repr(together[r]) == repr(_evaluate([r])[r]), r
+
+
+def test_every_sum_of_the_suite_is_fsum_of_its_terms_in_any_order(monkeypatch):
+    """Each request's value in the suite's pass, and each running G, is
+    math.fsum of the terms added to its sums, bit for bit, and the same
+    terms added in reverse order give the same bits."""
+    terms, folds = {}, []
+    add, init = CompensatedSum.add, integrals_module._Fold.__init__
+
+    def recording_add(self, term):
+        terms.setdefault(self, []).append(float(term))
+        add(self, term)
+
+    def recording_init(self, requests):
+        init(self, requests)
+        folds.append(self)
+
+    monkeypatch.setattr(CompensatedSum, "add", recording_add)
+    monkeypatch.setattr(integrals_module._Fold, "__init__", recording_init)
+    run_default_suite(X=10**5)
+    monkeypatch.undo()
+    (fold,) = folds
+    sums = [*fold.sums.values(), *fold.g.values()]
+    parts = [p for acc in sums for p in ((acc,) if isinstance(acc, CompensatedSum) else (acc.re, acc.im))]
+    assert fold.sums and fold.g and set(parts) == set(terms)
+    for acc in parts:
+        added = terms[acc]
+        assert acc.value.hex() == math.fsum(added).hex()
+        backwards = CompensatedSum()
+        for term in reversed(added):
+            backwards.add(term)
+        assert backwards.value.hex() == acc.value.hex()
 
 
 def test_a_pass_that_reads_no_mu_sieves_no_squareful_mask(monkeypatch, tmp_path, segment_length):

@@ -3,10 +3,12 @@
 import argparse
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +198,15 @@ def test_sieve_csv(tmp_path, capsys):
     assert rows[-1] == {"n": "20", "lambda": "-1"}
 
 
+@pytest.mark.parametrize("lo, hi", [("5", "4"), ("0", "4")])
+def test_sieve_refuses_a_range_as_typed(capsys, lo, hi):
+    """--hi is inclusive: the refusal names --lo and --hi as given, not
+    the half-open range the sieve is asked for."""
+    code, out, err = run(capsys, "sieve", "--lo", lo, "--hi", hi)
+    assert code == 1 and out == ""
+    assert err == f"error: need 1 <= --lo <= --hi < 2^63, got --lo {lo} --hi {hi}\n"
+
+
 def test_scan_turan_only(capsys):
     code, out, _ = run(capsys, "scan", "--limit", "1000", "--turan")
     assert code == 0
@@ -243,13 +254,23 @@ def test_sums_default_block(capsys):
 
 def test_sums_past_double_precision_is_an_error(capsys):
     """F_10(-400) overflows every float: the direct route's inf - inf is
-    refused, not printed as nan, and numpy warns nothing on the way."""
+    refused, not printed as nan, and numpy warns nothing on the way.
+    F_100000(-60), near 4.6e301, is printed within its rounding of the
+    exact sum of lambda(n) n^60: each n^60 is formed to about
+    60 log(n) ulps, so the value to that many ulps of sum |terms|, plus
+    half a unit of the 15th printed digit."""
     code, out, err = run(capsys, "sums", "--x", "10", "--alpha", "-400")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     code, out, err = run(capsys, "sums", "--x", "1e5", "--alpha", "-60")
     assert code == 0 and err == ""
-    assert out == "F_100000(-60) = 4.6109182901144e+301\n"  # exactly 4.61091829011447e+301
+    head, printed = out.rstrip("\n").split(" = ")
+    assert head == "F_100000(-60)" and out.count("\n") == 1
+    table = liouville.sieve_range(2, 100001)
+    terms = [table.value(n) * n**60 for n in range(2, 100001)]
+    exact, size = sum(terms), sum(map(abs, terms))
+    tol = 60 * math.log(1e5) * 2.0**-53 * size / abs(exact) + 5e-15
+    assert abs(Fraction(printed) - exact) <= tol * abs(exact)
 
 
 def test_integral_past_double_precision_is_an_error(capsys):

@@ -7,6 +7,8 @@ import pathlib
 import pkgutil
 import types
 
+import pytest
+
 import zetalab
 from zetalab import cli, integrals, liouville
 
@@ -61,27 +63,36 @@ def test_segments_lie_on_the_sub_block_grid():
 
 
 def test_the_exact_sums_unit_has_one_home():
-    """2^-1074, the unit of the scan's exact T, is compensated.UNITS: no
-    other module spells it, as RETIRED_NAMES keeps a retired name out."""
+    """2^-1074, the unit of the exact sums, is compensated.UNITS, and
+    compensated.to_units the one converter of a float into it: no other
+    module spells either, as RETIRED_NAMES keeps a retired name out."""
     src = pathlib.Path(zetalab.__file__).parent
     for path in sorted(src.glob("*.py")):
-        if path.name != "compensated.py":
-            assert "1074" not in path.read_text(), path.name
+        text = path.read_text()
+        if path.name == "compensated.py":
+            assert text.count("as_integer_ratio") == 1
+        else:
+            assert "1074" not in text, path.name
+            assert "as_integer_ratio" not in text, path.name
 
 
-def test_a_smoke_scan_passes_the_benchmark_checks(tmp_path, capsys):
-    """The benchmark reads scan_1e8's report from its stdout and its
-    checkpoint file (perfbench/workloads.py); a smoke-size scan run
-    in-process must pass every check of perfbench/reference.json, so a
-    change to either format fails here first."""
+@pytest.mark.parametrize("workload", ["verify_1e6", "sigma_c_f_one", "scan_1e8"])
+def test_a_smoke_scan_passes_the_benchmark_checks(workload, tmp_path, capsys):
+    """The benchmark reads each workload's outputs from its stdout and
+    files (perfbench/workloads.py); its smoke-size run in-process must
+    pass every check of perfbench/reference.json, within the
+    benchmark's float tolerance, so a change to a format or a value
+    past that tolerance fails here first."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    code = cli.main(workloads.command("scan_1e8", True, str(tmp_path)))
-    got = workloads.extract("scan_1e8", str(tmp_path), capsys.readouterr().out)
+    code = cli.main(workloads.command(workload, True, str(tmp_path)))
+    got = workloads.extract(workload, str(tmp_path), capsys.readouterr().out)
     got["exit_code"] = code
-    assert workloads.compare(workloads.load_reference("scan_1e8", True), got) == []
+    reference = workloads.load_reference(workload, True)
+    assert reference
+    assert workloads.compare(reference, got) == []
 
 
 def test_names_the_benchmark_traces_still_resolve():
